@@ -9,8 +9,9 @@ normalized so both slabs take the value 1 at the interface whenever
 cos(lambda_b b) and cos(lambda_a a) stay away from zero.  When either
 cosine (numerically) vanishes the interface value cannot be pinned to 1;
 those modes fall back to the unit-norm null vector of the 2x2 interface
-system and their norms are computed by quadrature instead of the closed
-forms.
+system, whose norms have closed forms too.  No norm needs quadrature: a
+basis builds its Gauss-Legendre rule only when a Gram matrix, a bound or
+a callable projection first asks for it.
 
 The family is orthogonal in the weighted inner product
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,30 +59,14 @@ def _quadrature_order(lam_max: float, length: float) -> int:
 
 @dataclass(frozen=True)
 class EigenMode:
-    """One eigen-element with its normalization and squared norms."""
+    """One eigen-element with its slab amplitudes and squared norms."""
 
     pair: EigenValuePair
     norm_N: float
     norm_M: float
+    amp_b: float
+    amp_a: float
     degenerate_interface: bool = False
-    alt_theta_b: float = 1.0
-    alt_theta_a: float = 1.0
-
-    @property
-    def amp_b(self) -> float:
-        if self.degenerate_interface:
-            return self.alt_theta_b
-        return 1.0 / math.cos(self.pair.lambda_b * self._b)
-
-    @property
-    def amp_a(self) -> float:
-        if self.degenerate_interface:
-            return self.alt_theta_a
-        return 1.0 / math.cos(self.pair.lambda_a * self._a)
-
-    # geometry is stashed at construction so amplitudes are self-contained
-    _b: float = 0.0
-    _a: float = 0.0
 
 
 def phi(mode: EigenMode, x, sys: SlabSystem):
@@ -161,14 +146,19 @@ def _interface_null_vector(sys: SlabSystem, pair: EigenValuePair) -> tuple[float
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Ordered eigen-elements of one system plus shared quadrature rules."""
+    """Ordered eigen-elements of one system.
+
+    Frequencies and amplitudes are also kept as arrays, one entry per
+    mode.  The Gauss-Legendre rule (``quad_x_b``, ``quad_w_b``,
+    ``quad_x_a``, ``quad_w_a``) is built on first access and cached.
+    """
 
     sys: SlabSystem
     modes: tuple[EigenMode, ...]
-    quad_x_b: np.ndarray
-    quad_w_b: np.ndarray
-    quad_x_a: np.ndarray
-    quad_w_a: np.ndarray
+    lambda_b: np.ndarray
+    lambda_a: np.ndarray
+    amp_b: np.ndarray
+    amp_a: np.ndarray
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -182,40 +172,63 @@ class EigenBasis:
     def phi_prime(self, n: int, x):
         return phi_prime(self.modes[n], x, self.sys)
 
+    @cached_property
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        s = self.sys
+        xb, wb = _leggauss(_quadrature_order(max(float(self.lambda_b[-1]), 1.0), s.b))
+        xa, wa = _leggauss(_quadrature_order(max(float(self.lambda_a[-1]), 1.0), s.a))
+        return -s.b / 2 + (s.b / 2) * xb, (s.b / 2) * wb, s.a / 2 + (s.a / 2) * xa, (s.a / 2) * wa
+
+    @property
+    def quad_x_b(self) -> np.ndarray:
+        return self._quadrature[0]
+
+    @property
+    def quad_w_b(self) -> np.ndarray:
+        return self._quadrature[1]
+
+    @property
+    def quad_x_a(self) -> np.ndarray:
+        return self._quadrature[2]
+
+    @property
+    def quad_w_a(self) -> np.ndarray:
+        return self._quadrature[3]
+
+
+def _mode_columns(basis: EigenBasis, nodes, slab: str, cols) -> np.ndarray:
+    """phi_{alpha n}(x_j) for the modes picked by ``cols`` (a slice or index list)."""
+    nodes = np.asarray(nodes, dtype=float)
+    if slab == "b":
+        return basis.amp_b[cols] * np.cos(np.outer(nodes + basis.sys.b, basis.lambda_b[cols]))
+    if slab == "a":
+        return basis.amp_a[cols] * np.cos(np.outer(nodes - basis.sys.a, basis.lambda_a[cols]))
+    raise ValueError("slab must be 'b' or 'a'")
+
 
 def slab_matrix(basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int) -> np.ndarray:
     """Matrix of phi_{alpha n}(x_j), rows nodes, columns modes 0..mode_count-1."""
-    nodes = np.asarray(nodes, dtype=float)
-    cols = []
-    for mode in basis.modes[:mode_count]:
-        if slab == "b":
-            cols.append(mode.amp_b * np.cos(mode.pair.lambda_b * (nodes + basis.sys.b)))
-        elif slab == "a":
-            cols.append(mode.amp_a * np.cos(mode.pair.lambda_a * (nodes - basis.sys.a)))
-        else:
-            raise ValueError("slab must be 'b' or 'a'")
-    return np.column_stack(cols)
+    return _mode_columns(basis, nodes, slab, slice(mode_count))
 
 
-def build_basis(
-    sys: SlabSystem,
-    mode_count: int,
-    d0: float = 10.0,
-    delta: float = 1e-3,
-    scan_step: float = 1e-3,
-    refine_tol: float = 1e-12,
-) -> EigenBasis:
+def _degenerate_norms(
+    sys: SlabSystem, pair: EigenValuePair, th_b: float, th_a: float
+) -> tuple[float, float]:
+    """Closed-form (N_n, M_n) of the mode theta_alpha cos(lambda_alpha s) on each slab."""
+    N = M = 0.0
+    for mat, lam, length, th in (
+        (sys.mat_b, pair.lambda_b, sys.b, th_b),
+        (sys.mat_a, pair.lambda_a, sys.a, th_a),
+    ):
+        wobble = math.sin(2 * lam * length) / (4 * lam)
+        N += (mat.K / mat.kappa) * th**2 * (length / 2 + wobble)
+        M += mat.K * th**2 * lam**2 * (length / 2 - wobble)
+    return N, M
+
+
+def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
     """Compute the first mode_count eigen-elements with norms attached."""
-    pairs = find_eigenvalues(sys, mode_count - 1, d0, delta, scan_step, refine_tol)
-    lam_max = max(p.lambda_b for p in pairs)
-    lam_a_max = max(p.lambda_a for p in pairs)
-    xb, wb = _leggauss(_quadrature_order(max(lam_max, 1.0), sys.b))
-    xa, wa = _leggauss(_quadrature_order(max(lam_a_max, 1.0), sys.a))
-    quad_x_b = -sys.b / 2 + (sys.b / 2) * xb
-    quad_w_b = (sys.b / 2) * wb
-    quad_x_a = sys.a / 2 + (sys.a / 2) * xa
-    quad_w_a = (sys.a / 2) * wa
-
+    pairs = find_eigenvalues(sys, mode_count - 1)
     modes = []
     for pair in pairs:
         cos_b = math.cos(pair.lambda_b * sys.b)
@@ -228,55 +241,45 @@ def build_basis(
                 pair=pair,
                 norm_N=norm_N_closed(sys, pair),
                 norm_M=norm_M_closed(sys, pair),
-                _b=sys.b,
-                _a=sys.a,
+                amp_b=1.0 / cos_b,
+                amp_a=1.0 / cos_a,
             )
         else:
             th_b, th_a = _interface_null_vector(sys, pair)
-            fb = th_b * np.cos(pair.lambda_b * (quad_x_b + sys.b))
-            fa = th_a * np.cos(pair.lambda_a * (quad_x_a - sys.a))
-            gb = -th_b * pair.lambda_b * np.sin(pair.lambda_b * (quad_x_b + sys.b))
-            ga = -th_a * pair.lambda_a * np.sin(pair.lambda_a * (quad_x_a - sys.a))
-            wN = (sys.mat_b.K / sys.mat_b.kappa) * float(np.dot(quad_w_b, fb**2)) + (
-                sys.mat_a.K / sys.mat_a.kappa
-            ) * float(np.dot(quad_w_a, fa**2))
-            wM = sys.mat_b.K * float(np.dot(quad_w_b, gb**2)) + sys.mat_a.K * float(
-                np.dot(quad_w_a, ga**2)
-            )
+            norm_N, norm_M = _degenerate_norms(sys, pair, th_b, th_a)
             mode = EigenMode(
                 pair=pair,
-                norm_N=wN,
-                norm_M=wM,
+                norm_N=norm_N,
+                norm_M=norm_M,
+                amp_b=th_b,
+                amp_a=th_a,
                 degenerate_interface=True,
-                alt_theta_b=th_b,
-                alt_theta_a=th_a,
-                _b=sys.b,
-                _a=sys.a,
             )
         modes.append(mode)
-    return EigenBasis(sys, tuple(modes), quad_x_b, quad_w_b, quad_x_a, quad_w_a)
+    return EigenBasis(
+        sys,
+        tuple(modes),
+        lambda_b=np.array([p.lambda_b for p in pairs]),
+        lambda_a=np.array([p.lambda_a for p in pairs]),
+        amp_b=np.array([m.amp_b for m in modes]),
+        amp_a=np.array([m.amp_a for m in modes]),
+    )
 
 
 def weighted_inner(basis: EigenBasis, m: int, n: int) -> float:
     """Weighted inner product of modes m and n (K/kappa weights)."""
     s = basis.sys
-    fb_m = slab_matrix(basis, basis.quad_x_b, "b", len(basis))[:, m]
-    fb_n = slab_matrix(basis, basis.quad_x_b, "b", len(basis))[:, n]
-    fa_m = slab_matrix(basis, basis.quad_x_a, "a", len(basis))[:, m]
-    fa_n = slab_matrix(basis, basis.quad_x_a, "a", len(basis))[:, n]
-    ib = float(np.dot(basis.quad_w_b, fb_m * fb_n))
-    ia = float(np.dot(basis.quad_w_a, fa_m * fa_n))
+    fb = _mode_columns(basis, basis.quad_x_b, "b", [m, n])
+    fa = _mode_columns(basis, basis.quad_x_a, "a", [m, n])
+    ib = float(np.dot(basis.quad_w_b, fb[:, 0] * fb[:, 1]))
+    ia = float(np.dot(basis.quad_w_a, fa[:, 0] * fa[:, 1]))
     return (s.mat_b.K / s.mat_b.kappa) * ib + (s.mat_a.K / s.mat_a.kappa) * ia
 
 
 def weighted_gram(basis: EigenBasis, mode_count: int | None = None) -> np.ndarray:
     """Full matrix of weighted inner products, diagonal N_n for eigen-modes."""
     s = basis.sys
-    count = len(basis) if mode_count is None else mode_count
-    Pb = slab_matrix(basis, basis.quad_x_b, "b", count)
-    Pa = slab_matrix(basis, basis.quad_x_a, "a", count)
-    Gb = Pb.T @ (basis.quad_w_b[:, None] * Pb)
-    Ga = Pa.T @ (basis.quad_w_a[:, None] * Pa)
+    Gb, Ga = slab_grams(basis, mode_count)
     return (s.mat_b.K / s.mat_b.kappa) * Gb + (s.mat_a.K / s.mat_a.kappa) * Ga
 
 
@@ -291,14 +294,10 @@ def slab_grams(basis: EigenBasis, mode_count: int | None = None) -> tuple[np.nda
 def derivative_gram(basis: EigenBasis, mode_count: int | None = None) -> np.ndarray:
     """Matrix of K-weighted inner products of derivatives, diagonal M_n."""
     s = basis.sys
-    count = len(basis) if mode_count is None else mode_count
-    cols_b, cols_a = [], []
-    for mode in basis.modes[:count]:
-        lb, la = mode.pair.lambda_b, mode.pair.lambda_a
-        cols_b.append(-mode.amp_b * lb * np.sin(lb * (basis.quad_x_b + s.b)))
-        cols_a.append(-mode.amp_a * la * np.sin(la * (basis.quad_x_a - s.a)))
-    Db = np.column_stack(cols_b)
-    Da = np.column_stack(cols_a)
+    k = slice(len(basis) if mode_count is None else mode_count)
+    lb, la = basis.lambda_b[k], basis.lambda_a[k]
+    Db = -(basis.amp_b[k] * lb) * np.sin(np.outer(basis.quad_x_b + s.b, lb))
+    Da = -(basis.amp_a[k] * la) * np.sin(np.outer(basis.quad_x_a - s.a, la))
     Gb = Db.T @ (basis.quad_w_b[:, None] * Db)
     Ga = Da.T @ (basis.quad_w_a[:, None] * Da)
     return s.mat_b.K * Gb + s.mat_a.K * Ga

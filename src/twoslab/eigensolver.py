@@ -10,11 +10,18 @@ equation in the left-slab frequency lambda_b:
 with lambda_a = sqrt(kappa_b/kappa_a) * lambda_b pinned by the shared
 decay rate lambda_bar = kappa_b lambda_b^2 = kappa_a lambda_a^2.
 
-Roots are located by a uniform sign-change scan followed by bisection;
-the scan window grows in fixed increments until enough roots are found.
-A Newton multistart on the equivalent two-variable system is kept as a
-demonstration of why the scan is preferred: naive multistarts drop and
-duplicate roots.
+Roots are indexed by a Pruefer-type phase.  Dividing the equation by
+both cosines turns it into
+
+    lambda b + h(r lambda a) = n pi,   h(psi) = k pi + atan(rho tan(psi - k pi)),
+
+with r = sqrt(kappa_b/kappa_a), rho = (K_a/sqrt(kappa_a)) / (K_b/sqrt(kappa_b))
+and k = round(psi/pi).  The left-hand side is continuous, strictly
+increasing and within pi/2 of lambda (b + r a), so root n is the only
+one in the closed-form bracket (n -+ 1/2) pi / (b + r a).  All brackets
+are bisected at once.  A Newton multistart on the equivalent
+two-variable system is kept as a demonstration of why naive multistarts
+drop and duplicate roots.
 """
 
 from __future__ import annotations
@@ -29,9 +36,6 @@ from .core import NumericalError, SlabSystem
 # Grid values this close to zero are treated as exact roots, and local
 # minima of |f| below it are flagged as tangency (double) roots.
 TANGENCY_TOL = 1e-12
-
-# Hard cap on window expansions; past this the spectrum is assumed broken.
-MAX_EXPANSIONS = 10**6
 
 
 def lambda_a_of(lambda_b: float, sys: SlabSystem) -> float:
@@ -53,6 +57,18 @@ def eigen_f(lambda_b, sys: SlabSystem):
     return out
 
 
+def eigen_phase(lambda_b, sys: SlabSystem) -> np.ndarray:
+    """Interface phase lambda_b b + h(lambda_a a); strictly increasing, vectorized.
+
+    Root n of ``eigen_f`` is where the phase equals n pi.
+    """
+    lam_b = np.asarray(lambda_b, dtype=float)
+    rho = (sys.mat_a.K / math.sqrt(sys.mat_a.kappa)) / (sys.mat_b.K / math.sqrt(sys.mat_b.kappa))
+    psi = sys.kappa_ratio_root() * lam_b * sys.a
+    k_pi = np.rint(psi / math.pi) * math.pi
+    return lam_b * sys.b + k_pi + np.arctan(rho * np.tan(psi - k_pi))
+
+
 @dataclass(frozen=True)
 class EigenValuePair:
     """One eigen-element's frequencies and decay rate, index n >= 0."""
@@ -63,17 +79,30 @@ class EigenValuePair:
     lambda_bar: float
 
 
-def _bisect(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
-    """Standard bisection on a bracketing interval, to width <= tol."""
-    while hi - lo > tol:
+def _bisect_brackets(f, lo, hi, sign_lo, tol: float) -> np.ndarray:
+    """One root of f in each bracket [lo_i, hi_i], all bisected together.
+
+    ``f`` maps an array of abscissae to values, element i belonging to
+    bracket i; ``sign_lo`` is the sign of f at the lower ends.  Each
+    bracket is halved until its width is <= tol, f vanishes exactly at a
+    midpoint, or no double lies strictly inside; the midpoint of what
+    remains is returned.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    slo = np.broadcast_to(sign_lo, lo.shape).astype(float)
+    active = hi - lo > tol
+    while np.any(active):
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
+        fm = f(mid)
+        hit = active & (fm == 0.0)
+        lower = active & ~hit & (slo * fm < 0.0)
+        upper = active & ~hit & ~lower
+        stalled = (mid == lo) | (mid == hi)
+        hi = np.where(lower | hit, mid, hi)
+        lo = np.where(upper | hit, mid, lo)
+        slo = np.where(upper, np.sign(fm), slo)
+        active &= ~hit & ~stalled & (hi - lo > tol)
     return 0.5 * (lo + hi)
 
 
@@ -85,11 +114,13 @@ def scan_roots(
     refine_tol: float,
     max_roots: int | None = None,
 ) -> list[float]:
-    """Roots of f on [lo, hi] by uniform scan + bisection.
+    """Roots of f on [lo, hi] by uniform scan + bisection, ascending.
 
     f must be vectorized.  Grid points where f vanishes to TANGENCY_TOL
     are accepted directly, which also catches tangency (no-sign-change)
-    roots as local minima of |f|; everything else needs a sign change.
+    roots as local minima of |f|; everything else needs a sign change
+    between neighbouring grid points.  A grid hit within half a step of
+    the previous root repeats it and is dropped.
     """
     n_steps = int(math.ceil((hi - lo) / scan_step))
     if n_steps < 1:
@@ -98,82 +129,36 @@ def scan_roots(
     xs[-1] = min(xs[-1], hi)
     fs = np.asarray(f(xs), dtype=float)
 
-    roots: list[float] = []
     zeroish = np.abs(fs) <= TANGENCY_TOL
-    i = 0
-    while i < len(xs) - 1:
-        if max_roots is not None and len(roots) >= max_roots:
-            return roots
-        if zeroish[i]:
-            # exact grid hit (always true at lambda = 0) or tangency minimum
-            if not roots or xs[i] - roots[-1] > scan_step / 2:
-                roots.append(float(xs[i]))
-            i += 1
-            continue
-        if not zeroish[i + 1] and fs[i] * fs[i + 1] < 0.0:
-            roots.append(_bisect(lambda x: float(f(x)), xs[i], xs[i + 1], fs[i], fs[i + 1], refine_tol))
-        i += 1
-    if zeroish[-1] and (not roots or xs[-1] - roots[-1] > scan_step / 2):
-        roots.append(float(xs[-1]))
-    if max_roots is not None:
-        roots = roots[:max_roots]
-    return roots
+    hits = np.flatnonzero(zeroish)
+    changes = np.flatnonzero(~zeroish[:-1] & ~zeroish[1:] & (fs[:-1] * fs[1:] < 0.0))
+    refined = _bisect_brackets(f, xs[changes], xs[changes + 1], np.sign(fs[changes]), refine_tol)
+    # a hit at node i comes before a sign change inside (x_i, x_i+1)
+    order = np.argsort(np.concatenate((2 * hits, 2 * changes + 1)))
+    roots = np.concatenate((xs[hits], refined))[order]
+    is_hit = np.concatenate((np.ones(len(hits), bool), np.zeros(len(changes), bool)))[order]
+    keep = ~is_hit | (np.diff(roots, prepend=-np.inf) > scan_step / 2)
+    return roots[keep][:max_roots].tolist()
 
 
-def find_eigenvalues(
-    sys: SlabSystem,
-    N: int,
-    d0: float = 10.0,
-    delta: float = 1e-3,
-    scan_step: float = 1e-3,
-    refine_tol: float = 1e-12,
-) -> list[EigenValuePair]:
+def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:
     """Smallest N+1 non-negative eigen frequencies, ascending.
 
-    Index 0 is always lambda_b = 0 (the constant mode).  The scan window
-    [0, d] starts at d0 and is expanded by delta until N+1 roots are
-    found, up to d0 + 1e6*delta.
+    Index 0 is always lambda_b = 0 (the constant mode).  Root n >= 1 is
+    bisected on the phase ``eigen_phase - n pi`` inside its own bracket
+    (n -+ 1/2) pi / (b + r a) until the bracket ends are adjacent doubles.
     """
     if N < 0:
         raise NumericalError("N must be non-negative")
-    f = lambda x: eigen_f(x, sys)
-    needed = N + 1
-    d = d0
-    roots = scan_roots(f, 0.0, d, scan_step, refine_tol, max_roots=needed)
-    expansions = 0
-    while len(roots) < needed:
-        if expansions >= MAX_EXPANSIONS:
-            raise NumericalError(
-                f"eigenvalue scan exceeded expansion cap at d = {d!r} "
-                f"with {len(roots)} of {needed} roots"
-            )
-        # Grow in delta units but scan chunk-wise so the grid (anchored at
-        # 0 with pitch scan_step) is identical to a one-shot scan of [0, d].
-        grow = max(1, min(MAX_EXPANSIONS - expansions, int(math.ceil(1000 * scan_step / delta))))
-        new_d = d + grow * delta
-        lo_idx = int(math.floor(d / scan_step))
-        more = scan_roots(
-            lambda x: f(x),
-            lo_idx * scan_step,
-            new_d,
-            scan_step,
-            refine_tol,
-            max_roots=None,
-        )
-        for r in more:
-            if not roots or r > roots[-1] + scan_step / 2:
-                roots.append(r)
-        expansions += grow
-        d = new_d
-
-    roots = roots[:needed]
     ratio = sys.kappa_ratio_root()
-    pairs = []
-    for n, lam_b in enumerate(roots):
-        if n == 0:
-            lam_b = 0.0
-        lam_a = ratio * lam_b
-        pairs.append(EigenValuePair(n, lam_b, lam_a, sys.mat_b.kappa * lam_b**2))
+    n = np.arange(1, N + 1)
+    width = math.pi / (sys.b + ratio * sys.a)
+    # the phase increases, so it is negative at every lower bracket end
+    phase = lambda lam: eigen_phase(lam, sys) - n * math.pi
+    roots = _bisect_brackets(phase, (n - 0.5) * width, (n + 0.5) * width, -1.0, 0.0)
+    pairs = [EigenValuePair(0, 0.0, 0.0, 0.0)]
+    for k, lam_b in enumerate(roots.tolist(), start=1):
+        pairs.append(EigenValuePair(k, lam_b, ratio * lam_b, sys.mat_b.kappa * lam_b**2))
     return pairs
 
 

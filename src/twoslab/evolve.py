@@ -38,6 +38,9 @@ from .spectral import (
     synthesize,
 )
 
+# Relative round-off by which a measured perturbation may exceed its noise budget.
+NOISE_BUDGET_RTOL = 1e-9
+
 
 def choose_n_eps(epsilon: float, beta: float, gamma: float, tf: float) -> float:
     """Cut-off level for noise eps; the larger it is, the more modes survive."""
@@ -215,7 +218,7 @@ def noise_gap_bound(
         time=clean_tf.time,
     )
     db, da = trapezoid_norm(delta)
-    if db + da > reg.epsilon * (1.0 + 1e-9):
+    if db + da > reg.epsilon * (1.0 + NOISE_BUDGET_RTOL):
         raise ValidationError("perturbation exceeds the noise budget eps")
     adm = admissible_set(basis, reg.n_eps)
     k = len(adm)

@@ -31,6 +31,17 @@ def sys_explicit():
 
 
 @pytest.fixture(scope="session")
+def sys_stiff():
+    """Admissible but stiff: rho = 1.4e-6, roots as close as 0.017 at 400 modes."""
+    return SlabSystem(
+        b=1.0,
+        a=7.0,
+        mat_b=Material(K=100.0, kappa=0.01),
+        mat_a=Material(K=0.01, kappa=50.0),
+    )
+
+
+@pytest.fixture(scope="session")
 def sys_2d():
     """Unit square plates, same materials as the reference system."""
     return SlabSystem(

@@ -54,27 +54,65 @@ def brute_force_roots(sys, count, step=2e-4):
     return np.array(roots[:count])
 
 
+def _mp_dispersion(sys):
+    """The dispersion relation in mpmath arithmetic at the caller's precision."""
+    import mpmath
+
+    kb = mpmath.mpf(repr(sys.mat_b.kappa))
+    ka = mpmath.mpf(repr(sys.mat_a.kappa))
+    Kb = mpmath.mpf(repr(sys.mat_b.K))
+    Ka = mpmath.mpf(repr(sys.mat_a.K))
+    b = mpmath.mpf(repr(sys.b))
+    a = mpmath.mpf(repr(sys.a))
+    ratio = mpmath.sqrt(kb / ka)
+
+    def f(lb):
+        la = ratio * lb
+        return (Kb / mpmath.sqrt(kb) * mpmath.sin(lb * b) * mpmath.cos(la * a)
+                + Ka / mpmath.sqrt(ka) * mpmath.sin(la * a) * mpmath.cos(lb * b))
+
+    return f
+
+
 def mp_first_root(sys, lo, hi, digits=50):
     """First dispersion root in [lo, hi] by 50-digit bisection."""
     import mpmath
 
     with mpmath.workdps(digits):
-        kb = mpmath.mpf(repr(sys.mat_b.kappa))
-        ka = mpmath.mpf(repr(sys.mat_a.kappa))
-        Kb = mpmath.mpf(repr(sys.mat_b.K))
-        Ka = mpmath.mpf(repr(sys.mat_a.K))
-        b = mpmath.mpf(repr(sys.b))
-        a = mpmath.mpf(repr(sys.a))
-        ratio = mpmath.sqrt(kb / ka)
-
-        def f(lb):
-            la = ratio * lb
-            return (Kb / mpmath.sqrt(kb) * mpmath.sin(lb * b) * mpmath.cos(la * a)
-                    + Ka / mpmath.sqrt(ka) * mpmath.sin(la * a) * mpmath.cos(lb * b))
-
-        root = mpmath.findroot(f, (mpmath.mpf(repr(lo)), mpmath.mpf(repr(hi))),
+        root = mpmath.findroot(_mp_dispersion(sys), (mpmath.mpf(repr(lo)), mpmath.mpf(repr(hi))),
                                solver="bisect", tol=mpmath.mpf(10) ** (-digits + 5))
         return float(root)
+
+
+def sign_change_count(sys, hi, points):
+    """Sign changes of the dispersion relation on a uniform grid over (0, hi].
+
+    Each change brackets at least one root, so the count is a lower
+    bound on the number of positive roots below hi.  Evaluated in chunks
+    to keep memory small.
+    """
+    xs = np.linspace(0.0, hi, points + 1)[1:]
+    count, prev = 0, None
+    for chunk in np.array_split(xs, max(1, points // 50_000)):
+        sign = np.sign(dispersion(chunk, sys))
+        if prev is not None:
+            sign = np.concatenate(([prev], sign))
+        count += int(np.count_nonzero(sign[:-1] * sign[1:] < 0))
+        prev = sign[-1]
+    return count
+
+
+def mp_refine_roots(sys, guesses, digits=30):
+    """Each guess refined by secant iteration on the raw dispersion relation."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        f = _mp_dispersion(sys)
+        out = []
+        for g in guesses:
+            x0 = mpmath.mpf(repr(float(g)))
+            out.append(float(mpmath.findroot(f, (x0, x0 * (1 + mpmath.mpf(2) ** -40)))))
+        return out
 
 
 def dispersion_2d(nu_b, mu, sys):

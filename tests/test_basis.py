@@ -31,13 +31,14 @@ def test_gauss_legendre_integrates_polynomials_exactly(coeffs):
 
 
 def test_reference_norms_closed_form(basis_cm):
+    # N_1..N_3 and M_1 evaluated at 40-digit mpmath roots of the dispersion relation
     ns = [m.norm_N for m in basis_cm.modes[:4]]
     assert ns[0] == pytest.approx(29.697763321857778, rel=1e-12)
-    assert ns[1] == pytest.approx(7741.555194785997, rel=1e-12)
-    assert ns[2] == pytest.approx(14.95470398323725, rel=1e-12)
-    assert ns[3] == pytest.approx(860.2400198834382, rel=1e-12)
+    assert ns[1] == pytest.approx(7741.555194439178, rel=1e-12)
+    assert ns[2] == pytest.approx(14.954703983237408, rel=1e-12)
+    assert ns[3] == pytest.approx(860.2400198878479, rel=1e-12)
     assert basis_cm.modes[0].norm_M == 0.0
-    assert basis_cm.modes[1].norm_M == pytest.approx(692.1447368733052, rel=1e-12)
+    assert basis_cm.modes[1].norm_M == pytest.approx(692.1447368410521, rel=1e-12)
 
 
 def test_zero_mode_norm_is_weighted_length(sys_cm, basis_cm):

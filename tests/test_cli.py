@@ -34,6 +34,7 @@ from twoslab.cli import (
     write_field_csv,
 )
 from twoslab.core import Material, SampledField, ValidationError, trapezoid_norm, uniform_grid
+from twoslab.evolve import NOISE_BUDGET_RTOL
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,25 @@ def test_inject_noise_respects_budget(sys_cm, grid_cm):
     again = inject_noise(clean, eps, 10.0, 123)
     assert np.array_equal(noisy.values_b, again.values_b)
     assert np.array_equal(noisy.values_a, again.values_a)
+
+
+def test_inject_noise_budget_survives_rounding_on_large_values(sys_cm, grid_cm):
+    # adding eps-sized noise to values near 1e4 rounds every node by ~1e-12
+    clean = SampledField(grid_cm, np.full(40, 1.0e4), np.linspace(-9e3, 9e3, 40), sys_cm.tf)
+    eps = 1e-6
+    for seed in range(50):
+        noisy = inject_noise(clean, eps, 10.0, seed)
+        delta = SampledField(grid_cm, noisy.values_b - clean.values_b,
+                             noisy.values_a - clean.values_a, clean.time)
+        db, da = trapezoid_norm(delta)
+        assert db + da <= eps * (1 + NOISE_BUDGET_RTOL)
+
+
+@pytest.mark.parametrize("grid_points", [20, 21, 22, 23])
+def test_example3_stays_within_noise_budget_across_seeds(grid_points):
+    base = default_config("3")
+    for seed in range(1, 51):
+        run_example("3", replace(base, seed=seed, grid_points=grid_points))
 
 
 def test_inject_noise_zero_eps_is_identity(sys_cm, grid_cm):
