@@ -31,7 +31,6 @@ from .spectral import (
 from .evolve import (
     AdmissibleSet,
     admissible_set,
-    choose_n_eps,
     cutoff_reconstruct,
     forward_solve,
     instability_lower_bound,
@@ -71,7 +70,6 @@ __all__ = [
     "admissible_set",
     "amplification_factors",
     "build_basis",
-    "choose_n_eps",
     "cutoff_reconstruct",
     "cutoff_threshold",
     "eigen_f",

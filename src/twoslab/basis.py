@@ -9,9 +9,9 @@ normalized so both slabs take the value 1 at the interface whenever
 cos(lambda_b b) and cos(lambda_a a) stay away from zero.  When either
 cosine (numerically) vanishes the interface value cannot be pinned to 1;
 those modes fall back to the unit-norm null vector of the 2x2 interface
-system, whose norms have closed forms too.  No norm needs quadrature: a
-basis builds its Gauss-Legendre rule only when a Gram matrix, a bound or
-a callable projection first asks for it.
+system, whose norms have closed forms too.  Norms and Gram matrices are
+closed forms; a basis builds its Gauss-Legendre rule only when a
+callable has to be integrated against the modes.
 
 The family is orthogonal in the weighted inner product
 
@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import NumericalError, SlabSystem
+from .core import NumericalError, SlabSystem, ValidationError
 from .eigensolver import EigenValuePair, find_eigenvalues
 
 # |cos| below this at the interface marks the mode as degenerate.
@@ -52,9 +52,20 @@ def gauss_legendre(f, lo: float, hi: float, order: int) -> float:
     return float(half * np.dot(w, np.asarray(f(mid + half * x), dtype=float)))
 
 
-def _quadrature_order(lam_max: float, length: float) -> int:
-    # about 4 nodes per unit of phase keeps cos products at machine accuracy
-    return max(64, int(math.ceil(4.0 * lam_max * length)))
+# Callables are integrated panel by panel with one fixed-order Gauss rule;
+# a panel spans at most PANEL_PHASE radians of the fastest mode, which
+# keeps cos products at machine accuracy (about 4 nodes per radian).
+PANEL_ORDER = 16
+PANEL_PHASE = 4.0
+
+
+def _composite_rule(lo: float, hi: float, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite PANEL_ORDER-point Gauss-Legendre nodes and weights on [lo, hi]."""
+    x, w = _leggauss(PANEL_ORDER)
+    panels = max(4, math.ceil(lam_max * (hi - lo) / PANEL_PHASE))
+    half = 0.5 * (hi - lo) / panels
+    mids = lo + half * (2 * np.arange(panels) + 1)
+    return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
 
 
 @dataclass(frozen=True)
@@ -149,8 +160,9 @@ class EigenBasis:
     """Ordered eigen-elements of one system.
 
     Frequencies and amplitudes are also kept as arrays, one entry per
-    mode.  The Gauss-Legendre rule (``quad_x_b``, ``quad_w_b``,
-    ``quad_x_a``, ``quad_w_a``) is built on first access and cached.
+    mode.  The composite Gauss-Legendre rule for callables (``quad_x_b``,
+    ``quad_w_b``, ``quad_x_a``, ``quad_w_a``) is built on first access and
+    cached.
     """
 
     sys: SlabSystem
@@ -175,9 +187,9 @@ class EigenBasis:
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         s = self.sys
-        xb, wb = _leggauss(_quadrature_order(max(float(self.lambda_b[-1]), 1.0), s.b))
-        xa, wa = _leggauss(_quadrature_order(max(float(self.lambda_a[-1]), 1.0), s.a))
-        return -s.b / 2 + (s.b / 2) * xb, (s.b / 2) * wb, s.a / 2 + (s.a / 2) * xa, (s.a / 2) * wa
+        xb, wb = _composite_rule(-s.b, 0.0, max(float(self.lambda_b[-1]), 1.0))
+        xa, wa = _composite_rule(0.0, s.a, max(float(self.lambda_a[-1]), 1.0))
+        return xb, wb, xa, wa
 
     @property
     def quad_x_b(self) -> np.ndarray:
@@ -196,19 +208,15 @@ class EigenBasis:
         return self._quadrature[3]
 
 
-def _mode_columns(basis: EigenBasis, nodes, slab: str, cols) -> np.ndarray:
-    """phi_{alpha n}(x_j) for the modes picked by ``cols`` (a slice or index list)."""
-    nodes = np.asarray(nodes, dtype=float)
-    if slab == "b":
-        return basis.amp_b[cols] * np.cos(np.outer(nodes + basis.sys.b, basis.lambda_b[cols]))
-    if slab == "a":
-        return basis.amp_a[cols] * np.cos(np.outer(nodes - basis.sys.a, basis.lambda_a[cols]))
-    raise ValueError("slab must be 'b' or 'a'")
-
-
 def slab_matrix(basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int) -> np.ndarray:
     """Matrix of phi_{alpha n}(x_j), rows nodes, columns modes 0..mode_count-1."""
-    return _mode_columns(basis, nodes, slab, slice(mode_count))
+    nodes = np.asarray(nodes, dtype=float)
+    k = slice(mode_count)
+    if slab == "b":
+        return basis.amp_b[k] * np.cos(np.outer(nodes + basis.sys.b, basis.lambda_b[k]))
+    if slab == "a":
+        return basis.amp_a[k] * np.cos(np.outer(nodes - basis.sys.a, basis.lambda_a[k]))
+    raise ValueError("slab must be 'b' or 'a'")
 
 
 def _degenerate_norms(
@@ -228,6 +236,8 @@ def _degenerate_norms(
 
 def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
     """Compute the first mode_count eigen-elements with norms attached."""
+    if mode_count < 1:
+        raise ValidationError("mode_count must be at least 1")
     pairs = find_eigenvalues(sys, mode_count - 1)
     modes = []
     for pair in pairs:
@@ -266,14 +276,25 @@ def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
     )
 
 
+def _cos_products(lam: np.ndarray, amp: np.ndarray, length: float, sign: float) -> np.ndarray:
+    """amp_m amp_n * integral over [0, length] of cos(l_m s) cos(l_n s) (sign +1)
+    or sin(l_m s) sin(l_n s) (sign -1), for every pair of frequencies.
+
+    The product-to-sum identity gives (length/2) [sinc(d) + sign sinc(t)]
+    with d, t = (l_m -+ l_n) length/pi; np.sinc covers l_m = l_n and l = 0.
+    """
+    d = np.subtract.outer(lam, lam) * (length / math.pi)
+    t = np.add.outer(lam, lam) * (length / math.pi)
+    return np.outer(amp, amp) * (0.5 * length) * (np.sinc(d) + sign * np.sinc(t))
+
+
 def weighted_inner(basis: EigenBasis, m: int, n: int) -> float:
-    """Weighted inner product of modes m and n (K/kappa weights)."""
+    """Weighted inner product of modes m and n (K/kappa weights), in closed form."""
     s = basis.sys
-    fb = _mode_columns(basis, basis.quad_x_b, "b", [m, n])
-    fa = _mode_columns(basis, basis.quad_x_a, "a", [m, n])
-    ib = float(np.dot(basis.quad_w_b, fb[:, 0] * fb[:, 1]))
-    ia = float(np.dot(basis.quad_w_a, fa[:, 0] * fa[:, 1]))
-    return (s.mat_b.K / s.mat_b.kappa) * ib + (s.mat_a.K / s.mat_a.kappa) * ia
+    k = [m, n]
+    ib = _cos_products(basis.lambda_b[k], basis.amp_b[k], s.b, 1.0)[0, 1]
+    ia = _cos_products(basis.lambda_a[k], basis.amp_a[k], s.a, 1.0)[0, 1]
+    return float((s.mat_b.K / s.mat_b.kappa) * ib + (s.mat_a.K / s.mat_a.kappa) * ia)
 
 
 def weighted_gram(basis: EigenBasis, mode_count: int | None = None) -> np.ndarray:
@@ -284,11 +305,13 @@ def weighted_gram(basis: EigenBasis, mode_count: int | None = None) -> np.ndarra
 
 
 def slab_grams(basis: EigenBasis, mode_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slab (unweighted) Gram matrices of the eigenfunctions."""
-    count = len(basis) if mode_count is None else mode_count
-    Pb = slab_matrix(basis, basis.quad_x_b, "b", count)
-    Pa = slab_matrix(basis, basis.quad_x_a, "a", count)
-    return Pb.T @ (basis.quad_w_b[:, None] * Pb), Pa.T @ (basis.quad_w_a[:, None] * Pa)
+    """Per-slab (unweighted) Gram matrices of the eigenfunctions, in closed form."""
+    s = basis.sys
+    k = slice(len(basis) if mode_count is None else mode_count)
+    return (
+        _cos_products(basis.lambda_b[k], basis.amp_b[k], s.b, 1.0),
+        _cos_products(basis.lambda_a[k], basis.amp_a[k], s.a, 1.0),
+    )
 
 
 def derivative_gram(basis: EigenBasis, mode_count: int | None = None) -> np.ndarray:
@@ -296,13 +319,6 @@ def derivative_gram(basis: EigenBasis, mode_count: int | None = None) -> np.ndar
     s = basis.sys
     k = slice(len(basis) if mode_count is None else mode_count)
     lb, la = basis.lambda_b[k], basis.lambda_a[k]
-    Db = -(basis.amp_b[k] * lb) * np.sin(np.outer(basis.quad_x_b + s.b, lb))
-    Da = -(basis.amp_a[k] * la) * np.sin(np.outer(basis.quad_x_a - s.a, la))
-    Gb = Db.T @ (basis.quad_w_b[:, None] * Db)
-    Ga = Da.T @ (basis.quad_w_a[:, None] * Da)
+    Gb = _cos_products(lb, basis.amp_b[k] * lb, s.b, -1.0)
+    Ga = _cos_products(la, basis.amp_a[k] * la, s.a, -1.0)
     return s.mat_b.K * Gb + s.mat_a.K * Ga
-
-
-def norms_quadrature(basis: EigenBasis, n: int) -> tuple[float, float]:
-    """(N_n, M_n) recomputed by quadrature, for cross-checking closed forms."""
-    return float(weighted_gram(basis)[n, n]), float(derivative_gram(basis)[n, n])

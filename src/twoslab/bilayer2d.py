@@ -26,11 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Grid,
-    RankDeficientError,
     RegParams,
     SampledField,
     SlabSystem,
@@ -38,9 +36,8 @@ from .core import (
     uniform_grid,
 )
 from .basis import DEGENERATE_COS_TOL, _interface_null_vector
-from .core import AmplificationOverflowError
 from .eigensolver import EigenValuePair, scan_roots
-from .spectral import CONDITION_LIMIT, EXP_ARG_LIMIT
+from .spectral import _solve_slab, growth_factors
 
 
 class EvanescentBranchError(ValidationError):
@@ -228,13 +225,7 @@ def recover_slice_coefficients(
                 f"layer {slab}: slice solve needs exactly {count} nodes, got {len(nodes)}"
             )
         A = slice_matrix(basis2d, nodes, slab, y0)
-        cond = float(np.linalg.cond(A))
-        if cond > CONDITION_LIMIT or not math.isfinite(cond):
-            raise RankDeficientError(
-                f"slice collocation matrix rank deficient (condition {cond:.3e})", cond
-            )
-        sol, _, _, _ = scipy.linalg.lstsq(A, np.asarray(values, float), lapack_driver="gelsy")
-        out.append(sol)
+        out.append(_solve_slab(A, np.asarray(values, float), float(np.linalg.cond(A))))
     return out[0], out[1]
 
 
@@ -247,15 +238,8 @@ def synthesize_slice(
     grid: Grid,
 ) -> SampledField:
     """Evaluate the amplified slice series on a grid at time t."""
-    s = basis2d.sys
     lam = np.array([md.lambda_bar for md in basis2d.modes])
-    arg = lam * (s.tf - t)
-    peak = float(np.max(arg, initial=0.0))
-    if peak > EXP_ARG_LIMIT:
-        raise AmplificationOverflowError(
-            f"amplification overflow: max lambda_bar*(tf-t) = {peak:.3f} exceeds {EXP_ARG_LIMIT}"
-        )
-    amp = np.exp(arg)
+    amp = growth_factors(lam, basis2d.sys.tf - t)
     Pb = slice_matrix(basis2d, grid.nodes_b, "b", y0)
     Pa = slice_matrix(basis2d, grid.nodes_a, "a", y0)
     return SampledField(

@@ -160,6 +160,8 @@ def config_from_dict(obj: dict, base: RunConfig | None = None) -> RunConfig:
     for key in ("grid_points", "seed", "mode_count"):
         if key in obj:
             kwargs[key] = int(obj[key])
+    if kwargs.get("mode_count", 1) < 1:
+        raise ValidationError("mode_count must be at least 1")
     if "recovery_policy" in obj:
         policy = str(obj["recovery_policy"])
         if policy not in ("least-squares", "strict-paper", "projection"):
@@ -323,18 +325,27 @@ def write_field_csv(field: SampledField, path: str | Path) -> None:
 
 
 def read_field_csv(path: str | Path, time: float) -> SampledField:
+    """Read a slab,x,value CSV; malformed rows and non-finite numbers are refused."""
     lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != "slab,x,value":
+    if not lines or lines[0] != "slab,x,value":
         raise ValidationError(f"{path}: expected header 'slab,x,value'")
-    xb, vb, xa, va = [], [], [], []
-    for ln in lines[1:]:
-        slab, x, v = ln.split(",")
-        if slab == "b":
-            xb.append(float(x)); vb.append(float(v))
-        elif slab == "a":
-            xa.append(float(x)); va.append(float(v))
-        else:
+    cols: dict[str, tuple[list[float], list[float]]] = {"b": ([], []), "a": ([], [])}
+    for lineno, ln in enumerate(lines[1:], start=2):
+        fields = ln.split(",")
+        if len(fields) != 3:
+            raise ValidationError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+        slab, x, v = fields
+        if slab not in cols:
             raise ValidationError(f"{path}: unknown slab {slab!r}")
+        try:
+            xv, vv = float(x), float(v)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if not (math.isfinite(xv) and math.isfinite(vv)):
+            raise ValidationError(f"{path}:{lineno}: x and value must be finite")
+        cols[slab][0].append(xv)
+        cols[slab][1].append(vv)
+    (xb, vb), (xa, va) = cols["b"], cols["a"]
     return SampledField(Grid(np.array(xb), np.array(xa)), np.array(vb), np.array(va), time)
 
 

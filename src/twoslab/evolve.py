@@ -8,8 +8,9 @@ keeps only modes with lambda_bar_n <= N_eps where
 
 which caps the amplification of every retained mode at eps^{-beta gamma}
 over the full window.  The three bound checkers evaluate both sides of
-the growth/stability estimates numerically, sharing the basis quadrature
-so discretization error cancels between sides.
+the growth/stability estimates numerically; the series norms come from
+the closed-form slab Gram matrices, so neither side carries quadrature
+error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .core import (
     Grid,
@@ -26,7 +26,6 @@ from .core import (
     SampledField,
     SlabSystem,
     ValidationError,
-    cutoff_threshold,
     trapezoid_norm,
 )
 from .basis import EigenBasis, slab_grams, slab_matrix
@@ -40,11 +39,6 @@ from .spectral import (
 
 # Relative round-off by which a measured perturbation may exceed its noise budget.
 NOISE_BUDGET_RTOL = 1e-9
-
-
-def choose_n_eps(epsilon: float, beta: float, gamma: float, tf: float) -> float:
-    """Cut-off level for noise eps; the larger it is, the more modes survive."""
-    return cutoff_threshold(epsilon, beta, gamma, tf)
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,7 @@ def instability_lower_bound(
 ) -> tuple[float, float]:
     """Both sides of the backward-growth lower bound.
 
-    lhs: squared L2(-b,a) norm of the series at time t (quadrature).
+    lhs: squared L2(-b,a) norm of the series at time t (closed-form Grams).
     rhs: max{K_b/kappa_b, K_a/kappa_a, 1}^-1 *
          sum_n min(C_bn^2, C_an^2) exp(2 lambda_bar_n (tf-t)) N_n.
     The theorem asserts lhs >= rhs: amplified modes force growth.
@@ -249,6 +243,8 @@ class SourceCoefficients:
     def __post_init__(self) -> None:
         if self.d_b.shape != self.d_a.shape or self.d_b.shape[0] != len(self.times):
             raise ValidationError("source coefficient arrays must align with times")
+        if np.any(np.diff(self.times) <= 0):
+            raise ValidationError("source time nodes must be strictly increasing")
 
 
 def source_coefficients(
@@ -300,6 +296,38 @@ def source_compatibility(basis: EigenBasis, f_b, f_a, mode_count: int | None = N
     return np.abs(inner_a - inner_b)
 
 
+def simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson integral of y along axis 0 over 3 or more increasing nodes x.
+
+    The rule of ``scipy.integrate.simpson`` (1.11 on): parabolas through
+    consecutive pairs of (possibly unequal) intervals; for an even node
+    count the last interval gets Cartwright's three-point correction.
+    """
+    y = np.asarray(y, dtype=float)
+    h = np.diff(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * (y.ndim - 1))
+    n = len(y)
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    total = np.sum(
+        hsum
+        / 6.0
+        * (
+            y[0:stop:2] * (2.0 - h1 / h0)
+            + y[1 : stop + 1 : 2] * (hsum * (hsum / (h0 * h1)))
+            + y[2 : stop + 2 : 2] * (2.0 - h0 / h1)
+        ),
+        axis=0,
+    )
+    if n % 2 == 0:
+        h0, h1 = h[-2], h[-1]
+        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1**3 / (6 * h0 * (h0 + h1))
+        total = total + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
+    return total
+
+
 def nonhomogeneous_solve(
     basis: EigenBasis,
     coeffs: CoeffVector,
@@ -341,8 +369,8 @@ def nonhomogeneous_solve(
 
     lam = basis.lambda_bars()[:count]
     growth = np.exp(lam[None, :] * (ts[:, None] - t))
-    int_b = scipy.integrate.simpson(db * growth, x=ts, axis=0)
-    int_a = scipy.integrate.simpson(da * growth, x=ts, axis=0)
+    int_b = simpson(db * growth, ts)
+    int_a = simpson(da * growth, ts)
 
     amp = amplification_factors(basis, count, t)
     eff = CoeffVector(

@@ -3,10 +3,10 @@
 Final-time data T(x_j, tf) sampled per slab is matched against the
 eigenfunction columns phi_{alpha n}(x_j).  Two recovery routes exist:
 
-* ``recover_coefficients`` solves the per-slab linear systems by
-  column-pivoted orthogonal factorization (least squares when the node
-  count exceeds the mode count).  Each slab gets its own coefficients;
-  for consistent data the two agree.
+* ``recover_coefficients`` solves the per-slab linear systems with
+  numpy's SVD-based least squares (exact when square), refusing any
+  design matrix whose condition passes CONDITION_LIMIT.  Each slab
+  gets its own coefficients; for consistent data the two agree.
 * ``project_coefficients`` uses the weighted orthogonality instead,
   C_n = [w_b <T_b, phi_bn> + w_a <T_a, phi_an>] / N_n, and assigns the
   same value to both slabs.
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     AmplificationOverflowError,
@@ -86,12 +85,12 @@ def _strict_subsample(n_nodes: int, mode_count: int) -> np.ndarray:
 
 
 def _solve_slab(A: np.ndarray, rhs: np.ndarray, cond: float) -> np.ndarray:
+    """Least-squares solve of A c = rhs, refused when cond exceeds CONDITION_LIMIT."""
     if cond > CONDITION_LIMIT or not math.isfinite(cond):
         raise RankDeficientError(
             f"design matrix numerically rank deficient (condition {cond:.3e})", cond
         )
-    sol, _, _, _ = scipy.linalg.lstsq(A, rhs, lapack_driver="gelsy")
-    return sol
+    return np.linalg.lstsq(A, rhs, rcond=None)[0]
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -179,8 +178,8 @@ def project_coefficients(basis: EigenBasis, field, mode_count: int) -> CoeffVect
         xa, va = field.grid.nodes_a, field.values_a
         Pb = slab_matrix(basis, xb, "b", mode_count)
         Pa = slab_matrix(basis, xa, "a", mode_count)
-        inner_b = np.array([np.trapezoid(vb * Pb[:, n], xb) for n in range(mode_count)])
-        inner_a = np.array([np.trapezoid(va * Pa[:, n], xa) for n in range(mode_count)])
+        inner_b = Pb.T @ (_trapezoid_weights(xb) * vb)
+        inner_a = Pa.T @ (_trapezoid_weights(xa) * va)
     else:
         f_b, f_a = field
         vb = np.asarray(f_b(basis.quad_x_b), dtype=float)
@@ -194,16 +193,20 @@ def project_coefficients(basis: EigenBasis, field, mode_count: int) -> CoeffVect
     return CoeffVector(basis=basis, c_b=c, c_a=c.copy())
 
 
-def amplification_factors(basis: EigenBasis, mode_count: int, t: float) -> np.ndarray:
-    """exp(lambda_bar_n (tf - t)) for the first mode_count modes."""
-    lam = basis.lambda_bars()[:mode_count]
-    arg = lam * (basis.sys.tf - t)
+def growth_factors(lambda_bars: np.ndarray, span: float) -> np.ndarray:
+    """exp(lambda_bar * span), refused when an exponent passes EXP_ARG_LIMIT."""
+    arg = np.asarray(lambda_bars, dtype=float) * span
     peak = float(np.max(arg, initial=0.0))
     if peak > EXP_ARG_LIMIT:
         raise AmplificationOverflowError(
             f"amplification overflow: max lambda_bar*(tf-t) = {peak:.3f} exceeds {EXP_ARG_LIMIT}"
         )
     return np.exp(arg)
+
+
+def amplification_factors(basis: EigenBasis, mode_count: int, t: float) -> np.ndarray:
+    """exp(lambda_bar_n (tf - t)) for the first mode_count modes."""
+    return growth_factors(basis.lambda_bars()[:mode_count], basis.sys.tf - t)
 
 
 def synthesize(basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid) -> SampledField:

@@ -6,6 +6,8 @@ arithmetic), deliberately avoiding the package's own algorithms so the
 two routes can disagree.
 """
 
+import functools
+
 import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
@@ -205,6 +207,54 @@ def cn_composite(sys, u0_of_x, tf, h, dt):
         rhs = mass * u + dt / 2 * apply_stiffness(u)
         u = scipy.linalg.solve_banded((1, 1), ab, rhs)
     return x, u
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(order):
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _gauss_rule(lo, hi, lam_max):
+    """Gauss-Legendre nodes and weights on [lo, hi], about 4 nodes per unit of phase."""
+    order = max(64, int(np.ceil(4.0 * max(lam_max, 1.0) * (hi - lo))))
+    xs, ws = _leggauss(order)
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo) + half * xs, half * ws
+
+
+def quadrature_grams(basis, modes=None):
+    """Per-slab Gram matrices of the modes and of their derivatives, by quadrature.
+
+    Returns (G_b, G_a, D_b, D_a), unweighted, over the mode indices
+    ``modes`` (default: all): G_alpha[i, j] integrates phi_i phi_j over
+    slab alpha and D_alpha[i, j] integrates phi_i' phi_j'.  The modes are
+    evaluated from their frequencies and amplitudes, one mode at a time,
+    on one high-order Gauss rule per slab, sized by the basis' fastest mode.
+    """
+    s = basis.sys
+    picked = [basis.modes[n] for n in (range(len(basis)) if modes is None else modes)]
+    out = []
+    for lo, hi, shift, lam_of, amp_of in (
+        (-s.b, 0.0, s.b, lambda md: md.pair.lambda_b, lambda md: md.amp_b),
+        (0.0, s.a, -s.a, lambda md: md.pair.lambda_a, lambda md: md.amp_a),
+    ):
+        x, w = _gauss_rule(lo, hi, max(lam_of(md) for md in basis.modes))
+        vals = np.column_stack([amp_of(md) * np.cos(lam_of(md) * (x + shift)) for md in picked])
+        ders = np.column_stack(
+            [-amp_of(md) * lam_of(md) * np.sin(lam_of(md) * (x + shift)) for md in picked]
+        )
+        out.append((vals.T @ (w[:, None] * vals), ders.T @ (w[:, None] * ders)))
+    (G_b, D_b), (G_a, D_a) = out
+    return G_b, G_a, D_b, D_a
+
+
+def norms_quadrature(basis, n):
+    """(N_n, M_n) recomputed by quadrature, for cross-checking closed forms."""
+    s = basis.sys
+    G_b, G_a, D_b, D_a = quadrature_grams(basis, [n])
+    N = (s.mat_b.K / s.mat_b.kappa) * G_b + (s.mat_a.K / s.mat_a.kappa) * G_a
+    M = s.mat_b.K * D_b + s.mat_a.K * D_a
+    return float(N[0, 0]), float(M[0, 0])
 
 
 def gauss_norm_sq(f, lo, hi, order=400):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twoslab.basis import build_basis, norm_M_closed, norm_N_closed, norms_quadrature, weighted_gram
+from twoslab.basis import build_basis, norm_M_closed, norm_N_closed, weighted_gram
 from twoslab.cli import default_config, run_example, write_example_outputs
 from twoslab.core import RegParams, SampledField, uniform_grid
 from twoslab.evolve import (
@@ -92,7 +92,7 @@ def test_criterion_02_orthogonality_and_norms(sys_cm, sys_explicit):
         off = np.abs(G - np.diag(np.diag(G))) / scale
         worst_off = max(worst_off, float(np.max(off)))
         for n, mode in enumerate(basis.modes):
-            qN, qM = norms_quadrature(basis, n)
+            qN, qM = oracles.norms_quadrature(basis, n)
             worst_norm = max(worst_norm, abs(mode.norm_N - qN) / qN)
             if n > 0:
                 worst_norm = max(worst_norm, abs(mode.norm_M - qM) / qM)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from twoslab.basis import (
     gauss_legendre,
     norm_M_closed,
     norm_N_closed,
-    norms_quadrature,
     slab_grams,
     slab_matrix,
     weighted_gram,
@@ -51,7 +51,7 @@ def test_zero_mode_norm_is_weighted_length(sys_cm, basis_cm):
 def test_closed_norms_match_quadrature(fixture, request):
     basis = request.getfixturevalue(fixture)
     for n in range(len(basis)):
-        qn, qm = norms_quadrature(basis, n)
+        qn, qm = oracles.norms_quadrature(basis, n)
         assert qn == pytest.approx(basis.modes[n].norm_N, rel=1e-10)
         assert qm == pytest.approx(basis.modes[n].norm_M, rel=1e-10, abs=1e-10)
 
@@ -167,7 +167,7 @@ def test_degenerate_modes_still_orthogonal(sys_explicit):
     assert np.max(off) < 1e-8
     # degenerate entries still satisfy the rate relation through quadrature
     for n in (4, 12):
-        qn, qm = norms_quadrature(basis, n)
+        qn, qm = oracles.norms_quadrature(basis, n)
         assert qm == pytest.approx(basis.modes[n].pair.lambda_bar * qn, rel=1e-8)
 
 
@@ -179,3 +179,41 @@ def test_norms_against_independent_quadrature(basis_cm, sys_cm):
     left = oracles.gauss_norm_sq(lambda x: basis_cm.phi(2, x), -sys_cm.b, 0.0)
     right = oracles.gauss_norm_sq(lambda x: basis_cm.phi(2, x), 1e-12, sys_cm.a)
     assert w_b * left + w_a * right == pytest.approx(md.norm_N, rel=1e-10)
+
+
+def _with_random_amplitudes(basis, seed=0):
+    """The basis' frequencies with random slab amplitudes.
+
+    Eigenmodes satisfy the interface conditions, which cancel the
+    sin((l_m + l_n) L) terms between the slabs of the weighted
+    derivative Gram; arbitrary amplitudes keep every term visible.
+    """
+    rng = np.random.default_rng(seed)
+    amp_b = rng.uniform(0.5, 2.0, len(basis))
+    amp_a = rng.uniform(0.5, 2.0, len(basis))
+    modes = tuple(
+        dataclasses.replace(md, amp_b=float(ab), amp_a=float(aa))
+        for md, ab, aa in zip(basis.modes, amp_b, amp_a)
+    )
+    return dataclasses.replace(basis, modes=modes, amp_b=amp_b, amp_a=amp_a)
+
+
+@pytest.mark.parametrize("random_amplitudes", [False, True])
+@pytest.mark.parametrize("system", ["sys_cm", "sys_stiff"])
+def test_closed_grams_match_quadrature_oracle(system, random_amplitudes, request):
+    basis = build_basis(request.getfixturevalue(system), 51)
+    if random_amplitudes:
+        basis = _with_random_amplitudes(basis)
+    Gb_q, Ga_q, Db_q, Da_q = oracles.quadrature_grams(basis)
+    s = basis.sys
+    D_q = s.mat_b.K * Db_q + s.mat_a.K * Da_q
+
+    def scaled_gap(got, want):
+        d = np.where(np.diag(want) > 0, np.diag(want), 1.0)
+        return float(np.max(np.abs(got - want) / np.sqrt(np.outer(d, d))))
+
+    Gb, Ga = slab_grams(basis)
+    assert scaled_gap(Gb, Gb_q) < 1e-12
+    assert scaled_gap(Ga, Ga_q) < 1e-12
+    assert scaled_gap(derivative_gram(basis), D_q) < 1e-12
+    assert scaled_gap(slab_grams(basis, 7)[0], Gb_q[:7, :7]) < 1e-12

@@ -94,6 +94,12 @@ def test_config_rejects_bad_eps_list():
         config_from_dict({"eps_list": []})
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_config_rejects_mode_count_below_one(count):
+    with pytest.raises(ValidationError, match="mode_count"):
+        config_from_dict({"mode_count": count})
+
+
 def test_config_rejects_bad_policy():
     with pytest.raises(ValidationError, match="recovery_policy"):
         config_from_dict({"recovery_policy": "ridge"})
@@ -242,6 +248,31 @@ def test_read_field_csv_validations(tmp_path):
         read_field_csv(p, 0.0)
 
 
+@pytest.mark.parametrize(
+    "row", ["b,nan,1.0", "b,-1.0,nan", "a,inf,1.0", "a,1.0,-inf", "b,-1.0,1e999"]
+)
+def test_read_field_csv_rejects_non_finite(tmp_path, row):
+    p = tmp_path / "f.csv"
+    p.write_text(f"slab,x,value\nb,-2.0,1.0\n{row}\na,2.0,1.0\n")
+    with pytest.raises(ValidationError, match="finite"):
+        read_field_csv(p, 0.0)
+
+
+@pytest.mark.parametrize("row", ["b,-1.0", "b,-1.0,1.0,2.0", "b,-1.0,one", "b,,1.0", ""])
+def test_read_field_csv_rejects_malformed_rows(tmp_path, row):
+    p = tmp_path / "f.csv"
+    p.write_text(f"slab,x,value\nb,-2.0,1.0\n{row}\na,2.0,1.0\n")
+    with pytest.raises(ValidationError, match="f.csv:3"):
+        read_field_csv(p, 0.0)
+
+
+def test_read_field_csv_rejects_empty_file(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("")
+    with pytest.raises(ValidationError, match="header"):
+        read_field_csv(p, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # canned experiments
 
@@ -360,6 +391,31 @@ def test_main_exit1_on_bad_config(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{")
     assert main(["eigen", "--config", str(broken), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["forward", "backward"])
+@pytest.mark.parametrize("bad", ["nan", "b,-1.0", "b,-1.0,x"])
+def test_main_exit1_on_bad_field_csv(sys_cm, tmp_path, capsys, command, bad):
+    grid = uniform_grid(sys_cm, 20)
+    csv = tmp_path / "field.csv"
+    write_field_csv(SampledField(grid, np.ones(20), np.ones(20), sys_cm.tf), csv)
+    lines = csv.read_text().splitlines()
+    lines[5] = "b,-4.0,nan" if bad == "nan" else bad
+    csv.write_text("\n".join(lines) + "\n")
+    argv = [command, "--infile", str(csv), "--out", str(tmp_path / "out")]
+    if command == "backward":
+        argv += ["--eps", "1e-4"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_exit1_on_zero_mode_count(tmp_path):
+    cfg = tmp_path / "zero.json"
+    cfg.write_text('{"mode_count": 0}')
+    assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert main(["eigen", "--count", "0", "--out", str(tmp_path)]) == 1
 
 
 def test_main_exit2_on_amplification_overflow(sys_cm, tmp_path):

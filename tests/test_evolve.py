@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,19 +12,18 @@ from twoslab.core import (
     RegParams,
     SampledField,
     ValidationError,
-    cutoff_threshold,
     trapezoid_norm,
     uniform_grid,
 )
 from twoslab.evolve import (
     SourceCoefficients,
     admissible_set,
-    choose_n_eps,
     cutoff_reconstruct,
     forward_solve,
     instability_lower_bound,
     noise_gap_bound,
     nonhomogeneous_solve,
+    simpson,
     source_coefficients,
     source_compatibility,
     stability_bound,
@@ -36,10 +36,6 @@ def _mode_coeffs(basis, n, value, count=None):
     c = np.zeros(count)
     c[n] = value
     return CoeffVector(basis=basis, c_b=c, c_a=c.copy())
-
-
-def test_choose_n_eps_delegates_to_rule():
-    assert choose_n_eps(1e-4, 0.05, 0.5, 0.1) == cutoff_threshold(1e-4, 0.05, 0.5, 0.1)
 
 
 def test_admissible_set_is_inclusive_prefix(basis_cm):
@@ -248,6 +244,10 @@ def test_nonhomogeneous_validations(basis_cm, sys_cm, grid_cm):
     times = np.linspace(sys_cm.t0, sys_cm.tf, 5)
     with pytest.raises(ValidationError):
         SourceCoefficients(times=times, d_b=np.zeros((4, 8)), d_a=np.zeros((4, 8)))
+    with pytest.raises(ValidationError, match="increasing"):
+        # a repeated node would give Simpson a zero-width interval
+        SourceCoefficients(times=times[[0, 1, 1, 2, 3]], d_b=np.zeros((5, 8)),
+                           d_a=np.zeros((5, 8)))
     src = SourceCoefficients(times=times, d_b=np.zeros((5, 6)), d_a=np.zeros((5, 6)))
     with pytest.raises(ValidationError):
         nonhomogeneous_solve(basis_cm, _mode_coeffs(basis_cm, 0, 1.0), src, sys_cm.t0, grid_cm)
@@ -309,3 +309,17 @@ def test_single_eigenfunction_source_is_incompatible(basis_cm, sys_cm):
     f_a = lambda x: rc_a * basis_cm.phi(2, np.asarray(x, dtype=float))
     res = source_compatibility(basis_cm, f_b, f_a)
     assert np.max(res) > 0.1
+
+
+@pytest.mark.parametrize("jitter", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 7, 10])
+def test_simpson_matches_scipy(n, jitter):
+    rng = np.random.default_rng(n)
+    x = np.linspace(0.0, 0.1, n)
+    if jitter:
+        x[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * (x[1] - x[0])
+    rates = np.array([0.0, 3.0, 40.0, 400.0])
+    y = (1.5 + np.cos(7.0 * x))[:, None] * np.exp(rates[None, :] * x[:, None])
+    want = scipy.integrate.simpson(y, x=x, axis=0)
+    np.testing.assert_allclose(simpson(y, x), want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(simpson(y[:, 2], x), want[2], rtol=1e-13, atol=0.0)
