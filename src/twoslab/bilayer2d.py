@@ -198,35 +198,62 @@ def slice_matrix(basis2d: Basis2D, nodes: np.ndarray, slab: str, y0: float) -> n
     """Collocation matrix of phi_2d values at fixed y0 for one layer."""
     c = _require_c(basis2d.sys)
     nodes = np.asarray(nodes, dtype=float)
-    cols = []
-    for md in basis2d.modes:
-        if slab == "b":
-            xpart = md.amp_b * np.cos(md.nu_b * (nodes + basis2d.sys.b))
-        elif slab == "a":
-            xpart = md.amp_a * np.cos(md.nu_a * (nodes - basis2d.sys.a))
-        else:
-            raise ValueError("slab must be 'b' or 'a'")
-        cols.append(xpart * y_mode(md.m, y0, c))
-    return np.column_stack(cols)
+    modes = basis2d.modes
+    if slab == "b":
+        amp = np.array([md.amp_b for md in modes])
+        xpart = amp * np.cos(np.outer(nodes + basis2d.sys.b, [md.nu_b for md in modes]))
+    elif slab == "a":
+        amp = np.array([md.amp_a for md in modes])
+        xpart = amp * np.cos(np.outer(nodes - basis2d.sys.a, [md.nu_a for md in modes]))
+    else:
+        raise ValueError("slab must be 'b' or 'a'")
+    return xpart * np.array([y_mode(md.m, y0, c) for md in modes])
+
+
+def _slice_matrices(basis2d: Basis2D, grid: Grid, y0: float) -> tuple[np.ndarray, np.ndarray]:
+    return slice_matrix(basis2d, grid.nodes_b, "b", y0), slice_matrix(basis2d, grid.nodes_a, "a", y0)
+
+
+def _validate_slice(basis2d: Basis2D, field: SampledField) -> None:
+    count = len(basis2d)
+    for slab, nodes in (("b", field.grid.nodes_b), ("a", field.grid.nodes_a)):
+        if len(nodes) != count:
+            raise ValidationError(
+                f"layer {slab}: slice solve needs exactly {count} nodes, got {len(nodes)}"
+            )
+
+
+def _recover_slice(
+    field: SampledField, Pb: np.ndarray, Pa: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(
+        _solve_slab(A, np.asarray(values, float), float(np.linalg.cond(A)))
+        for A, values in ((Pb, field.values_b), (Pa, field.values_a))
+    )
 
 
 def recover_slice_coefficients(
     basis2d: Basis2D, field: SampledField, y0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Square per-layer solves of the slice collocation systems."""
-    count = len(basis2d)
-    out = []
-    for slab, nodes, values in (
-        ("b", field.grid.nodes_b, field.values_b),
-        ("a", field.grid.nodes_a, field.values_a),
-    ):
-        if len(nodes) != count:
-            raise ValidationError(
-                f"layer {slab}: slice solve needs exactly {count} nodes, got {len(nodes)}"
-            )
-        A = slice_matrix(basis2d, nodes, slab, y0)
-        out.append(_solve_slab(A, np.asarray(values, float), float(np.linalg.cond(A))))
-    return out[0], out[1]
+    _validate_slice(basis2d, field)
+    return _recover_slice(field, *_slice_matrices(basis2d, field.grid, y0))
+
+
+def _synthesize_slice(
+    basis2d: Basis2D,
+    c_b: np.ndarray,
+    c_a: np.ndarray,
+    t: float,
+    grid: Grid,
+    Pb: np.ndarray,
+    Pa: np.ndarray,
+) -> SampledField:
+    lam = np.array([md.lambda_bar for md in basis2d.modes])
+    amp = growth_factors(lam, basis2d.sys.tf - t)
+    return SampledField(
+        grid=grid, values_b=Pb @ (c_b * amp), values_a=Pa @ (c_a * amp), time=t
+    )
 
 
 def synthesize_slice(
@@ -238,13 +265,7 @@ def synthesize_slice(
     grid: Grid,
 ) -> SampledField:
     """Evaluate the amplified slice series on a grid at time t."""
-    lam = np.array([md.lambda_bar for md in basis2d.modes])
-    amp = growth_factors(lam, basis2d.sys.tf - t)
-    Pb = slice_matrix(basis2d, grid.nodes_b, "b", y0)
-    Pa = slice_matrix(basis2d, grid.nodes_a, "a", y0)
-    return SampledField(
-        grid=grid, values_b=Pb @ (c_b * amp), values_a=Pa @ (c_a * amp), time=t
-    )
+    return _synthesize_slice(basis2d, c_b, c_a, t, grid, *_slice_matrices(basis2d, grid, y0))
 
 
 def reconstruct_2d_slice(
@@ -259,7 +280,8 @@ def reconstruct_2d_slice(
     """Cut-off reconstruction of the y0-slice at time t from final data.
 
     The measurement grid must carry exactly |Theta(eps)| nodes per layer
-    (see ``slice_grid``); the amplified series is returned on that grid.
+    (see ``slice_grid``); the amplified series is returned on that grid,
+    evaluated from the same slice matrices the solves use.
     """
     c = _require_c(sys)
     if not (0.0 <= y0 <= c):
@@ -269,5 +291,7 @@ def reconstruct_2d_slice(
     basis2d = find_modes_2d(sys, reg.n_eps, scan_step, refine_tol)
     if len(basis2d) == 0:
         raise ValidationError("cut-off removed every 2D mode; nothing to reconstruct")
-    c_b, c_a = recover_slice_coefficients(basis2d, measured_tf, y0)
-    return synthesize_slice(basis2d, c_b, c_a, y0, t, measured_tf.grid)
+    _validate_slice(basis2d, measured_tf)
+    Pb, Pa = _slice_matrices(basis2d, measured_tf.grid, y0)
+    c_b, c_a = _recover_slice(measured_tf, Pb, Pa)
+    return _synthesize_slice(basis2d, c_b, c_a, t, measured_tf.grid, Pb, Pa)

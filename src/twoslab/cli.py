@@ -128,6 +128,20 @@ _CONFIG_KEYS = {
 }
 
 
+def _real(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _parse_material(obj: dict, name: str) -> Material:
     if not isinstance(obj, dict):
         raise ValidationError(f"{name} must be an object")
@@ -136,12 +150,11 @@ def _parse_material(obj: dict, name: str) -> Material:
         raise ValidationError(f"{name}: unknown keys {sorted(unknown)}")
     if "K" not in obj or "kappa" not in obj:
         raise ValidationError(f"{name}: K and kappa are required")
+    rho_c = obj.get("rho_c_override")
     return Material(
-        K=float(obj["K"]),
-        kappa=float(obj["kappa"]),
-        rho_c_override=(
-            float(obj["rho_c_override"]) if obj.get("rho_c_override") is not None else None
-        ),
+        K=_real(obj["K"], f"{name}.K"),
+        kappa=_real(obj["kappa"], f"{name}.kappa"),
+        rho_c_override=None if rho_c is None else _real(rho_c, f"{name}.rho_c_override"),
     )
 
 
@@ -156,19 +169,23 @@ def config_from_dict(obj: dict, base: RunConfig | None = None) -> RunConfig:
     kwargs: dict = {}
     for key in ("a", "b", "c", "t0", "tf", "beta", "gamma"):
         if key in obj:
-            kwargs[key] = float(obj[key]) if obj[key] is not None else None
+            kwargs[key] = _real(obj[key], key) if obj[key] is not None else None
     for key in ("grid_points", "seed", "mode_count"):
         if key in obj:
-            kwargs[key] = int(obj[key])
+            kwargs[key] = _integer(obj[key], key)
     if kwargs.get("mode_count", 1) < 1:
         raise ValidationError("mode_count must be at least 1")
+    if kwargs.get("seed", 0) < 0:
+        raise ValidationError("seed must be non-negative")
     if "recovery_policy" in obj:
         policy = str(obj["recovery_policy"])
         if policy not in ("least-squares", "strict-paper", "projection"):
             raise ValidationError(f"unknown recovery_policy {policy!r}")
         kwargs["recovery_policy"] = policy
     if "eps_list" in obj:
-        eps = tuple(float(e) for e in obj["eps_list"])
+        if not isinstance(obj["eps_list"], list):
+            raise ValidationError("eps_list must be a list of numbers")
+        eps = tuple(_real(e, "eps_list") for e in obj["eps_list"])
         if not eps or any(not (0 < e < 1) for e in eps):
             raise ValidationError("eps_list must hold values in (0, 1)")
         kwargs["eps_list"] = eps
@@ -381,6 +398,8 @@ BOUND_TOL = 1e-8  # relative slack when comparing the two sides
 
 
 def _check(name: str, lhs: float, rhs: float, direction: str) -> BoundRecord:
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NumericalError(f"bound {name}: non-finite side (lhs {lhs!r}, rhs {rhs!r})")
     if direction == "lower":  # theorem says lhs >= rhs
         ok = lhs >= rhs * (1.0 - BOUND_TOL) - 1e-300
     else:  # theorem says lhs <= rhs
@@ -808,6 +827,8 @@ def _resolve_config(args, example: str = "1") -> RunConfig:
     if args.config:
         cfg = load_config(args.config, cfg)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValidationError("--seed must be non-negative")
         cfg = replace(cfg, seed=args.seed)
     return cfg
 

@@ -42,6 +42,11 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _require_positive(value: float, name: str) -> None:
+    _require(math.isfinite(value), f"{name} must be finite")
+    _require(value > 0, f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class Material:
     """Homogeneous material: conductivity K and diffusivity kappa.
@@ -57,10 +62,10 @@ class Material:
     rho_c_override: float | None = None
 
     def __post_init__(self) -> None:
-        _require(self.K > 0, "K must be positive")
-        _require(self.kappa > 0, "kappa must be positive")
+        _require_positive(self.K, "K")
+        _require_positive(self.kappa, "kappa")
         if self.rho_c_override is not None:
-            _require(self.rho_c_override > 0, "rho_c_override must be positive")
+            _require_positive(self.rho_c_override, "rho_c_override")
 
     @property
     def rho_c(self) -> float:
@@ -101,10 +106,11 @@ class SlabSystem:
 
 def validate_system(sys: SlabSystem) -> SlabSystem:
     """Check the geometric and temporal preconditions, return the system."""
-    _require(sys.a > 0, "a must be positive")
-    _require(sys.b > 0, "b must be positive")
+    _require_positive(sys.a, "a")
+    _require_positive(sys.b, "b")
     if sys.c is not None:
-        _require(sys.c > 0, "c must be positive")
+        _require_positive(sys.c, "c")
+    _require(math.isfinite(sys.t0) and math.isfinite(sys.tf), "t0 and tf must be finite")
     _require(sys.tf > sys.t0, "empty time window")
     return sys
 
@@ -186,9 +192,9 @@ def trapezoid_norm(field: SampledField) -> tuple[float, float]:
 def cutoff_threshold(epsilon: float, beta: float, gamma: float, tf: float) -> float:
     """Cut-off level N_eps = beta * ln(eps^-gamma) / tf for noise level eps."""
     _require(0 < epsilon < 1, "epsilon must lie in (0, 1)")
-    _require(beta > 0, "beta must be positive")
-    _require(gamma > 0, "gamma must be positive")
-    _require(tf > 0, "tf must be positive")
+    _require_positive(beta, "beta")
+    _require_positive(gamma, "gamma")
+    _require_positive(tf, "tf")
     return beta * gamma * math.log(1.0 / epsilon) / tf
 
 

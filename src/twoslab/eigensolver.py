@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, SlabSystem
+from .core import NumericalError, SlabSystem, ValidationError
 
 # Grid values this close to zero are treated as exact roots, and local
 # minima of |f| below it are flagged as tangency (double) roots.
@@ -153,9 +153,18 @@ def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:
     ratio = sys.kappa_ratio_root()
     n = np.arange(1, N + 1)
     width = math.pi / (sys.b + ratio * sys.a)
+    # bracket ends (n - 1/2) width for n = 1..N+1; a geometry too large or
+    # too small for doubles collapses or overflows them
+    with np.errstate(over="ignore"):
+        ends = (np.arange(N + 1) + 0.5) * width
+    if not (np.all(np.isfinite(ends)) and ends[0] > 0.0 and np.all(np.diff(ends) > 0.0)):
+        raise ValidationError(
+            f"b + r a = {sys.b + ratio * sys.a!r}: the root brackets of {N} modes "
+            "are not distinct positive finite doubles"
+        )
     # the phase increases, so it is negative at every lower bracket end
     phase = lambda lam: eigen_phase(lam, sys) - n * math.pi
-    roots = _bisect_brackets(phase, (n - 0.5) * width, (n + 0.5) * width, -1.0, 0.0)
+    roots = _bisect_brackets(phase, ends[:-1], ends[1:], -1.0, 0.0)
     pairs = [EigenValuePair(0, 0.0, 0.0, 0.0)]
     for k, lam_b in enumerate(roots.tolist(), start=1):
         pairs.append(EigenValuePair(k, lam_b, ratio * lam_b, sys.mat_b.kappa * lam_b**2))

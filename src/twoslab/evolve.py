@@ -31,10 +31,12 @@ from .core import (
 from .basis import EigenBasis, slab_grams, slab_matrix
 from .spectral import (
     CoeffVector,
+    _mode_matrices,
+    _recover_on_grid,
+    _synthesize,
     amplification_factors,
     project_coefficients,
     recover_coefficients,
-    synthesize,
 )
 
 # Relative round-off by which a measured perturbation may exceed its noise budget.
@@ -84,11 +86,16 @@ def forward_solve(
             values_a=np.asarray(f_a(grid.nodes_a), dtype=float),
             time=s.t0,
         )
-    c0 = recover_coefficients(basis, field0, mode_count, policy=policy)
+    if field0.grid is grid:
+        # recovery and synthesis share the mode matrices of the one grid
+        c0, Pb, Pa = _recover_on_grid(basis, field0, mode_count, policy)
+    else:
+        c0 = recover_coefficients(basis, field0, mode_count, policy=policy)
+        Pb, Pa = _mode_matrices(basis, grid, len(c0))
     decay = np.exp(-c0.basis.lambda_bars()[:mode_count] * s.window)
     c_tf = CoeffVector(basis=basis, c_b=c0.c_b * decay, c_a=c0.c_a * decay)
     # coefficients are now "at tf", so synthesis at t = tf applies no growth
-    return synthesize(basis, c_tf, s.tf, grid)
+    return _synthesize(basis, c_tf, s.tf, grid, Pb, Pa)
 
 
 def cutoff_reconstruct(
@@ -102,16 +109,16 @@ def cutoff_reconstruct(
 
     Only the admissible modes are recovered (the cut-off projection);
     they are then amplified by exp(lambda_bar_n (tf - t)) and evaluated
-    on the measurement grid.
+    on the measurement grid, from the same mode matrices.
     """
     s = basis.sys
     if not (s.t0 <= t <= s.tf):
         raise ValidationError("t must lie in [t0, tf]")
-    adm = admissible_set(basis, reg.n_eps)
-    if len(adm) == 0:
+    count = len(admissible_set(basis, reg.n_eps))
+    if count == 0:
         raise ValidationError("cut-off removed every mode; nothing to reconstruct")
-    coeffs = recover_coefficients(basis, measured_tf, len(adm), policy=policy)
-    return synthesize(basis, coeffs, t, measured_tf.grid)
+    coeffs, Pb, Pa = _recover_on_grid(basis, measured_tf, count, policy)
+    return _synthesize(basis, coeffs, t, measured_tf.grid, Pb, Pa)
 
 
 def _series_norms_sq(
@@ -379,6 +386,5 @@ def nonhomogeneous_solve(
         c_a=coeffs.c_a * amp - int_a,
     )
     # coefficients already carry their time factors; synthesize at tf applies none
-    Pb = slab_matrix(basis, grid.nodes_b, "b", count)
-    Pa = slab_matrix(basis, grid.nodes_a, "a", count)
+    Pb, Pa = _mode_matrices(basis, grid, count)
     return SampledField(grid=grid, values_b=Pb @ eff.c_b, values_a=Pa @ eff.c_a, time=t)

@@ -13,6 +13,13 @@ eigenfunction columns phi_{alpha n}(x_j).  Two recovery routes exist:
 
 Synthesis evaluates T(x, t) = sum C_n exp(lambda_bar_n (tf - t)) phi_n(x),
 the backward-amplified series; exponents above 700 are refused.
+
+Both steps evaluate the same mode matrices phi_{alpha n}(x_j) when the
+series is synthesized on the data grid.  A reconstruction
+(``evolve.cutoff_reconstruct``, ``evolve.forward_solve``) therefore
+builds each slab's matrix once (``_recover_on_grid`` returns them with
+the coefficients) and hands it to ``_synthesize``; the public wrappers
+build their own.
 """
 
 from __future__ import annotations
@@ -101,20 +108,15 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def _recover_projection(basis: EigenBasis, field: SampledField, mode_count: int) -> CoeffVector:
+def _recover_projection(
+    basis: EigenBasis, field: SampledField, Pb: np.ndarray, Pa: np.ndarray
+) -> CoeffVector:
     # weighted least squares across both slabs jointly: solve the
     # discrete Gram system of the material-weighted trapezoid inner
-    # product; exact on data lying in the first mode_count modes
+    # product; exact on data lying in the modes of Pb, Pa
     s = basis.sys
-    nb, na = field.grid.nodes_b, field.grid.nodes_a
-    if len(nb) + len(na) < mode_count:
-        raise ValidationError(
-            f"{len(nb)}+{len(na)} nodes cannot determine {mode_count} modes"
-        )
-    Pb = slab_matrix(basis, nb, "b", mode_count)
-    Pa = slab_matrix(basis, na, "a", mode_count)
-    Wb = (s.mat_b.K / s.mat_b.kappa) * _trapezoid_weights(nb)
-    Wa = (s.mat_a.K / s.mat_a.kappa) * _trapezoid_weights(na)
+    Wb = (s.mat_b.K / s.mat_b.kappa) * _trapezoid_weights(field.grid.nodes_b)
+    Wa = (s.mat_a.K / s.mat_a.kappa) * _trapezoid_weights(field.grid.nodes_a)
     G = Pb.T @ (Wb[:, None] * Pb) + Pa.T @ (Wa[:, None] * Pa)
     r = Pb.T @ (Wb * field.values_b) + Pa.T @ (Wa * field.values_a)
     cond = float(np.linalg.cond(G))
@@ -125,6 +127,65 @@ def _recover_projection(basis: EigenBasis, field: SampledField, mode_count: int)
         )
     c = np.linalg.solve(G, r)
     return CoeffVector(basis=basis, c_b=c, c_a=c.copy())
+
+
+def _validate_recovery(
+    basis: EigenBasis, field: SampledField, mode_count: int, policy: str
+) -> None:
+    """Policy, then node counts (and the mode range of the per-slab policies)."""
+    if policy not in ("least-squares", "strict-paper", "projection"):
+        raise ValidationError(f"unknown recovery policy {policy!r}")
+    nb, na = len(field.grid.nodes_b), len(field.grid.nodes_a)
+    if policy == "projection":
+        if nb + na < mode_count:
+            raise ValidationError(f"{nb}+{na} nodes cannot determine {mode_count} modes")
+        return
+    for slab, n in (("b", nb), ("a", na)):
+        if n < mode_count:
+            raise ValidationError(f"slab {slab}: {n} nodes cannot determine {mode_count} modes")
+    if mode_count < 1 or mode_count > len(basis):
+        raise ValidationError("mode_count must be in 1..len(basis)")
+
+
+def _mode_matrices(basis: EigenBasis, grid: Grid, mode_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(phi_bn(x_j), phi_an(x_j)) on each slab's nodes of ``grid``."""
+    return (
+        slab_matrix(basis, grid.nodes_b, "b", mode_count),
+        slab_matrix(basis, grid.nodes_a, "a", mode_count),
+    )
+
+
+def _recover(
+    basis: EigenBasis,
+    field: SampledField,
+    mode_count: int,
+    policy: str,
+    Pb: np.ndarray,
+    Pa: np.ndarray,
+) -> CoeffVector:
+    """Recovery from the mode matrices of the field's own grid, inputs validated.
+
+    "strict-paper" solves on the rows of the subsampled nodes.
+    """
+    if policy == "projection":
+        return _recover_projection(basis, field, Pb, Pa)
+    out = []
+    for A, values in ((Pb, field.values_b), (Pa, field.values_a)):
+        values = np.asarray(values, float)
+        if policy == "strict-paper":
+            idx = _strict_subsample(len(A), mode_count)
+            A, values = A[idx], values[idx]
+        out.append(_solve_slab(A, values, float(np.linalg.cond(A))))
+    return CoeffVector(basis=basis, c_b=out[0], c_a=out[1])
+
+
+def _recover_on_grid(
+    basis: EigenBasis, field: SampledField, mode_count: int, policy: str
+) -> tuple[CoeffVector, np.ndarray, np.ndarray]:
+    """Validated recovery, returned with the mode matrices of the field's grid."""
+    _validate_recovery(basis, field, mode_count, policy)
+    Pb, Pa = _mode_matrices(basis, field.grid, mode_count)
+    return _recover(basis, field, mode_count, policy, Pb, Pa), Pb, Pa
 
 
 def recover_coefficients(
@@ -142,25 +203,7 @@ def recover_coefficients(
     the material-weighted inner product, which couples the slabs and
     always returns a consistent vector.
     """
-    if policy not in ("least-squares", "strict-paper", "projection"):
-        raise ValidationError(f"unknown recovery policy {policy!r}")
-    if policy == "projection":
-        return _recover_projection(basis, field_tf, mode_count)
-    out = []
-    for slab, nodes, values in (
-        ("b", field_tf.grid.nodes_b, field_tf.values_b),
-        ("a", field_tf.grid.nodes_a, field_tf.values_a),
-    ):
-        if len(nodes) < mode_count:
-            raise ValidationError(
-                f"slab {slab}: {len(nodes)} nodes cannot determine {mode_count} modes"
-            )
-        if policy == "strict-paper":
-            idx = _strict_subsample(len(nodes), mode_count)
-            nodes, values = nodes[idx], values[idx]
-        dm = design_matrix(basis, nodes, slab, mode_count)
-        out.append(_solve_slab(dm.matrix, np.asarray(values, float), dm.condition))
-    return CoeffVector(basis=basis, c_b=out[0], c_a=out[1])
+    return _recover_on_grid(basis, field_tf, mode_count, policy)[0]
 
 
 def project_coefficients(basis: EigenBasis, field, mode_count: int) -> CoeffVector:
@@ -174,12 +217,9 @@ def project_coefficients(basis: EigenBasis, field, mode_count: int) -> CoeffVect
     w_b = s.mat_b.K / s.mat_b.kappa
     w_a = s.mat_a.K / s.mat_a.kappa
     if isinstance(field, SampledField):
-        xb, vb = field.grid.nodes_b, field.values_b
-        xa, va = field.grid.nodes_a, field.values_a
-        Pb = slab_matrix(basis, xb, "b", mode_count)
-        Pa = slab_matrix(basis, xa, "a", mode_count)
-        inner_b = Pb.T @ (_trapezoid_weights(xb) * vb)
-        inner_a = Pa.T @ (_trapezoid_weights(xa) * va)
+        Pb, Pa = _mode_matrices(basis, field.grid, mode_count)
+        inner_b = Pb.T @ (_trapezoid_weights(field.grid.nodes_b) * field.values_b)
+        inner_a = Pa.T @ (_trapezoid_weights(field.grid.nodes_a) * field.values_a)
     else:
         f_b, f_a = field
         vb = np.asarray(f_b(basis.quad_x_b), dtype=float)
@@ -209,15 +249,20 @@ def amplification_factors(basis: EigenBasis, mode_count: int, t: float) -> np.nd
     return growth_factors(basis.lambda_bars()[:mode_count], basis.sys.tf - t)
 
 
-def synthesize(basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid) -> SampledField:
-    """Evaluate the backward-amplified series on a grid at time t."""
-    count = len(coeffs)
-    amp = amplification_factors(basis, count, t)
-    Pb = slab_matrix(basis, grid.nodes_b, "b", count)
-    Pa = slab_matrix(basis, grid.nodes_a, "a", count)
+def _synthesize(
+    basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid, Pb: np.ndarray, Pa: np.ndarray
+) -> SampledField:
+    """The amplified series at time t from the mode matrices of ``grid``."""
+    amp = amplification_factors(basis, len(coeffs), t)
     return SampledField(
         grid=grid,
         values_b=Pb @ (coeffs.c_b * amp),
         values_a=Pa @ (coeffs.c_a * amp),
         time=t,
     )
+
+
+def synthesize(basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid) -> SampledField:
+    """Evaluate the backward-amplified series on a grid at time t."""
+    Pb, Pa = _mode_matrices(basis, grid, len(coeffs))
+    return _synthesize(basis, coeffs, t, grid, Pb, Pa)

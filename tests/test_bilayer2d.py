@@ -15,6 +15,7 @@ from twoslab.bilayer2d import (
     reconstruct_2d_slice,
     recover_slice_coefficients,
     slice_grid,
+    slice_matrix,
     synthesize_slice,
     y_mode,
 )
@@ -174,3 +175,53 @@ def test_reconstruct_slice_validations(sys_2d):
 def test_2d_routines_require_transverse_depth(sys_cm):
     with pytest.raises(ValidationError, match="transverse depth"):
         find_modes_2d(sys_cm, 1.0)
+
+
+def _slice_matrix_loop(basis2d, nodes, slab, y0):
+    """Column-by-column reference form of ``slice_matrix``."""
+    s = basis2d.sys
+    nodes = np.asarray(nodes, dtype=float)
+    cols = []
+    for md in basis2d.modes:
+        if slab == "b":
+            xpart = md.amp_b * np.cos(md.nu_b * (nodes + s.b))
+        else:
+            xpart = md.amp_a * np.cos(md.nu_a * (nodes - s.a))
+        cols.append(xpart * y_mode(md.m, y0, s.c))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("nodes", [1, 6, 1000, 11000])
+@pytest.mark.parametrize("y0", [0.0, 0.3, 1.0])
+def test_slice_matrix_matches_loop_form(sys_2d, nodes, y0):
+    basis2d = find_modes_2d(sys_2d, 60.0)
+    grid = slice_grid(sys_2d, nodes)
+    for slab, x in (("b", grid.nodes_b), ("a", grid.nodes_a)):
+        got = slice_matrix(basis2d, x, slab, y0)
+        assert got.shape == (nodes, len(basis2d))
+        assert np.array_equal(got, _slice_matrix_loop(basis2d, x, slab, y0))
+
+
+@pytest.mark.parametrize("y0", [0.0, 0.3, 1.0])
+def test_reconstruct_slice_shares_matrices(sys_2d, y0, monkeypatch):
+    import twoslab.bilayer2d
+
+    reg = RegParams(epsilon=1e-6, beta=0.05, gamma=0.5, n_eps=20.0)
+    basis2d = find_modes_2d(sys_2d, reg.n_eps)
+    count = len(basis2d)
+    grid = slice_grid(sys_2d, count)
+    c = np.random.default_rng(5).uniform(-1, 1, count)
+    final = synthesize_slice(basis2d, c, c, y0, sys_2d.tf, grid)
+    t = 0.5 * (sys_2d.t0 + sys_2d.tf)
+    r_b, r_a = recover_slice_coefficients(basis2d, final, y0)
+    want = synthesize_slice(basis2d, r_b, r_a, y0, t, grid)
+
+    calls = []
+    real = twoslab.bilayer2d.slice_matrix
+    monkeypatch.setattr(
+        twoslab.bilayer2d, "slice_matrix", lambda *a: calls.append(a[2]) or real(*a)
+    )
+    got = reconstruct_2d_slice(sys_2d, final, reg, y0, t)
+    assert sorted(calls) == ["a", "b"]
+    assert np.array_equal(got.values_b, want.values_b)
+    assert np.array_equal(got.values_a, want.values_a)

@@ -418,6 +418,50 @@ def test_main_exit1_on_zero_mode_count(tmp_path):
     assert main(["eigen", "--count", "0", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("command", [["eigen"], ["example", "1"]])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": "x"}',
+        '{"grid_points": "many"}',
+        '{"eps_list": 5}',
+        '{"material_b": {"K": "x", "kappa": 1}}',
+        '{"tf": Infinity}',
+        '{"seed": -1}',
+    ],
+)
+def test_main_exit1_on_wrong_type_or_non_finite_config(tmp_path, capsys, command, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [1e308, 1e-308])
+def test_main_exit1_on_geometry_collapsing_the_brackets(tmp_path, capsys, size):
+    # b + r a overflows to inf (every bracket 0) or pi / (b + r a) overflows
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"b": size, "a": size}))
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "root brackets" in err[0]
+    assert not out.exists()
+
+
+def test_main_exit2_on_non_finite_bound_side(tmp_path, capsys):
+    # at tf = 10 the squared amplification of the instability check overflows
+    cfg = tmp_path / "long.json"
+    cfg.write_text('{"tf": 10}')
+    out = tmp_path / "out"
+    assert main(["check-bounds", "--trials", "3", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "non-finite side" in capsys.readouterr().err
+    assert not (out / "bounds.csv").exists()
+
+
 def test_main_exit2_on_amplification_overflow(sys_cm, tmp_path):
     # kilo-scaled conductivities push lambda_bar*(tf-t) past the exp range
     cfg = tmp_path / "hot.json"

@@ -145,3 +145,18 @@ def test_reg_params_from_rule_matches_threshold():
 def test_reg_params_rejects_negative_threshold():
     with pytest.raises(ValidationError):
         RegParams(epsilon=0.5, beta=0.05, gamma=0.5, n_eps=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_inputs_are_rejected(value):
+    mat = Material(K=1.0, kappa=1.0)
+    with pytest.raises(ValidationError, match="finite"):
+        Material(K=value, kappa=1.0)
+    with pytest.raises(ValidationError, match="finite"):
+        Material(K=1.0, kappa=1.0, rho_c_override=value)
+    with pytest.raises(ValidationError, match="finite"):
+        SlabSystem(b=value, a=1.0, mat_b=mat, mat_a=mat)
+    with pytest.raises(ValidationError, match="finite"):
+        SlabSystem(b=1.0, a=1.0, mat_b=mat, mat_a=mat, tf=value)
+    with pytest.raises(ValidationError, match="finite"):
+        cutoff_threshold(1e-2, value, 0.5, 0.1)

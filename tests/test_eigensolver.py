@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from twoslab.bilayer2d import eigen_f_2d
-from twoslab.core import Material, NumericalError, SlabSystem
+from twoslab.core import Material, NumericalError, SlabSystem, ValidationError
 from twoslab.eigensolver import (
     TANGENCY_TOL,
     eigen_f,
@@ -99,6 +99,20 @@ def test_eigen_phase_is_increasing_and_hits_n_pi_at_roots(sys_cm):
 def test_find_eigenvalues_rejects_negative_count(sys_cm):
     with pytest.raises(NumericalError):
         find_eigenvalues(sys_cm, -1)
+
+
+@pytest.mark.parametrize("size, count", [(1e308, 0), (1e308, 5), (1e-308, 1)])
+def test_find_eigenvalues_rejects_collapsed_brackets(size, count):
+    mat = Material(K=3.42, kappa=0.838)
+    with pytest.raises(ValidationError, match="root brackets"):
+        find_eigenvalues(SlabSystem(b=size, a=size, mat_b=mat, mat_a=mat), count)
+
+
+def test_find_eigenvalues_accepts_extreme_but_representable_geometry():
+    mat = Material(K=1.0, kappa=1.0)
+    pairs = find_eigenvalues(SlabSystem(b=1e300, a=1e300, mat_b=mat, mat_a=mat), 5)
+    lam = np.array([p.lambda_b for p in pairs])
+    assert np.all(np.diff(lam) > 0)
 
 
 def test_eigen_f_vectorization_consistency(sys_cm):

@@ -28,7 +28,7 @@ from twoslab.evolve import (
     source_compatibility,
     stability_bound,
 )
-from twoslab.spectral import CoeffVector, project_coefficients, synthesize
+from twoslab.spectral import CoeffVector, project_coefficients, recover_coefficients, synthesize
 
 
 def _mode_coeffs(basis, n, value, count=None):
@@ -323,3 +323,110 @@ def test_simpson_matches_scipy(n, jitter):
     want = scipy.integrate.simpson(y, x=x, axis=0)
     np.testing.assert_allclose(simpson(y, x), want, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(simpson(y[:, 2], x), want[2], rtol=1e-13, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# one mode matrix per slab and reconstruction
+
+POLICIES = ("least-squares", "strict-paper", "projection")
+
+
+def _count_slab_matrix(monkeypatch):
+    """Count slab_matrix calls per slab wherever spectral and evolve look it up."""
+    import twoslab.evolve
+    import twoslab.spectral
+
+    calls = {"b": 0, "a": 0}
+    real = twoslab.spectral.slab_matrix
+
+    def counting(basis, nodes, slab, mode_count):
+        calls[slab] += 1
+        return real(basis, nodes, slab, mode_count)
+
+    monkeypatch.setattr(twoslab.spectral, "slab_matrix", counting)
+    monkeypatch.setattr(twoslab.evolve, "slab_matrix", counting)
+    return calls
+
+
+def _final_data(basis, k, nodes, seed=11):
+    s = basis.sys
+    grid = uniform_grid(s, nodes)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, k) * np.exp(-basis.lambda_bars()[:k] * s.window)
+    clean = synthesize(basis, CoeffVector(basis=basis, c_b=c, c_a=c.copy()), s.tf, grid)
+    return SampledField(
+        grid,
+        clean.values_b + 1e-6 * rng.uniform(-1.0, 1.0, nodes),
+        clean.values_a + 1e-6 * rng.uniform(-1.0, 1.0, nodes),
+        s.tf,
+    )
+
+
+def _keep(basis, k):
+    """Regularisation that retains exactly the first k modes."""
+    lam = basis.lambda_bars()
+    return RegParams(epsilon=1e-6, beta=1.0, gamma=1.0, n_eps=0.5 * (lam[k - 1] + lam[k]))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_cutoff_reconstruct_builds_each_slab_matrix_once(basis_cm, policy, monkeypatch):
+    field = _final_data(basis_cm, 5, 40)
+    calls = _count_slab_matrix(monkeypatch)
+    cutoff_reconstruct(basis_cm, field, _keep(basis_cm, 5), basis_cm.sys.t0, policy=policy)
+    assert calls == {"b": 1, "a": 1}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_forward_solve_builds_each_slab_matrix_once(basis_cm, sys_cm, policy, monkeypatch):
+    grid = uniform_grid(sys_cm, 40)
+    field0 = _final_data(basis_cm, 5, 40)
+    calls = _count_slab_matrix(monkeypatch)
+    forward_solve(basis_cm, SampledField(grid, field0.values_b, field0.values_a, 0.0), grid, 5, policy)
+    assert calls == {"b": 1, "a": 1}
+    # callables are sampled on the target grid itself
+    calls.update(b=0, a=0)
+    forward_solve(basis_cm, (np.cos, np.cos), grid, 5, policy)
+    assert calls == {"b": 1, "a": 1}
+
+
+@pytest.mark.parametrize("nodes", [20, 1000, 11000])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_shared_matrices_match_public_steps(basis_cm, policy, nodes):
+    s = basis_cm.sys
+    k = 5
+    field = _final_data(basis_cm, k, nodes)
+    for t in (s.t0, 0.5 * (s.t0 + s.tf)):
+        got = cutoff_reconstruct(basis_cm, field, _keep(basis_cm, k), t, policy=policy)
+        want = synthesize(basis_cm, recover_coefficients(basis_cm, field, k, policy), t, field.grid)
+        assert np.array_equal(got.values_b, want.values_b)
+        assert np.array_equal(got.values_a, want.values_a)
+
+    got = forward_solve(basis_cm, field, field.grid, k, policy=policy)
+    c0 = recover_coefficients(basis_cm, field, k, policy)
+    decay = np.exp(-basis_cm.lambda_bars()[:k] * s.window)
+    c_tf = CoeffVector(basis=basis_cm, c_b=c0.c_b * decay, c_a=c0.c_a * decay)
+    want = synthesize(basis_cm, c_tf, s.tf, field.grid)
+    assert np.array_equal(got.values_b, want.values_b)
+    assert np.array_equal(got.values_a, want.values_a)
+
+
+def test_forward_solve_onto_another_grid(basis_cm, sys_cm):
+    field = _final_data(basis_cm, 5, 40)
+    target = uniform_grid(sys_cm, 17)
+    got = forward_solve(basis_cm, field, target, 5)
+    c0 = recover_coefficients(basis_cm, field, 5)
+    decay = np.exp(-basis_cm.lambda_bars()[:5] * sys_cm.window)
+    c_tf = CoeffVector(basis=basis_cm, c_b=c0.c_b * decay, c_a=c0.c_a * decay)
+    want = synthesize(basis_cm, c_tf, sys_cm.tf, target)
+    assert got.grid is target
+    assert np.array_equal(got.values_b, want.values_b)
+    assert np.array_equal(got.values_a, want.values_a)
+
+
+def test_cutoff_reconstruct_validation_order(basis_cm, sys_cm):
+    field = _final_data(basis_cm, 5, 4)
+    reg = _keep(basis_cm, 5)
+    with pytest.raises(ValidationError, match="unknown recovery policy"):
+        cutoff_reconstruct(basis_cm, field, reg, sys_cm.t0, policy="bogus")
+    with pytest.raises(ValidationError, match="slab b: 4 nodes cannot determine 5 modes"):
+        cutoff_reconstruct(basis_cm, field, reg, sys_cm.t0, policy="least-squares")

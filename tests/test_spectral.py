@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from twoslab.basis import build_basis
 from twoslab.core import (
     AmplificationOverflowError,
+    Grid,
     RankDeficientError,
     SampledField,
     ValidationError,
@@ -191,3 +192,38 @@ def test_projection_round_trips_random_series(basis_cm, sys_cm, cs):
     field = _in_span_field(basis_cm, np.pad(c, (0, 1)), grid, sys_cm.tf)
     got = recover_coefficients(basis_cm, field, 7, policy="projection")
     assert np.max(np.abs(got.c_b - c)) < 1e-9
+
+
+def test_recovery_validates_policy_then_nodes_then_condition(basis_cm, basis_cm_20, sys_cm):
+    few = SampledField(uniform_grid(sys_cm, 3), np.zeros(3), np.zeros(3), sys_cm.tf)
+    with pytest.raises(ValidationError, match="unknown recovery policy"):
+        recover_coefficients(basis_cm, few, 5, policy="bogus")
+    with pytest.raises(ValidationError, match="slab b: 3 nodes cannot determine 5 modes"):
+        recover_coefficients(basis_cm, few, 5, policy="least-squares")
+    with pytest.raises(ValidationError, match="3\\+3 nodes cannot determine 7 modes"):
+        recover_coefficients(basis_cm, few, 7, policy="projection")
+    with pytest.raises(ValidationError, match="mode_count must be in"):
+        recover_coefficients(basis_cm, few, 0, policy="strict-paper")
+    # slab a lacks nodes while slab b alone would be refused as rank deficient
+    grid = Grid(np.linspace(-5.0, 0.0, 40), np.linspace(0.0, 3.0, 3))
+    field = SampledField(grid, np.zeros(40), np.zeros(3), sys_cm.tf)
+    with pytest.raises(ValidationError, match="slab a: 3 nodes"):
+        recover_coefficients(basis_cm_20, field, 20, policy="least-squares")
+    enough = SampledField(uniform_grid(sys_cm, 40), np.zeros(40), np.zeros(40), sys_cm.tf)
+    with pytest.raises(RankDeficientError):
+        recover_coefficients(basis_cm_20, enough, 20, policy="least-squares")
+
+
+@pytest.mark.parametrize("policy", ["least-squares", "strict-paper", "projection"])
+def test_recovery_core_reuses_full_grid_matrices(basis_cm, sys_cm, policy):
+    from twoslab.basis import slab_matrix
+    from twoslab.spectral import _recover
+
+    grid = uniform_grid(sys_cm, 25)
+    field = _in_span_field(basis_cm, np.linspace(1.0, 0.2, 8), grid, sys_cm.tf)
+    Pb = slab_matrix(basis_cm, grid.nodes_b, "b", 5)
+    Pa = slab_matrix(basis_cm, grid.nodes_a, "a", 5)
+    got = _recover(basis_cm, field, 5, policy, Pb, Pa)
+    want = recover_coefficients(basis_cm, field, 5, policy)
+    assert np.array_equal(got.c_b, want.c_b)
+    assert np.array_equal(got.c_a, want.c_a)
