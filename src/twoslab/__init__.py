@@ -19,7 +19,7 @@ from .core import (
     trapezoid_norm,
     uniform_grid,
 )
-from .eigensolver import EigenValuePair, eigen_f, find_eigenvalues, newton_demo
+from .eigensolver import EigenValuePair, eigen_f, find_eigenvalues
 from .basis import EigenBasis, EigenMode, build_basis, norm_M_closed, norm_N_closed
 from .spectral import (
     CoeffVector,
@@ -78,7 +78,6 @@ __all__ = [
     "find_modes_2d",
     "forward_solve",
     "instability_lower_bound",
-    "newton_demo",
     "noise_gap_bound",
     "nonhomogeneous_solve",
     "norm_M_closed",

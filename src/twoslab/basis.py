@@ -45,13 +45,6 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def gauss_legendre(f, lo: float, hi: float, order: int) -> float:
-    """Gauss-Legendre quadrature of f over [lo, hi]; f takes ndarrays."""
-    x, w = _leggauss(order)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return float(half * np.dot(w, np.asarray(f(mid + half * x), dtype=float)))
-
-
 # Callables are integrated panel by panel with one fixed-order Gauss rule;
 # a panel spans at most PANEL_PHASE radians of the fastest mode, which
 # keeps cos products at machine accuracy (about 4 nodes per radian).
@@ -134,15 +127,14 @@ def norm_M_closed(sys: SlabSystem, pair: EigenValuePair) -> float:
     ) * pair.lambda_a**2 / cos_a**2
 
 
-def _interface_null_vector(sys: SlabSystem, pair: EigenValuePair) -> tuple[float, float]:
+def _interface_null_vector(sys: SlabSystem, lam_b: float, lam_a: float) -> tuple[float, float]:
     """Unit-norm (theta_b, theta_a) solving the homogeneous interface system."""
-    lb, la = pair.lambda_b, pair.lambda_a
     A = np.array(
         [
-            [math.cos(lb * sys.b), -math.cos(la * sys.a)],
+            [math.cos(lam_b * sys.b), -math.cos(lam_a * sys.a)],
             [
-                sys.mat_b.K * lb * math.sin(lb * sys.b),
-                sys.mat_a.K * la * math.sin(la * sys.a),
+                sys.mat_b.K * lam_b * math.sin(lam_b * sys.b),
+                sys.mat_a.K * lam_a * math.sin(lam_a * sys.a),
             ],
         ]
     )
@@ -153,6 +145,22 @@ def _interface_null_vector(sys: SlabSystem, pair: EigenValuePair) -> tuple[float
     if lead < 0:
         theta = -theta
     return float(theta[0]), float(theta[1])
+
+
+def _interface_amplitudes(
+    sys: SlabSystem, lam_b: float, lam_a: float
+) -> tuple[float, float, bool]:
+    """Slab amplitudes (amp_b, amp_a, degenerate) of the mode with these frequencies.
+
+    1/cos pins both slabs to 1 at the interface; when either cosine
+    vanishes the unit-norm interface null vector is used instead and the
+    flag is set.
+    """
+    cos_b = math.cos(lam_b * sys.b)
+    cos_a = math.cos(lam_a * sys.a)
+    if abs(cos_b) < DEGENERATE_COS_TOL or abs(cos_a) < DEGENERATE_COS_TOL:
+        return *_interface_null_vector(sys, lam_b, lam_a), True
+    return 1.0 / cos_b, 1.0 / cos_a, False
 
 
 @dataclass(frozen=True)
@@ -241,31 +249,12 @@ def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
     pairs = find_eigenvalues(sys, mode_count - 1)
     modes = []
     for pair in pairs:
-        cos_b = math.cos(pair.lambda_b * sys.b)
-        cos_a = math.cos(pair.lambda_a * sys.a)
-        degenerate = pair.n > 0 and (
-            abs(cos_b) < DEGENERATE_COS_TOL or abs(cos_a) < DEGENERATE_COS_TOL
-        )
-        if not degenerate:
-            mode = EigenMode(
-                pair=pair,
-                norm_N=norm_N_closed(sys, pair),
-                norm_M=norm_M_closed(sys, pair),
-                amp_b=1.0 / cos_b,
-                amp_a=1.0 / cos_a,
-            )
+        amp_b, amp_a, degenerate = _interface_amplitudes(sys, pair.lambda_b, pair.lambda_a)
+        if degenerate:
+            norm_N, norm_M = _degenerate_norms(sys, pair, amp_b, amp_a)
         else:
-            th_b, th_a = _interface_null_vector(sys, pair)
-            norm_N, norm_M = _degenerate_norms(sys, pair, th_b, th_a)
-            mode = EigenMode(
-                pair=pair,
-                norm_N=norm_N,
-                norm_M=norm_M,
-                amp_b=th_b,
-                amp_a=th_a,
-                degenerate_interface=True,
-            )
-        modes.append(mode)
+            norm_N, norm_M = norm_N_closed(sys, pair), norm_M_closed(sys, pair)
+        modes.append(EigenMode(pair, norm_N, norm_M, amp_b, amp_a, degenerate))
     return EigenBasis(
         sys,
         tuple(modes),
@@ -286,15 +275,6 @@ def _cos_products(lam: np.ndarray, amp: np.ndarray, length: float, sign: float) 
     d = np.subtract.outer(lam, lam) * (length / math.pi)
     t = np.add.outer(lam, lam) * (length / math.pi)
     return np.outer(amp, amp) * (0.5 * length) * (np.sinc(d) + sign * np.sinc(t))
-
-
-def weighted_inner(basis: EigenBasis, m: int, n: int) -> float:
-    """Weighted inner product of modes m and n (K/kappa weights), in closed form."""
-    s = basis.sys
-    k = [m, n]
-    ib = _cos_products(basis.lambda_b[k], basis.amp_b[k], s.b, 1.0)[0, 1]
-    ia = _cos_products(basis.lambda_a[k], basis.amp_a[k], s.a, 1.0)[0, 1]
-    return float((s.mat_b.K / s.mat_b.kappa) * ib + (s.mat_a.K / s.mat_a.kappa) * ia)
 
 
 def weighted_gram(basis: EigenBasis, mode_count: int | None = None) -> np.ndarray:

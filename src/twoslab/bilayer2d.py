@@ -17,7 +17,8 @@ lambda_bar = kappa_b (nu_b^2 + mu^2) = kappa_a (nu_a^2 + mu^2).
 
 Backward reconstruction works on a fixed-y slice: with |Theta(eps)|
 retained modes, the slice is collocated on exactly that many nodes per
-layer and the square systems are solved per layer.
+layer (``core.uniform_grid``) and the square systems are solved per
+layer by the recovery and synthesis cores of ``spectral``.
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Grid,
-    RegParams,
-    SampledField,
-    SlabSystem,
-    ValidationError,
-    uniform_grid,
-)
-from .basis import DEGENERATE_COS_TOL, _interface_null_vector
-from .eigensolver import EigenValuePair, scan_roots
-from .spectral import _solve_slab, growth_factors
+from .core import Grid, RegParams, SampledField, SlabSystem, ValidationError
+from .basis import _interface_amplitudes
+from .eigensolver import scan_roots
+from .spectral import CoeffVector, _recover, _synthesize
+
+# Root scan of the interface determinant: grid step in nu_b and the
+# bisection tolerance of each bracketed root.
+SCAN_STEP = 1e-3
+REFINE_TOL = 1e-12
 
 
 class EvanescentBranchError(ValidationError):
@@ -100,6 +99,9 @@ class Basis2D:
     def __len__(self) -> int:
         return len(self.modes)
 
+    def lambda_bars(self) -> np.ndarray:
+        return np.array([md.lambda_bar for md in self.modes])
+
 
 def y_mode(m: int, y, c: float):
     """Transverse factor, orthonormal on [0, c] (constant mode rescaled)."""
@@ -111,18 +113,6 @@ def y_mode(m: int, y, c: float):
     if np.isscalar(y):
         return float(out)
     return out
-
-
-def _x_amplitudes(sys: SlabSystem, nu_b: float, nu_a: float) -> tuple[float, float, bool]:
-    cos_b = math.cos(nu_b * sys.b)
-    cos_a = math.cos(nu_a * sys.a)
-    if nu_b == 0.0 and nu_a == 0.0:
-        return 1.0, 1.0, False
-    if abs(cos_b) < DEGENERATE_COS_TOL or abs(cos_a) < DEGENERATE_COS_TOL:
-        pair = EigenValuePair(n=1, lambda_b=nu_b, lambda_a=nu_a, lambda_bar=0.0)
-        th_b, th_a = _interface_null_vector(sys, pair)
-        return th_b, th_a, True
-    return 1.0 / cos_b, 1.0 / cos_a, False
 
 
 def phi_2d(mode: Mode2D, x, y, sys: SlabSystem):
@@ -137,12 +127,7 @@ def phi_2d(mode: Mode2D, x, y, sys: SlabSystem):
     return out
 
 
-def find_modes_2d(
-    sys: SlabSystem,
-    n_eps: float,
-    scan_step: float = 1e-3,
-    refine_tol: float = 1e-12,
-) -> Basis2D:
+def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
     """All modes with lambda_bar <= n_eps, sorted by (lambda_bar, m, n).
 
     For each admissible transverse index m the x-frequencies are the
@@ -164,13 +149,13 @@ def find_modes_2d(
         roots: list[float] = []
         if nu_hi >= nu_lo:
             roots = scan_roots(
-                lambda v: eigen_f_2d(v, mu, sys), nu_lo, nu_hi, scan_step, refine_tol
+                lambda v: eigen_f_2d(v, mu, sys), nu_lo, nu_hi, SCAN_STEP, REFINE_TOL
             )
         for n, nu_b in enumerate(roots):
             if m == 0 and n == 0:
                 nu_b = 0.0
             nu_a = nu_a_of(nu_b, mu, sys)
-            amp_b, amp_a, degen = _x_amplitudes(sys, nu_b, nu_a)
+            amp_b, amp_a, degen = _interface_amplitudes(sys, nu_b, nu_a)
             modes.append(
                 Mode2D(
                     m=m,
@@ -187,11 +172,6 @@ def find_modes_2d(
         m += 1
     modes.sort(key=lambda md: (md.lambda_bar, md.m, md.n))
     return Basis2D(sys=sys, modes=tuple(modes))
-
-
-def slice_grid(sys: SlabSystem, mode_count: int) -> Grid:
-    """Per-layer collocation nodes for a slice solve with mode_count modes."""
-    return uniform_grid(sys, mode_count)
 
 
 def slice_matrix(basis2d: Basis2D, nodes: np.ndarray, slab: str, y0: float) -> np.ndarray:
@@ -223,37 +203,14 @@ def _validate_slice(basis2d: Basis2D, field: SampledField) -> None:
             )
 
 
-def _recover_slice(
-    field: SampledField, Pb: np.ndarray, Pa: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(
-        _solve_slab(A, np.asarray(values, float), float(np.linalg.cond(A)))
-        for A, values in ((Pb, field.values_b), (Pa, field.values_a))
-    )
-
-
 def recover_slice_coefficients(
     basis2d: Basis2D, field: SampledField, y0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Square per-layer solves of the slice collocation systems."""
     _validate_slice(basis2d, field)
-    return _recover_slice(field, *_slice_matrices(basis2d, field.grid, y0))
-
-
-def _synthesize_slice(
-    basis2d: Basis2D,
-    c_b: np.ndarray,
-    c_a: np.ndarray,
-    t: float,
-    grid: Grid,
-    Pb: np.ndarray,
-    Pa: np.ndarray,
-) -> SampledField:
-    lam = np.array([md.lambda_bar for md in basis2d.modes])
-    amp = growth_factors(lam, basis2d.sys.tf - t)
-    return SampledField(
-        grid=grid, values_b=Pb @ (c_b * amp), values_a=Pa @ (c_a * amp), time=t
-    )
+    Pb, Pa = _slice_matrices(basis2d, field.grid, y0)
+    coeffs = _recover(basis2d, field, len(basis2d), "least-squares", Pb, Pa)
+    return coeffs.c_b, coeffs.c_a
 
 
 def synthesize_slice(
@@ -265,7 +222,8 @@ def synthesize_slice(
     grid: Grid,
 ) -> SampledField:
     """Evaluate the amplified slice series on a grid at time t."""
-    return _synthesize_slice(basis2d, c_b, c_a, t, grid, *_slice_matrices(basis2d, grid, y0))
+    coeffs = CoeffVector(basis=basis2d, c_b=c_b, c_a=c_a)
+    return _synthesize(basis2d, coeffs, t, grid, *_slice_matrices(basis2d, grid, y0))
 
 
 def reconstruct_2d_slice(
@@ -274,13 +232,11 @@ def reconstruct_2d_slice(
     reg: RegParams,
     y0: float,
     t: float,
-    scan_step: float = 1e-3,
-    refine_tol: float = 1e-12,
 ) -> SampledField:
     """Cut-off reconstruction of the y0-slice at time t from final data.
 
     The measurement grid must carry exactly |Theta(eps)| nodes per layer
-    (see ``slice_grid``); the amplified series is returned on that grid,
+    (see ``uniform_grid``); the amplified series is returned on that grid,
     evaluated from the same slice matrices the solves use.
     """
     c = _require_c(sys)
@@ -288,10 +244,10 @@ def reconstruct_2d_slice(
         raise ValidationError("y0 must lie in [0, c]")
     if not (sys.t0 <= t <= sys.tf):
         raise ValidationError("t must lie in [t0, tf]")
-    basis2d = find_modes_2d(sys, reg.n_eps, scan_step, refine_tol)
+    basis2d = find_modes_2d(sys, reg.n_eps)
     if len(basis2d) == 0:
         raise ValidationError("cut-off removed every 2D mode; nothing to reconstruct")
     _validate_slice(basis2d, measured_tf)
     Pb, Pa = _slice_matrices(basis2d, measured_tf.grid, y0)
-    c_b, c_a = _recover_slice(measured_tf, Pb, Pa)
-    return _synthesize_slice(basis2d, c_b, c_a, t, measured_tf.grid, Pb, Pa)
+    coeffs = _recover(basis2d, measured_tf, len(basis2d), "least-squares", Pb, Pa)
+    return _synthesize(basis2d, coeffs, t, measured_tf.grid, Pb, Pa)

@@ -38,7 +38,7 @@ from .core import (
     trapezoid_norm,
     uniform_grid,
 )
-from .basis import EigenBasis, build_basis
+from .basis import EigenBasis, build_basis, slab_matrix
 from .evolve import (
     NOISE_BUDGET_RTOL,
     admissible_set,
@@ -48,18 +48,8 @@ from .evolve import (
     noise_gap_bound,
     stability_bound,
 )
-from .spectral import (
-    CoeffVector,
-    design_matrix,
-    project_coefficients,
-    synthesize,
-)
-from .bilayer2d import (
-    find_modes_2d,
-    recover_slice_coefficients,
-    slice_grid,
-    synthesize_slice,
-)
+from .spectral import CoeffVector, project_coefficients, synthesize
+from .bilayer2d import find_modes_2d, recover_slice_coefficients, synthesize_slice
 
 RNG_NAME = "numpy.Philox/SeedSequence(seed, spawn_key=(example, stream))"
 
@@ -129,6 +119,8 @@ _CONFIG_KEYS = {
 
 
 def _real(value, name: str) -> float:
+    if isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
@@ -136,6 +128,8 @@ def _real(value, name: str) -> float:
 
 
 def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -188,6 +182,9 @@ def config_from_dict(obj: dict, base: RunConfig | None = None) -> RunConfig:
         eps = tuple(_real(e, "eps_list") for e in obj["eps_list"])
         if not eps or any(not (0 < e < 1) for e in eps):
             raise ValidationError("eps_list must hold values in (0, 1)")
+        labels = [eps_label(e) for e in eps]
+        if len(set(labels)) < len(labels):
+            raise ValidationError(f"eps_list entries must have distinct labels, got {labels}")
         kwargs["eps_list"] = eps
     if "material_b" in obj:
         kwargs["material_b"] = _parse_material(obj["material_b"], "material_b")
@@ -198,9 +195,17 @@ def config_from_dict(obj: dict, base: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"{path}: cannot read ({reason})") from exc
+
+
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path}: invalid JSON ({exc})") from exc
     return config_from_dict(obj, base)
@@ -318,18 +323,6 @@ def emit_table(table: ResultTable, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_table(path: str | Path) -> ResultTable:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    if header[0] != "x":
-        raise ValidationError(f"{path}: not a reconstruction table")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return ResultTable(
-        xs=data[:, 0],
-        columns={name: data[:, j + 1] for j, name in enumerate(header[1:])},
-    )
-
-
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.write_text("\n".join([header] + rows) + "\n")
 
@@ -343,7 +336,7 @@ def write_field_csv(field: SampledField, path: str | Path) -> None:
 
 def read_field_csv(path: str | Path, time: float) -> SampledField:
     """Read a slab,x,value CSV; malformed rows and non-finite numbers are refused."""
-    lines = Path(path).read_text().strip().splitlines()
+    lines = _read_text(path).strip().splitlines()
     if not lines or lines[0] != "slab,x,value":
         raise ValidationError(f"{path}: expected header 'slab,x,value'")
     cols: dict[str, tuple[list[float], list[float]]] = {"b": ([], []), "a": ([], [])}
@@ -518,14 +511,14 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
     grid_sq = uniform_grid(s, cfg.mode_count)
     clean_sq = SampledField(grid_sq, data_b(grid_sq.nodes_b), data_a(grid_sq.nodes_a), s.tf)
     noisy_sq = inject_noise(clean_sq, cfg.eps_list[0], bound, rng_for(cfg.seed, 1, 50))
-    dm_b = design_matrix(basis, grid_sq.nodes_b, "b", cfg.mode_count)
-    dm_a = design_matrix(basis, grid_sq.nodes_a, "a", cfg.mode_count)
+    A_b = slab_matrix(basis, grid_sq.nodes_b, "b", cfg.mode_count)
+    A_a = slab_matrix(basis, grid_sq.nodes_a, "a", cfg.mode_count)
     raw_coeffs = CoeffVector(
         basis=basis,
-        c_b=np.linalg.lstsq(dm_b.matrix, noisy_sq.values_b, rcond=None)[0],
-        c_a=np.linalg.lstsq(dm_a.matrix, noisy_sq.values_a, rcond=None)[0],
+        c_b=np.linalg.lstsq(A_b, noisy_sq.values_b, rcond=None)[0],
+        c_a=np.linalg.lstsq(A_a, noisy_sq.values_a, rcond=None)[0],
     )
-    meta["raw_design_condition"] = max(dm_b.condition, dm_a.condition)
+    meta["raw_design_condition"] = max(float(np.linalg.cond(A_b)), float(np.linalg.cond(A_a)))
     raw = synthesize(basis, raw_coeffs, s.t0, grid_sq)
     raw_max = float(max(np.max(np.abs(raw.values_b)), np.max(np.abs(raw.values_a))))
     reg_col = columns[eps_label(cfg.eps_list[0])]
@@ -696,13 +689,12 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
         count = len(basis2d)
         if count == 0:
             raise ValidationError(f"eps={eps:g}: cut-off removed every 2D mode")
-        grid = slice_grid(s, count)
+        grid = uniform_grid(s, count)
         initial = SampledField(
             grid, slice_b(grid.nodes_b), slice_a(grid.nodes_a), s.t0
         )
         c_b, c_a = recover_slice_coefficients(basis2d, initial, y0)
-        lam = np.array([md.lambda_bar for md in basis2d.modes])
-        decay = np.exp(-lam * s.window)
+        decay = np.exp(-basis2d.lambda_bars() * s.window)
         final = synthesize_slice(basis2d, c_b * decay, c_a * decay, y0, s.tf, grid)
         noisy = inject_noise(
             final, eps, ((s.a + s.b) * s.c) ** -0.5, rng_for(cfg.seed, 4, i)
@@ -779,6 +771,8 @@ def check_bounds(cfg: RunConfig, trials: int = 100, mode_count: int = 20) -> lis
     estimates.  Runs on the configured system and on its unit-parameter
     twin, at t0 and at the window midpoint.
     """
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     records: list[BoundRecord] = []
     systems = {
         "config": cfg.system(),

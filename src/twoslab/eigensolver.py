@@ -19,9 +19,7 @@ with r = sqrt(kappa_b/kappa_a), rho = (K_a/sqrt(kappa_a)) / (K_b/sqrt(kappa_b))
 and k = round(psi/pi).  The left-hand side is continuous, strictly
 increasing and within pi/2 of lambda (b + r a), so root n is the only
 one in the closed-form bracket (n -+ 1/2) pi / (b + r a).  All brackets
-are bisected at once.  A Newton multistart on the equivalent
-two-variable system is kept as a demonstration of why naive multistarts
-drop and duplicate roots.
+are bisected at once.
 """
 
 from __future__ import annotations
@@ -36,11 +34,6 @@ from .core import NumericalError, SlabSystem, ValidationError
 # Grid values this close to zero are treated as exact roots, and local
 # minima of |f| below it are flagged as tangency (double) roots.
 TANGENCY_TOL = 1e-12
-
-
-def lambda_a_of(lambda_b: float, sys: SlabSystem) -> float:
-    """Right-slab frequency paired with lambda_b via the shared decay rate."""
-    return sys.kappa_ratio_root() * lambda_b
 
 
 def eigen_f(lambda_b, sys: SlabSystem):
@@ -169,98 +162,3 @@ def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:
     for k, lam_b in enumerate(roots.tolist(), start=1):
         pairs.append(EigenValuePair(k, lam_b, ratio * lam_b, sys.mat_b.kappa * lam_b**2))
     return pairs
-
-
-@dataclass(frozen=True)
-class NewtonDemoReport:
-    """Outcome of the Newton multistart: what survived, what collapsed."""
-
-    roots_found: tuple[float, ...]
-    distinct_count: int
-    missed: bool
-
-
-def newton_demo(
-    sys: SlabSystem,
-    guesses: np.ndarray,
-    iters: int = 50,
-    stop_delta: float = 1e-10,
-) -> NewtonDemoReport:
-    """Damped Newton on the two-variable system, one run per guess pair.
-
-    ``guesses`` holds (lambda_b, lambda_a) start pairs, shape (m, 2) or a
-    flat length-2m array.  The system couples the shared-decay constraint
-    kappa_b l_b^2 = kappa_a l_a^2 with the unreduced interface equation.
-    Converged end points closer than sqrt(stop_delta) are merged, which
-    is exactly how multistarts silently lose eigenvalues.
-    """
-    pts = np.asarray(guesses, dtype=float).reshape(-1, 2)
-    kb, ka = sys.mat_b.kappa, sys.mat_a.kappa
-    cb = sys.mat_b.K / math.sqrt(kb)
-    ca = sys.mat_a.K / math.sqrt(ka)
-    b, a = sys.b, sys.a
-
-    def G(v):
-        lb, la = v
-        return np.array(
-            [
-                kb * lb * lb - ka * la * la,
-                cb * math.sin(lb * b) * math.cos(la * a)
-                + ca * math.sin(la * a) * math.cos(lb * b),
-            ]
-        )
-
-    def J(v):
-        lb, la = v
-        return np.array(
-            [
-                [2 * kb * lb, -2 * ka * la],
-                [
-                    cb * b * math.cos(lb * b) * math.cos(la * a)
-                    - ca * b * math.sin(la * a) * math.sin(lb * b),
-                    -cb * a * math.sin(lb * b) * math.sin(la * a)
-                    + ca * a * math.cos(la * a) * math.cos(lb * b),
-                ],
-            ]
-        )
-
-    found: list[float] = []
-    diverged = 0
-    for start in pts:
-        v = start.copy()
-        ok = False
-        for _ in range(iters):
-            g = G(v)
-            try:
-                step = np.linalg.solve(J(v), -g)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(J(v), -g, rcond=None)[0]
-            # damp: halve until the residual stops growing
-            t = 1.0
-            g0 = float(np.linalg.norm(g))
-            for _ in range(25):
-                trial = v + t * step
-                if float(np.linalg.norm(G(trial))) <= g0 or t < 1e-12:
-                    break
-                t *= 0.5
-            v = v + t * step
-            if not np.all(np.isfinite(v)):
-                break
-            if float(np.linalg.norm(t * step)) < stop_delta:
-                ok = True
-                break
-        if ok and np.all(np.isfinite(v)):
-            found.append(float(v[0]))
-        else:
-            diverged += 1
-
-    merge_tol = math.sqrt(stop_delta)
-    distinct: list[float] = []
-    for r in sorted(found):
-        if not distinct or abs(r - distinct[-1]) > merge_tol:
-            distinct.append(r)
-    return NewtonDemoReport(
-        roots_found=tuple(found),
-        distinct_count=len(distinct),
-        missed=(len(distinct) < len(pts)) or diverged > 0,
-    )

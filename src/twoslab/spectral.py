@@ -19,7 +19,9 @@ series is synthesized on the data grid.  A reconstruction
 (``evolve.cutoff_reconstruct``, ``evolve.forward_solve``) therefore
 builds each slab's matrix once (``_recover_on_grid`` returns them with
 the coefficients) and hands it to ``_synthesize``; the public wrappers
-build their own.
+build their own.  The cores need only ``len(basis)``, ``basis.sys`` and
+``basis.lambda_bars()``, so the plate slice (``bilayer2d``) runs them on
+its slice matrices too.
 """
 
 from __future__ import annotations
@@ -46,16 +48,6 @@ EXP_ARG_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Collocation matrix for one slab with its condition estimate."""
-
-    slab: str
-    nodes: np.ndarray
-    matrix: np.ndarray
-    condition: float
-
-
-@dataclass(frozen=True)
 class CoeffVector:
     """Per-slab Fourier coefficients against one basis prefix."""
 
@@ -77,26 +69,21 @@ class CoeffVector:
         return float(np.max(np.abs(self.c_b - self.c_a))) if len(self) else 0.0
 
 
-def design_matrix(basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int) -> DesignMatrix:
-    """Build phi_{alpha n}(x_j) for one slab and estimate its condition."""
-    if mode_count < 1 or mode_count > len(basis):
-        raise ValidationError("mode_count must be in 1..len(basis)")
-    A = slab_matrix(basis, nodes, slab, mode_count)
-    cond = float(np.linalg.cond(A))
-    return DesignMatrix(slab=slab, nodes=np.asarray(nodes, float), matrix=A, condition=cond)
-
-
 def _strict_subsample(n_nodes: int, mode_count: int) -> np.ndarray:
     # evenly spread node indices, endpoints kept, deterministic
     return np.round(np.linspace(0, n_nodes - 1, mode_count)).astype(int)
 
 
-def _solve_slab(A: np.ndarray, rhs: np.ndarray, cond: float) -> np.ndarray:
-    """Least-squares solve of A c = rhs, refused when cond exceeds CONDITION_LIMIT."""
+def _require_conditioned(A: np.ndarray, what: str) -> None:
+    """Refuse A when its condition estimate passes CONDITION_LIMIT (or is not finite)."""
+    cond = float(np.linalg.cond(A))
     if cond > CONDITION_LIMIT or not math.isfinite(cond):
-        raise RankDeficientError(
-            f"design matrix numerically rank deficient (condition {cond:.3e})", cond
-        )
+        raise RankDeficientError(f"{what} numerically rank deficient (condition {cond:.3e})", cond)
+
+
+def _solve_slab(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares solve of A c = rhs, refused when A is ill conditioned."""
+    _require_conditioned(A, "design matrix")
     return np.linalg.lstsq(A, rhs, rcond=None)[0]
 
 
@@ -119,12 +106,7 @@ def _recover_projection(
     Wa = (s.mat_a.K / s.mat_a.kappa) * _trapezoid_weights(field.grid.nodes_a)
     G = Pb.T @ (Wb[:, None] * Pb) + Pa.T @ (Wa[:, None] * Pa)
     r = Pb.T @ (Wb * field.values_b) + Pa.T @ (Wa * field.values_a)
-    cond = float(np.linalg.cond(G))
-    if cond > CONDITION_LIMIT or not math.isfinite(cond):
-        raise RankDeficientError(
-            f"projection Gram matrix numerically rank deficient (condition {cond:.3e})",
-            cond,
-        )
+    _require_conditioned(G, "projection Gram matrix")
     c = np.linalg.solve(G, r)
     return CoeffVector(basis=basis, c_b=c, c_a=c.copy())
 
@@ -175,7 +157,7 @@ def _recover(
         if policy == "strict-paper":
             idx = _strict_subsample(len(A), mode_count)
             A, values = A[idx], values[idx]
-        out.append(_solve_slab(A, values, float(np.linalg.cond(A))))
+        out.append(_solve_slab(A, values))
     return CoeffVector(basis=basis, c_b=out[0], c_a=out[1])
 
 

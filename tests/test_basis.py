@@ -11,23 +11,13 @@ from twoslab.basis import (
     DegenerateInterfaceError,
     build_basis,
     derivative_gram,
-    gauss_legendre,
     norm_M_closed,
     norm_N_closed,
     slab_grams,
     slab_matrix,
     weighted_gram,
-    weighted_inner,
 )
 from twoslab.eigensolver import find_eigenvalues
-
-
-@given(coeffs=st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=12))
-def test_gauss_legendre_integrates_polynomials_exactly(coeffs):
-    p = np.polynomial.Polynomial(coeffs)
-    got = gauss_legendre(p, -1.5, 2.0, order=8)
-    want = p.integ()(2.0) - p.integ()(-1.5)
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-10)
 
 
 def test_reference_norms_closed_form(basis_cm):
@@ -73,12 +63,6 @@ def test_weighted_orthogonality(fixture, request):
     off = np.abs(G - np.diag(np.diag(G))) / scale
     assert np.max(off) < 1e-8
     assert np.allclose(np.diag(G), N, rtol=1e-8)
-
-
-def test_weighted_inner_matches_gram(basis_cm):
-    G = weighted_gram(basis_cm)
-    assert weighted_inner(basis_cm, 1, 3) == pytest.approx(G[1, 3], abs=1e-12)
-    assert weighted_inner(basis_cm, 2, 2) == pytest.approx(G[2, 2], rel=1e-12)
 
 
 def test_derivative_gram_diagonalizes(basis_cm_20):

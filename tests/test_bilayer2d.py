@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from twoslab.basis import build_basis
 from twoslab.bilayer2d import (
     EvanescentBranchError,
     eigen_f_2d,
@@ -14,7 +16,6 @@ from twoslab.bilayer2d import (
     phi_2d,
     reconstruct_2d_slice,
     recover_slice_coefficients,
-    slice_grid,
     slice_matrix,
     synthesize_slice,
     y_mode,
@@ -26,6 +27,7 @@ from twoslab.core import (
     SampledField,
     SlabSystem,
     ValidationError,
+    uniform_grid,
 )
 from twoslab.eigensolver import eigen_f
 
@@ -43,6 +45,37 @@ def test_determinant_reduces_to_slab_problem_at_mu_zero(sys_2d):
     got = eigen_f_2d(nu, 0.0, sys_2d)
     want = nu * math.sqrt(sys_2d.mat_b.kappa) * eigen_f(nu, sys_2d)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("unit", [False, True])
+def test_mu_zero_modes_take_the_slab_amplitudes(sys_2d, unit):
+    # at m = 0 the plate's x-factors are the slab eigenfunctions, so both
+    # must carry the same amplitudes; unit materials on equal layers make
+    # every odd mode degenerate, which exercises the null-vector branch
+    sys = sys_2d
+    if unit:
+        sys = dataclasses.replace(sys, mat_b=Material(1.0, 1.0), mat_a=Material(1.0, 1.0))
+    basis2d = find_modes_2d(sys, 60.0)
+    assert np.array_equal(basis2d.lambda_bars(), [md.lambda_bar for md in basis2d.modes])
+    plate = sorted((md for md in basis2d.modes if md.m == 0), key=lambda md: md.n)
+    basis = build_basis(sys, len(plate))
+    assert [md.degenerate_interface for md in plate] == [
+        md.degenerate_interface for md in basis.modes
+    ]
+    assert any(md.degenerate_interface for md in plate) == unit
+    assert np.allclose([md.nu_b for md in plate], basis.lambda_b, rtol=0, atol=1e-9)
+    # a null vector with |theta_b| = |theta_a| fixes its sign by a rounding-level tie
+    amp = np.array([[md.amp_b, md.amp_a] for md in plate])
+    want = np.column_stack([basis.amp_b, basis.amp_a])
+    amp *= np.sign(np.sum(amp * want, axis=1))[:, None]
+    assert np.allclose(amp, want, rtol=1e-8, atol=1e-8)
+    # and every plate mode, degenerate or not, meets both interface conditions
+    for md in basis2d.modes:
+        left, right = md.amp_b * math.cos(md.nu_b * sys.b), md.amp_a * math.cos(md.nu_a * sys.a)
+        assert left == pytest.approx(right, abs=1e-8 * max(1.0, abs(right)))
+        flux_b = -sys.mat_b.K * md.amp_b * md.nu_b * math.sin(md.nu_b * sys.b)
+        flux_a = sys.mat_a.K * md.amp_a * md.nu_a * math.sin(md.nu_a * sys.a)
+        assert flux_b == pytest.approx(flux_a, abs=1e-8 * max(1.0, abs(flux_a)))
 
 
 def test_nu_a_equal_diffusivity_limit():
@@ -121,7 +154,7 @@ def test_phi_2d_interface_continuity_and_flux(sys_2d):
 
 
 def test_slice_grid_single_node_midpoints(sys_2d):
-    g = slice_grid(sys_2d, 1)
+    g = uniform_grid(sys_2d, 1)
     assert g.nodes_b[0] == pytest.approx(-0.5)
     assert g.nodes_a[0] == pytest.approx(0.5)
 
@@ -133,7 +166,7 @@ def test_slice_round_trip(sys_2d):
     rng = np.random.default_rng(31)
     c_b = rng.uniform(-1, 1, count)
     c_a = c_b.copy()
-    grid = slice_grid(sys_2d, count)
+    grid = uniform_grid(sys_2d, count)
     y0 = 0.3
     final = synthesize_slice(basis2d, c_b, c_a, y0, sys_2d.tf, grid)
     rec_b, rec_a = recover_slice_coefficients(basis2d, final, y0)
@@ -150,14 +183,14 @@ def test_slice_round_trip(sys_2d):
 def test_slice_solve_rank_deficiency_raises(sys_2d):
     # 15 retained modes exhaust the per-layer collocation conditioning
     basis2d = find_modes_2d(sys_2d, 60.0)
-    grid = slice_grid(sys_2d, len(basis2d))
+    grid = uniform_grid(sys_2d, len(basis2d))
     field = SampledField(grid, np.zeros(len(basis2d)), np.zeros(len(basis2d)), sys_2d.tf)
     with pytest.raises(RankDeficientError):
         recover_slice_coefficients(basis2d, field, 0.3)
 
 
 def test_reconstruct_slice_validations(sys_2d):
-    grid = slice_grid(sys_2d, 6)
+    grid = uniform_grid(sys_2d, 6)
     field = SampledField(grid, np.zeros(6), np.zeros(6), sys_2d.tf)
     reg = RegParams(epsilon=1e-6, beta=0.05, gamma=0.5, n_eps=20.0)
     with pytest.raises(ValidationError):
@@ -166,7 +199,7 @@ def test_reconstruct_slice_validations(sys_2d):
         reconstruct_2d_slice(sys_2d, field, reg, 1.1, sys_2d.t0)
     with pytest.raises(ValidationError):
         reconstruct_2d_slice(sys_2d, field, reg, 0.3, sys_2d.tf + 0.01)
-    bad_grid = slice_grid(sys_2d, 5)
+    bad_grid = uniform_grid(sys_2d, 5)
     bad = SampledField(bad_grid, np.zeros(5), np.zeros(5), sys_2d.tf)
     with pytest.raises(ValidationError, match="needs exactly"):
         reconstruct_2d_slice(sys_2d, bad, reg, 0.3, sys_2d.t0)
@@ -195,7 +228,7 @@ def _slice_matrix_loop(basis2d, nodes, slab, y0):
 @pytest.mark.parametrize("y0", [0.0, 0.3, 1.0])
 def test_slice_matrix_matches_loop_form(sys_2d, nodes, y0):
     basis2d = find_modes_2d(sys_2d, 60.0)
-    grid = slice_grid(sys_2d, nodes)
+    grid = uniform_grid(sys_2d, nodes)
     for slab, x in (("b", grid.nodes_b), ("a", grid.nodes_a)):
         got = slice_matrix(basis2d, x, slab, y0)
         assert got.shape == (nodes, len(basis2d))
@@ -209,7 +242,7 @@ def test_reconstruct_slice_shares_matrices(sys_2d, y0, monkeypatch):
     reg = RegParams(epsilon=1e-6, beta=0.05, gamma=0.5, n_eps=20.0)
     basis2d = find_modes_2d(sys_2d, reg.n_eps)
     count = len(basis2d)
-    grid = slice_grid(sys_2d, count)
+    grid = uniform_grid(sys_2d, count)
     c = np.random.default_rng(5).uniform(-1, 1, count)
     final = synthesize_slice(basis2d, c, c, y0, sys_2d.tf, grid)
     t = 0.5 * (sys_2d.t0 + sys_2d.tf)

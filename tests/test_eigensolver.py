@@ -13,8 +13,6 @@ from twoslab.eigensolver import (
     eigen_f,
     eigen_phase,
     find_eigenvalues,
-    lambda_a_of,
-    newton_demo,
     scan_roots,
 )
 
@@ -136,11 +134,6 @@ def test_eigen_f_is_odd(sys_cm, x):
                                                        rel=1e-12, abs=1e-12)
 
 
-def test_lambda_a_of_uses_diffusivity_ratio(sys_cm):
-    assert lambda_a_of(2.0, sys_cm) == pytest.approx(2.0 * sys_cm.kappa_ratio_root(),
-                                                     rel=1e-15)
-
-
 def test_scan_roots_on_sine():
     roots = scan_roots(np.sin, 0.5, 10.0, 1e-3, 1e-12)
     assert len(roots) == 3
@@ -223,21 +216,3 @@ def test_scan_roots_matches_loop_reference_on_plate_determinant(sys_2d, m):
     mu = m * math.pi / sys_2d.c
     f = lambda v: eigen_f_2d(v, mu, sys_2d)
     assert scan_roots(f, 0.0, 30.0, 1e-3, 1e-12) == _loop_scan_roots(f, 0.0, 30.0, 1e-3, 1e-12)
-
-
-def test_newton_multistart_collapses_close_guesses(sys_cm):
-    # five starts straddling the first three roots; merging the nearby
-    # endpoints silently drops two of them
-    ratio = sys_cm.kappa_ratio_root()
-    gset = [0.30, 0.35, 0.60, 0.65, 0.95]
-    rep = newton_demo(sys_cm, np.array([[g, ratio * g] for g in gset]))
-    assert rep.distinct_count == 3
-    assert rep.missed is True
-
-
-def test_newton_endpoints_are_genuine_roots(sys_cm):
-    ratio = sys_cm.kappa_ratio_root()
-    gset = [0.2, 0.5, 0.8, 1.1, 1.4]
-    rep = newton_demo(sys_cm, np.array([[g, ratio * g] for g in gset]))
-    for r in rep.roots_found:
-        assert abs(float(eigen_f(abs(r), sys_cm))) < 1e-8

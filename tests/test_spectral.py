@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twoslab.basis import build_basis
+from twoslab.basis import build_basis, slab_matrix
 from twoslab.core import (
     AmplificationOverflowError,
     Grid,
@@ -16,7 +16,6 @@ from twoslab.spectral import (
     CoeffVector,
     _strict_subsample,
     amplification_factors,
-    design_matrix,
     project_coefficients,
     recover_coefficients,
     synthesize,
@@ -38,18 +37,19 @@ def span_data(basis_cm, sys_cm):
 
 def test_design_matrix_shape_and_condition(basis_cm):
     nodes = np.linspace(-5.0, 0.0, 9)
-    dm = design_matrix(basis_cm, nodes, "b", 6)
-    assert dm.matrix.shape == (9, 6)
-    assert dm.condition >= 1.0
-    assert dm.slab == "b"
+    A = slab_matrix(basis_cm, nodes, "b", 6)
+    assert A.shape == (9, 6)
+    assert np.linalg.cond(A) >= 1.0
 
 
-def test_design_matrix_rejects_bad_mode_count(basis_cm):
-    nodes = np.linspace(0.0, 3.0, 5)
-    with pytest.raises(ValidationError):
-        design_matrix(basis_cm, nodes, "a", 0)
-    with pytest.raises(ValidationError):
-        design_matrix(basis_cm, nodes, "a", 9)
+def test_design_matrix_rejects_bad_mode_count(basis_cm, sys_cm):
+    # the per-slab design matrices take modes 1..len(basis) only
+    grid = uniform_grid(sys_cm, 10)
+    field = SampledField(grid, np.zeros(10), np.zeros(10), sys_cm.tf)
+    for policy in ("least-squares", "strict-paper"):
+        for count in (0, len(basis_cm) + 1):
+            with pytest.raises(ValidationError, match="mode_count must be in"):
+                recover_coefficients(basis_cm, field, count, policy)
 
 
 def test_strict_subsample_spreads_with_endpoints():
