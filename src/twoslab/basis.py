@@ -140,8 +140,9 @@ def _interface_null_vector(sys: SlabSystem, lam_b: float, lam_a: float) -> tuple
     )
     _, _, vt = np.linalg.svd(A)
     theta = vt[-1]
-    # deterministic sign: leading non-negligible component positive
-    lead = theta[0] if abs(theta[0]) >= abs(theta[1]) else theta[1]
+    # deterministic sign: the component that cannot vanish is positive.  That
+    # is theta_b when cos(lambda_b b) vanishes, and theta_a otherwise.
+    lead = theta[0] if abs(A[0, 0]) < DEGENERATE_COS_TOL else theta[1]
     if lead < 0:
         theta = -theta
     return float(theta[0]), float(theta[1])
@@ -232,12 +233,13 @@ def _degenerate_norms(
 ) -> tuple[float, float]:
     """Closed-form (N_n, M_n) of the mode theta_alpha cos(lambda_alpha s) on each slab."""
     N = M = 0.0
-    for mat, lam, length, th in (
-        (sys.mat_b, pair.lambda_b, sys.b, th_b),
-        (sys.mat_a, pair.lambda_a, sys.a, th_a),
+    w_b, w_a = sys.weights
+    for w, mat, lam, length, th in (
+        (w_b, sys.mat_b, pair.lambda_b, sys.b, th_b),
+        (w_a, sys.mat_a, pair.lambda_a, sys.a, th_a),
     ):
         wobble = math.sin(2 * lam * length) / (4 * lam)
-        N += (mat.K / mat.kappa) * th**2 * (length / 2 + wobble)
+        N += w * th**2 * (length / 2 + wobble)
         M += mat.K * th**2 * lam**2 * (length / 2 - wobble)
     return N, M
 
@@ -279,9 +281,9 @@ def _cos_products(lam: np.ndarray, amp: np.ndarray, length: float, sign: float) 
 
 def weighted_gram(basis: EigenBasis, mode_count: int | None = None) -> np.ndarray:
     """Full matrix of weighted inner products, diagonal N_n for eigen-modes."""
-    s = basis.sys
+    w_b, w_a = basis.sys.weights
     Gb, Ga = slab_grams(basis, mode_count)
-    return (s.mat_b.K / s.mat_b.kappa) * Gb + (s.mat_a.K / s.mat_a.kappa) * Ga
+    return w_b * Gb + w_a * Ga
 
 
 def slab_grams(basis: EigenBasis, mode_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:

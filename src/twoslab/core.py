@@ -99,6 +99,11 @@ class SlabSystem:
     def window(self) -> float:
         return self.tf - self.t0
 
+    @property
+    def weights(self) -> tuple[float, float]:
+        """Inner-product slab weights (K_b/kappa_b, K_a/kappa_a); rho_c_override never enters."""
+        return self.mat_b.K / self.mat_b.kappa, self.mat_a.K / self.mat_a.kappa
+
     def kappa_ratio_root(self) -> float:
         """sqrt(kappa_b / kappa_a), the fixed ratio lambda_a / lambda_b."""
         return math.sqrt(self.mat_b.kappa / self.mat_a.kappa)

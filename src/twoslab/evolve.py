@@ -28,10 +28,11 @@ from .core import (
     ValidationError,
     trapezoid_norm,
 )
-from .basis import EigenBasis, slab_grams, slab_matrix
+from .basis import EigenBasis, slab_grams
 from .spectral import (
     CoeffVector,
     _mode_matrices,
+    _quadrature_inner,
     _recover_on_grid,
     _synthesize,
     amplification_factors,
@@ -121,13 +122,28 @@ def cutoff_reconstruct(
     return _synthesize(basis, coeffs, t, measured_tf.grid, Pb, Pa)
 
 
-def _series_norms_sq(
-    basis: EigenBasis, c_b: np.ndarray, c_a: np.ndarray
-) -> tuple[float, float]:
-    """Per-slab squared L2 norms of a per-slab coefficient series."""
-    count = len(c_b)
+def _amplified_norm_sq(basis: EigenBasis, coeffs: CoeffVector, t: float) -> tuple[np.ndarray, float]:
+    """exp(lambda_bar_n (tf-t)) and the squared L2(-b,a) norm of the series at time t."""
+    count = len(coeffs)
+    amp = amplification_factors(basis, count, t)
     Gb, Ga = slab_grams(basis, count)
-    return float(c_b @ Gb @ c_b), float(c_a @ Ga @ c_a)
+    c_b, c_a = coeffs.c_b * amp, coeffs.c_a * amp
+    return amp, float(c_b @ Gb @ c_b) + float(c_a @ Ga @ c_a)
+
+
+def _cutoff_norm_sq(basis: EigenBasis, field: SampledField, reg: RegParams, t: float) -> float:
+    """Squared norm at t of the cut-off series of ``field``'s weighted projection.
+
+    Projected, not fitted per slab: per-slab least squares can return
+    gauge-wild coefficients that the estimates say nothing about.
+    """
+    k = len(admissible_set(basis, reg.n_eps))
+    return _amplified_norm_sq(basis, project_coefficients(basis, field, k), t)[1]
+
+
+def _cutoff_gain(s: SlabSystem, reg: RegParams, t: float) -> float:
+    """min{w_b, w_a, 1}^-1 * N_eps * exp(2 N_eps (tf-t)), the gain of the cut-off series."""
+    return 1.0 / min(*s.weights, 1.0) * reg.n_eps * math.exp(2.0 * reg.n_eps * (s.tf - t))
 
 
 def instability_lower_bound(
@@ -140,19 +156,11 @@ def instability_lower_bound(
          sum_n min(C_bn^2, C_an^2) exp(2 lambda_bar_n (tf-t)) N_n.
     The theorem asserts lhs >= rhs: amplified modes force growth.
     """
-    s = basis.sys
-    count = len(coeffs)
-    amp = amplification_factors(basis, count, t)
-    nb, na = _series_norms_sq(basis, coeffs.c_b * amp, coeffs.c_a * amp)
-    lhs = nb + na
-    wmax = max(s.mat_b.K / s.mat_b.kappa, s.mat_a.K / s.mat_a.kappa, 1.0)
-    N = np.array([basis.modes[n].norm_N for n in range(count)])
+    amp, lhs = _amplified_norm_sq(basis, coeffs, t)
+    wmax = max(*basis.sys.weights, 1.0)
+    N = np.array([basis.modes[n].norm_N for n in range(len(coeffs))])
     rhs = float(np.sum(np.minimum(coeffs.c_b**2, coeffs.c_a**2) * amp**2 * N) / wmax)
     return lhs, rhs
-
-
-def _min_weight_inv(s: SlabSystem) -> float:
-    return 1.0 / min(s.mat_b.K / s.mat_b.kappa, s.mat_a.K / s.mat_a.kappa, 1.0)
 
 
 def stability_bound(
@@ -163,31 +171,16 @@ def stability_bound(
 ) -> tuple[float, float]:
     """Both sides of the cut-off stability estimate.
 
-    The admissible coefficients are the weighted orthogonal projections
-    of the final data (per-slab least squares can return gauge-wild
-    representations that the estimate says nothing about).
-    lhs: squared L2 norm of the cut-off reconstruction at time t.
+    lhs: squared L2 norm at time t of the cut-off reconstruction from the
+         projected admissible coefficients of the final data.
     rhs: min{K_b/kappa_b, K_a/kappa_a, 1}^-1 * N_eps * exp(2 N_eps (tf-t))
          * [w_b ||T_b(tf)||^2 + w_a ||T_a(tf)||^2].
     The theorem asserts lhs <= rhs.
     """
-    s = basis.sys
-    adm = admissible_set(basis, reg.n_eps)
-    k = len(adm)
-    coeffs = project_coefficients(basis, final_field, k)
-    amp = amplification_factors(basis, k, t)
-    nb, na = _series_norms_sq(basis, coeffs.c_b * amp, coeffs.c_a * amp)
-    lhs = nb + na
+    lhs = _cutoff_norm_sq(basis, final_field, reg, t)
+    w_b, w_a = basis.sys.weights
     db, da = trapezoid_norm(final_field)
-    w_b = s.mat_b.K / s.mat_b.kappa
-    w_a = s.mat_a.K / s.mat_a.kappa
-    rhs = (
-        _min_weight_inv(s)
-        * reg.n_eps
-        * math.exp(2.0 * reg.n_eps * (s.tf - t))
-        * (w_b * db**2 + w_a * da**2)
-    )
-    return lhs, rhs
+    return lhs, _cutoff_gain(basis.sys, reg, t) * (w_b * db**2 + w_a * da**2)
 
 
 def noise_gap_bound(
@@ -206,7 +199,6 @@ def noise_gap_bound(
     rhs = min{w_b, w_a, 1}^-1 * N_eps * exp(2 N_eps (tf-t))
           * (w_b + w_a) * eps^2.
     """
-    s = basis.sys
     if clean_tf.grid is not noisy_tf.grid and (
         not np.array_equal(clean_tf.grid.nodes_b, noisy_tf.grid.nodes_b)
         or not np.array_equal(clean_tf.grid.nodes_a, noisy_tf.grid.nodes_a)
@@ -221,22 +213,9 @@ def noise_gap_bound(
     db, da = trapezoid_norm(delta)
     if db + da > reg.epsilon * (1.0 + NOISE_BUDGET_RTOL):
         raise ValidationError("perturbation exceeds the noise budget eps")
-    adm = admissible_set(basis, reg.n_eps)
-    k = len(adm)
-    coeffs = project_coefficients(basis, delta, k)
-    amp = amplification_factors(basis, k, t)
-    nb, na = _series_norms_sq(basis, coeffs.c_b * amp, coeffs.c_a * amp)
-    lhs = nb + na
-    w_b = s.mat_b.K / s.mat_b.kappa
-    w_a = s.mat_a.K / s.mat_a.kappa
-    rhs = (
-        _min_weight_inv(s)
-        * reg.n_eps
-        * math.exp(2.0 * reg.n_eps * (s.tf - t))
-        * (w_b + w_a)
-        * reg.epsilon**2
-    )
-    return lhs, rhs
+    lhs = _cutoff_norm_sq(basis, delta, reg, t)
+    w_b, w_a = basis.sys.weights
+    return lhs, _cutoff_gain(basis.sys, reg, t) * (w_b + w_a) * reg.epsilon**2
 
 
 @dataclass(frozen=True)
@@ -294,13 +273,8 @@ def source_compatibility(basis: EigenBasis, f_b, f_a, mode_count: int | None = N
     """
     s = basis.sys
     count = len(basis) if mode_count is None else mode_count
-    vb = np.asarray(f_b(basis.quad_x_b), dtype=float)
-    va = np.asarray(f_a(basis.quad_x_a), dtype=float)
-    Pb = slab_matrix(basis, basis.quad_x_b, "b", count)
-    Pa = slab_matrix(basis, basis.quad_x_a, "a", count)
-    inner_b = Pb.T @ (basis.quad_w_b * vb) / s.mat_b.rho_c
-    inner_a = Pa.T @ (basis.quad_w_a * va) / s.mat_a.rho_c
-    return np.abs(inner_a - inner_b)
+    inner_b, inner_a = _quadrature_inner(basis, f_b, f_a, count)
+    return np.abs(inner_a / s.mat_a.rho_c - inner_b / s.mat_b.rho_c)
 
 
 def simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -349,13 +323,15 @@ def nonhomogeneous_solve(
 
     The integral uses composite Simpson over the stored time nodes that
     fall in [t, tf]; if t lands between nodes, D is linearly interpolated
-    to the endpoint.  At least 3 nodes must cover [t, tf].
+    to the endpoint.  At least 3 nodes must cover [t, tf], and the last
+    node must be tf itself.
     """
-    s = basis.sys
     count = len(coeffs)
     if sources.d_b.shape[1] != count:
         raise ValidationError("source coefficients disagree with coefficient count")
     times = sources.times
+    if times[-1] != basis.sys.tf:
+        raise ValidationError(f"source time nodes must end at tf, not {times[-1]!r}")
     inside = times >= t
     if t > times[-1] or np.count_nonzero(inside) + (0 if t in times else 1) < 3:
         raise ValidationError("insufficient time nodes in [t, tf] for Simpson rule")
@@ -374,12 +350,12 @@ def nonhomogeneous_solve(
         db = np.vstack([(1 - w) * sources.d_b[j - 1] + w * sources.d_b[j], db])
         da = np.vstack([(1 - w) * sources.d_a[j - 1] + w * sources.d_a[j], da])
 
+    # the guard first: no growth factor below exceeds exp(lambda_bar_n (tf-t))
+    amp = amplification_factors(basis, count, t)
     lam = basis.lambda_bars()[:count]
     growth = np.exp(lam[None, :] * (ts[:, None] - t))
     int_b = simpson(db * growth, ts)
     int_a = simpson(da * growth, ts)
-
-    amp = amplification_factors(basis, count, t)
     eff = CoeffVector(
         basis=basis,
         c_b=coeffs.c_b * amp - int_b,

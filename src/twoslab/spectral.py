@@ -101,9 +101,9 @@ def _recover_projection(
     # weighted least squares across both slabs jointly: solve the
     # discrete Gram system of the material-weighted trapezoid inner
     # product; exact on data lying in the modes of Pb, Pa
-    s = basis.sys
-    Wb = (s.mat_b.K / s.mat_b.kappa) * _trapezoid_weights(field.grid.nodes_b)
-    Wa = (s.mat_a.K / s.mat_a.kappa) * _trapezoid_weights(field.grid.nodes_a)
+    w_b, w_a = basis.sys.weights
+    Wb = w_b * _trapezoid_weights(field.grid.nodes_b)
+    Wa = w_a * _trapezoid_weights(field.grid.nodes_a)
     G = Pb.T @ (Wb[:, None] * Pb) + Pa.T @ (Wa[:, None] * Pa)
     r = Pb.T @ (Wb * field.values_b) + Pa.T @ (Wa * field.values_a)
     _require_conditioned(G, "projection Gram matrix")
@@ -195,40 +195,40 @@ def project_coefficients(basis: EigenBasis, field, mode_count: int) -> CoeffVect
     own grid) or a pair of callables (f_b, f_a) integrated by the basis
     quadrature.  Both slabs receive the same coefficients.
     """
-    s = basis.sys
-    w_b = s.mat_b.K / s.mat_b.kappa
-    w_a = s.mat_a.K / s.mat_a.kappa
+    w_b, w_a = basis.sys.weights
     if isinstance(field, SampledField):
         Pb, Pa = _mode_matrices(basis, field.grid, mode_count)
         inner_b = Pb.T @ (_trapezoid_weights(field.grid.nodes_b) * field.values_b)
         inner_a = Pa.T @ (_trapezoid_weights(field.grid.nodes_a) * field.values_a)
     else:
-        f_b, f_a = field
-        vb = np.asarray(f_b(basis.quad_x_b), dtype=float)
-        va = np.asarray(f_a(basis.quad_x_a), dtype=float)
-        Pb = slab_matrix(basis, basis.quad_x_b, "b", mode_count)
-        Pa = slab_matrix(basis, basis.quad_x_a, "a", mode_count)
-        inner_b = Pb.T @ (basis.quad_w_b * vb)
-        inner_a = Pa.T @ (basis.quad_w_a * va)
+        inner_b, inner_a = _quadrature_inner(basis, *field, mode_count)
     N = np.array([basis.modes[n].norm_N for n in range(mode_count)])
     c = (w_b * inner_b + w_a * inner_a) / N
     return CoeffVector(basis=basis, c_b=c, c_a=c.copy())
 
 
-def growth_factors(lambda_bars: np.ndarray, span: float) -> np.ndarray:
-    """exp(lambda_bar * span), refused when an exponent passes EXP_ARG_LIMIT."""
-    arg = np.asarray(lambda_bars, dtype=float) * span
+def _quadrature_inner(basis: EigenBasis, f_b, f_a, mode_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slab unweighted <f_alpha, phi_alpha n> of callables, by the basis quadrature."""
+    vb = np.asarray(f_b(basis.quad_x_b), dtype=float)
+    va = np.asarray(f_a(basis.quad_x_a), dtype=float)
+    Pb = slab_matrix(basis, basis.quad_x_b, "b", mode_count)
+    Pa = slab_matrix(basis, basis.quad_x_a, "a", mode_count)
+    return Pb.T @ (basis.quad_w_b * vb), Pa.T @ (basis.quad_w_a * va)
+
+
+def amplification_factors(basis: EigenBasis, mode_count: int, t: float) -> np.ndarray:
+    """exp(lambda_bar_n (tf - t)) for the first mode_count modes.
+
+    Refused when an exponent passes EXP_ARG_LIMIT; this is the one
+    amplification guard of the package.
+    """
+    arg = basis.lambda_bars()[:mode_count] * (basis.sys.tf - t)
     peak = float(np.max(arg, initial=0.0))
     if peak > EXP_ARG_LIMIT:
         raise AmplificationOverflowError(
             f"amplification overflow: max lambda_bar*(tf-t) = {peak:.3f} exceeds {EXP_ARG_LIMIT}"
         )
     return np.exp(arg)
-
-
-def amplification_factors(basis: EigenBasis, mode_count: int, t: float) -> np.ndarray:
-    """exp(lambda_bar_n (tf - t)) for the first mode_count modes."""
-    return growth_factors(basis.lambda_bars()[:mode_count], basis.sys.tf - t)
 
 
 def _synthesize(

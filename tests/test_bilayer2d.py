@@ -64,11 +64,10 @@ def test_mu_zero_modes_take_the_slab_amplitudes(sys_2d, unit):
     ]
     assert any(md.degenerate_interface for md in plate) == unit
     assert np.allclose([md.nu_b for md in plate], basis.lambda_b, rtol=0, atol=1e-9)
-    # a null vector with |theta_b| = |theta_a| fixes its sign by a rounding-level tie
+    # the null vector's sign comes from a component that cannot vanish, so even
+    # a |theta_b| = |theta_a| mode matches without any sign normalisation
     amp = np.array([[md.amp_b, md.amp_a] for md in plate])
-    want = np.column_stack([basis.amp_b, basis.amp_a])
-    amp *= np.sign(np.sum(amp * want, axis=1))[:, None]
-    assert np.allclose(amp, want, rtol=1e-8, atol=1e-8)
+    assert np.allclose(amp, np.column_stack([basis.amp_b, basis.amp_a]), rtol=1e-8, atol=1e-8)
     # and every plate mode, degenerate or not, meets both interface conditions
     for md in basis2d.modes:
         left, right = md.amp_b * math.cos(md.nu_b * sys.b), md.amp_a * math.cos(md.nu_a * sys.a)

@@ -429,6 +429,10 @@ def test_main_exit1_on_zero_mode_count(tmp_path):
         '{"a": true}',
         '{"material_b": {"K": 3.42, "kappa": false}}',
         '{"eps_list": [0.01, 0.01]}',
+        '{"mode_count": "12", "a": "3"}',  # numbers spelled as strings
+        '{"seed": "7"}',
+        '{"eps_list": ["0.01"]}',
+        '{"material_b": {"K": "3.42", "kappa": 0.838}}',
         None,  # no config file at the given path
     ],
 )
@@ -472,6 +476,17 @@ def test_main_exit2_on_non_finite_bound_side(tmp_path, capsys):
     assert main(["check-bounds", "--trials", "3", "--config", str(cfg), "--out", str(out)]) == 2
     assert "non-finite side" in capsys.readouterr().err
     assert not (out / "bounds.csv").exists()
+
+
+def test_main_exit2_when_example1_mode_cannot_be_amplified(tmp_path, capsys):
+    # lambda_bar_1 * 8000 is far past the exp range; the guard refuses it first
+    cfg = tmp_path / "long.json"
+    cfg.write_text('{"tf": 8000}')
+    out = tmp_path / "out"
+    assert main(["example", "1", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: amplification overflow")
+    assert not out.exists()
 
 
 def test_main_exit2_on_amplification_overflow(sys_cm, tmp_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.basis import slab_grams
+from twoslab.basis import build_basis, slab_grams
 from twoslab.core import (
+    AmplificationOverflowError,
     RegParams,
     SampledField,
     ValidationError,
@@ -157,6 +160,28 @@ def test_noise_gap_rejects_grid_mismatch(basis_cm, sys_cm, grid_cm):
         noise_gap_bound(basis_cm, clean, noisy, reg, sys_cm.t0)
 
 
+def test_stability_and_noise_gap_right_hand_sides_follow_their_formulas(basis_cm, sys_cm, grid_cm):
+    # both right-hand sides written out from the docstrings:
+    # gain = min{w_b, w_a, 1}^-1 * N_eps * exp(2 N_eps (tf-t)), times
+    # w_b ||T_b(tf)||^2 + w_a ||T_a(tf)||^2 (stability) or (w_b + w_a) eps^2 (noise gap)
+    reg = RegParams.from_rule(1e-4, 0.05, 0.5, sys_cm.tf)
+    rng = np.random.default_rng(17)
+    final = SampledField(grid_cm, rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40), sys_cm.tf)
+    # a constant perturbation at half the budget: its slab norms are level * sqrt(length)
+    level = 0.5 * reg.epsilon / (math.sqrt(sys_cm.b) + math.sqrt(sys_cm.a))
+    noisy = SampledField(grid_cm, final.values_b + level, final.values_a + level, sys_cm.tf)
+    w_b = sys_cm.mat_b.K / sys_cm.mat_b.kappa
+    w_a = sys_cm.mat_a.K / sys_cm.mat_a.kappa
+    norm_b_sq = np.trapezoid(final.values_b**2, grid_cm.nodes_b)
+    norm_a_sq = np.trapezoid(final.values_a**2, grid_cm.nodes_a)
+    for t in (sys_cm.t0, 0.5 * (sys_cm.t0 + sys_cm.tf), sys_cm.tf):
+        gain = reg.n_eps * math.exp(2.0 * reg.n_eps * (sys_cm.tf - t)) / min(w_b, w_a, 1.0)
+        _, rhs = stability_bound(basis_cm, final, reg, t)
+        assert rhs == pytest.approx(gain * (w_b * norm_b_sq + w_a * norm_a_sq), rel=1e-14)
+        _, rhs = noise_gap_bound(basis_cm, final, noisy, reg, t)
+        assert rhs == pytest.approx(gain * (w_b + w_a) * reg.epsilon**2, rel=1e-14)
+
+
 def test_bounds_hold_over_seeded_trials(basis_cm, sys_cm, grid_cm):
     # compact version of the command-line Monte Carlo suite
     reg = RegParams.from_rule(1e-4, 0.05, 0.5, sys_cm.tf)
@@ -260,6 +285,23 @@ def test_nonhomogeneous_validations(basis_cm, sys_cm, grid_cm):
     with pytest.raises(ValidationError):
         nonhomogeneous_solve(basis_cm, _mode_coeffs(basis_cm, 0, 1.0), late,
                              sys_cm.t0, grid_cm)
+    # a grid ending before or after tf would integrate the source over the wrong window
+    for end in (0.5 * sys_cm.tf, 2.0 * sys_cm.tf, 50.0 * sys_cm.tf):
+        off = SourceCoefficients(times=np.linspace(sys_cm.t0, end, 11), d_b=np.ones((11, 8)),
+                                 d_a=np.ones((11, 8)))
+        with pytest.raises(ValidationError, match="end at tf"):
+            nonhomogeneous_solve(basis_cm, _mode_coeffs(basis_cm, 0, 1.0), off, sys_cm.t0, grid_cm)
+    # past the amplification limit the guard refuses before any exp() overflows
+    hot = dataclasses.replace(sys_cm, tf=50.0)
+    basis_hot = build_basis(hot, 16)
+    assert basis_hot.lambda_bars()[-1] * hot.window > 710.0  # exp() would overflow
+    src_hot = SourceCoefficients(times=np.linspace(hot.t0, hot.tf, 5), d_b=np.ones((5, 16)),
+                                 d_a=np.ones((5, 16)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(AmplificationOverflowError):
+            nonhomogeneous_solve(basis_hot, _mode_coeffs(basis_hot, 0, 1.0), src_hot, hot.t0,
+                                 uniform_grid(hot, 16))
 
 
 def test_source_coefficients_zero_source(basis_cm, sys_cm, grid_cm):
@@ -332,8 +374,7 @@ POLICIES = ("least-squares", "strict-paper", "projection")
 
 
 def _count_slab_matrix(monkeypatch):
-    """Count slab_matrix calls per slab wherever spectral and evolve look it up."""
-    import twoslab.evolve
+    """Count slab_matrix calls per slab; spectral is the one module evolve builds them through."""
     import twoslab.spectral
 
     calls = {"b": 0, "a": 0}
@@ -344,7 +385,6 @@ def _count_slab_matrix(monkeypatch):
         return real(basis, nodes, slab, mode_count)
 
     monkeypatch.setattr(twoslab.spectral, "slab_matrix", counting)
-    monkeypatch.setattr(twoslab.evolve, "slab_matrix", counting)
     return calls
 
 
