@@ -15,6 +15,10 @@ A negative radicand above means the requested branch is evanescent in
 the right layer, which the formulation excludes.  Decay rates are
 lambda_bar = kappa_b (nu_b^2 + mu^2) = kappa_a (nu_a^2 + mu^2).
 
+The roots in nu_b are found per transverse index m by a uniform scan
+for sign changes; the scan keeps only each m's brackets and grid hits,
+and the brackets of every m are bisected together in one call.
+
 Backward reconstruction works on a fixed-y slice: with |Theta(eps)|
 retained modes, the slice is collocated on exactly that many nodes per
 layer (``core.uniform_grid``) and the square systems are solved per
@@ -30,7 +34,7 @@ import numpy as np
 
 from .core import Grid, RegParams, SampledField, SlabSystem, ValidationError
 from .basis import _interface_amplitudes
-from .eigensolver import scan_roots
+from .eigensolver import _bisect_brackets, _merge_roots, _scan_brackets
 from .spectral import CoeffVector, _recover, _synthesize
 
 # Root scan of the interface determinant: grid step in nu_b and the
@@ -49,12 +53,15 @@ def _require_c(sys: SlabSystem) -> float:
     return sys.c
 
 
-def nu_a_of(nu_b, mu: float, sys: SlabSystem):
-    """Right-layer frequency paired with nu_b at transverse wavenumber mu."""
+def nu_a_of(nu_b, mu, sys: SlabSystem):
+    """Right-layer frequency paired with nu_b at transverse wavenumber mu.
+
+    mu is a scalar or an array broadcasting against nu_b.
+    """
     ratio = sys.mat_b.kappa / sys.mat_a.kappa
     radicand = ratio * np.asarray(nu_b, dtype=float) ** 2 + (ratio - 1.0) * mu**2
     # tolerate rounding dust at the oscillatory threshold itself
-    if np.any(radicand < -1e-12 * max(1.0, mu * mu)):
+    if np.any(radicand < -1e-12 * np.maximum(1.0, mu * mu)):
         raise EvanescentBranchError(
             f"negative radicand at mu = {mu!r}: evanescent branch requested"
         )
@@ -64,8 +71,8 @@ def nu_a_of(nu_b, mu: float, sys: SlabSystem):
     return out
 
 
-def eigen_f_2d(nu_b, mu: float, sys: SlabSystem):
-    """2D interface determinant, vectorized over nu_b."""
+def eigen_f_2d(nu_b, mu, sys: SlabSystem):
+    """2D interface determinant, vectorized over nu_b and mu."""
     nb = np.asarray(nu_b, dtype=float)
     na = nu_a_of(nb, mu, sys)
     out = sys.mat_b.K * nb * np.sin(nb * sys.b) * np.cos(na * sys.a) + sys.mat_a.K * (
@@ -133,28 +140,44 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
     For each admissible transverse index m the x-frequencies are the
     roots of the interface determinant scanned over the oscillatory
     range; the scan window is closed-form here since lambda_bar <= n_eps
-    bounds nu_b directly.
+    bounds nu_b directly.  Each m is scanned on its own grid, of which
+    only the grid hits and sign-change brackets are kept; the brackets of
+    every m are then bisected together, each with its own mu.
     """
     c = _require_c(sys)
-    if n_eps < 0:
+    if not n_eps >= 0:
         raise ValidationError("n_eps must be non-negative")
     kb, ka = sys.mat_b.kappa, sys.mat_a.kappa
-    modes: list[Mode2D] = []
+    scans = []
     m = 0
     while kb * (m * math.pi / c) ** 2 <= n_eps:
         mu = m * math.pi / c
         nu_hi = math.sqrt(max(0.0, n_eps / kb - mu**2))
         # right layer oscillatory only from this frequency up
         nu_lo = mu * math.sqrt(max(0.0, ka / kb - 1.0))
-        roots: list[float] = []
         if nu_hi >= nu_lo:
-            roots = scan_roots(
-                lambda v: eigen_f_2d(v, mu, sys), nu_lo, nu_hi, SCAN_STEP, REFINE_TOL
-            )
-        for n, nu_b in enumerate(roots):
-            if m == 0 and n == 0:
-                nu_b = 0.0
-            nu_a = nu_a_of(nu_b, mu, sys)
+            f = lambda v: eigen_f_2d(v, mu, sys)
+            scans.append((m, mu, *_scan_brackets(f, nu_lo, nu_hi, SCAN_STEP)))
+        m += 1
+    # m = 0 always scans, so there is at least one entry
+    ms, mus, hits, lower, upper, sign = zip(*scans)
+    counts = [len(lo) for lo in lower]
+    mu_of = np.repeat(mus, counts)
+    refined = _bisect_brackets(
+        lambda v: eigen_f_2d(v, mu_of, sys),
+        np.concatenate(lower),
+        np.concatenate(upper),
+        np.concatenate(sign),
+        REFINE_TOL,
+    )
+    modes: list[Mode2D] = []
+    for m, mu, hits_m, lower_m, refined_m in zip(
+        ms, mus, hits, lower, np.split(refined, np.cumsum(counts)[:-1])
+    ):
+        roots = _merge_roots(hits_m, lower_m, refined_m, SCAN_STEP)
+        if m == 0 and len(roots):
+            roots[0] = 0.0
+        for n, (nu_b, nu_a) in enumerate(zip(roots.tolist(), nu_a_of(roots, mu, sys).tolist())):
             amp_b, amp_a, degen = _interface_amplitudes(sys, nu_b, nu_a)
             modes.append(
                 Mode2D(
@@ -169,7 +192,6 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
                     degenerate_interface=degen,
                 )
             )
-        m += 1
     modes.sort(key=lambda md: (md.lambda_bar, md.m, md.n))
     return Basis2D(sys=sys, modes=tuple(modes))
 

@@ -451,6 +451,10 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
     the raw (all-mode) inversion on a square grid demonstrates the
     instability that the cut-off removes.
     """
+    if cfg.mode_count < 2:
+        raise ValidationError(
+            f"example 1 needs mode 1: mode_count must be at least 2, got {cfg.mode_count}"
+        )
     s = cfg.system()
     basis = build_basis(s, cfg.mode_count)
     grid = uniform_grid(s, cfg.grid_points)

@@ -79,24 +79,59 @@ def _bisect_brackets(f, lo, hi, sign_lo, tol: float) -> np.ndarray:
     bracket i; ``sign_lo`` is the sign of f at the lower ends.  Each
     bracket is halved until its width is <= tol, f vanishes exactly at a
     midpoint, or no double lies strictly inside; the midpoint of what
-    remains is returned.
+    remains is returned.  A NaN value moves the lower end up.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     slo = np.broadcast_to(sign_lo, lo.shape).astype(float)
     active = hi - lo > tol
-    while np.any(active):
+    while active.any():
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        hit = active & (fm == 0.0)
-        lower = active & ~hit & (slo * fm < 0.0)
-        upper = active & ~hit & ~lower
-        stalled = (mid == lo) | (mid == hi)
-        hi = np.where(lower | hit, mid, hi)
-        lo = np.where(upper | hit, mid, lo)
-        slo = np.where(upper, np.sign(fm), slo)
-        active &= ~hit & ~stalled & (hi - lo > tol)
+        # a midpoint equal to an end means adjacent doubles: this update is the last
+        inside = (mid != lo) & (mid != hi)
+        lower = slo * fm < 0.0
+        # an exact zero moves both ends onto it; the zero width (or, for
+        # tol < 0, the next round's stall) ends the bracket
+        np.copyto(hi, mid, where=active & (lower | (fm == 0.0)))
+        upper = active & ~lower
+        np.copyto(lo, mid, where=upper)
+        np.copyto(slo, np.sign(fm), where=upper)
+        active &= inside & (hi - lo > tol)
     return 0.5 * (lo + hi)
+
+
+def _scan_brackets(f, lo: float, hi: float, scan_step: float):
+    """Grid hits and sign-change brackets of f on a uniform grid over [lo, hi].
+
+    The grid is lo + scan_step * k, its last node clipped to hi.  Returns
+    the nodes where |f| <= TANGENCY_TOL, and, for each pair of neighbouring
+    nodes with nonzero values of opposite sign, the bracket ends and the
+    sign of f at the lower end.  Only these are kept, not the grid.
+    """
+    n_steps = int(math.ceil((hi - lo) / scan_step))
+    if n_steps < 1:
+        empty = np.empty(0)
+        return empty, empty, empty, empty
+    xs = lo + scan_step * np.arange(n_steps + 1)
+    xs[-1] = min(xs[-1], hi)
+    fs = np.asarray(f(xs), dtype=float)
+
+    zeroish = np.abs(fs) <= TANGENCY_TOL
+    changes = np.flatnonzero(~zeroish[:-1] & ~zeroish[1:] & (fs[:-1] * fs[1:] < 0.0))
+    return xs[zeroish], xs[changes], xs[changes + 1], np.sign(fs[changes])
+
+
+def _merge_roots(hits, lower, refined, scan_step: float) -> np.ndarray:
+    """Grid hits and refined bracket roots, ascending.
+
+    A hit at a node comes before the root of a bracket starting there;
+    a hit within half a step of the previous root repeats it and is dropped.
+    """
+    order = np.argsort(np.concatenate((hits, lower)), kind="stable")
+    roots = np.concatenate((hits, refined))[order]
+    keep = (order >= len(hits)) | (np.diff(roots, prepend=-np.inf) > scan_step / 2)
+    return roots[keep]
 
 
 def scan_roots(
@@ -115,23 +150,9 @@ def scan_roots(
     between neighbouring grid points.  A grid hit within half a step of
     the previous root repeats it and is dropped.
     """
-    n_steps = int(math.ceil((hi - lo) / scan_step))
-    if n_steps < 1:
-        return []
-    xs = lo + scan_step * np.arange(n_steps + 1)
-    xs[-1] = min(xs[-1], hi)
-    fs = np.asarray(f(xs), dtype=float)
-
-    zeroish = np.abs(fs) <= TANGENCY_TOL
-    hits = np.flatnonzero(zeroish)
-    changes = np.flatnonzero(~zeroish[:-1] & ~zeroish[1:] & (fs[:-1] * fs[1:] < 0.0))
-    refined = _bisect_brackets(f, xs[changes], xs[changes + 1], np.sign(fs[changes]), refine_tol)
-    # a hit at node i comes before a sign change inside (x_i, x_i+1)
-    order = np.argsort(np.concatenate((2 * hits, 2 * changes + 1)))
-    roots = np.concatenate((xs[hits], refined))[order]
-    is_hit = np.concatenate((np.ones(len(hits), bool), np.zeros(len(changes), bool)))[order]
-    keep = ~is_hit | (np.diff(roots, prepend=-np.inf) > scan_step / 2)
-    return roots[keep][:max_roots].tolist()
+    hits, lower, upper, sign = _scan_brackets(f, lo, hi, scan_step)
+    refined = _bisect_brackets(f, lower, upper, sign, refine_tol)
+    return _merge_roots(hits, lower, refined, scan_step)[:max_roots].tolist()
 
 
 def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:

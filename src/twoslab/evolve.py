@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    AmplificationOverflowError,
     Grid,
     RegParams,
     SampledField,
@@ -141,9 +142,18 @@ def _cutoff_norm_sq(basis: EigenBasis, field: SampledField, reg: RegParams, t: f
     return _amplified_norm_sq(basis, project_coefficients(basis, field, k), t)[1]
 
 
+# the largest argument math.exp maps to a finite double
+_EXP_ARG_MAX = math.log(np.finfo(float).max)
+
+
 def _cutoff_gain(s: SlabSystem, reg: RegParams, t: float) -> float:
     """min{w_b, w_a, 1}^-1 * N_eps * exp(2 N_eps (tf-t)), the gain of the cut-off series."""
-    return 1.0 / min(*s.weights, 1.0) * reg.n_eps * math.exp(2.0 * reg.n_eps * (s.tf - t))
+    arg = 2.0 * reg.n_eps * (s.tf - t)
+    if arg > _EXP_ARG_MAX:
+        raise AmplificationOverflowError(
+            f"cut-off gain overflow: 2 N_eps (tf-t) = {arg:.3f} exceeds {_EXP_ARG_MAX:.3f}"
+        )
+    return 1.0 / min(*s.weights, 1.0) * reg.n_eps * math.exp(arg)
 
 
 def instability_lower_bound(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.basis import build_basis
+from twoslab.basis import _interface_amplitudes, build_basis
 from twoslab.bilayer2d import (
+    REFINE_TOL,
+    SCAN_STEP,
     EvanescentBranchError,
+    Mode2D,
     eigen_f_2d,
     find_modes_2d,
     nu_a_of,
@@ -29,7 +33,7 @@ from twoslab.core import (
     ValidationError,
     uniform_grid,
 )
-from twoslab.eigensolver import eigen_f
+from twoslab.eigensolver import eigen_f, scan_roots
 
 # enumeration thresholds with hand-checked mode inventories
 PAIRS_SMALL = [(0, 0)]
@@ -257,3 +261,79 @@ def test_reconstruct_slice_shares_matrices(sys_2d, y0, monkeypatch):
     assert sorted(calls) == ["a", "b"]
     assert np.array_equal(got.values_b, want.values_b)
     assert np.array_equal(got.values_a, want.values_a)
+
+
+def _loop_find_modes_2d(sys, n_eps):
+    """Per-m scan and bisection: the reference for find_modes_2d's batched bisection."""
+    kb, ka = sys.mat_b.kappa, sys.mat_a.kappa
+    modes = []
+    m = 0
+    while kb * (m * math.pi / sys.c) ** 2 <= n_eps:
+        mu = m * math.pi / sys.c
+        nu_hi = math.sqrt(max(0.0, n_eps / kb - mu**2))
+        nu_lo = mu * math.sqrt(max(0.0, ka / kb - 1.0))
+        roots = []
+        if nu_hi >= nu_lo:
+            roots = scan_roots(
+                lambda v: eigen_f_2d(v, mu, sys), nu_lo, nu_hi, SCAN_STEP, REFINE_TOL
+            )
+        for n, nu_b in enumerate(roots):
+            if m == 0 and n == 0:
+                nu_b = 0.0
+            nu_a = nu_a_of(nu_b, mu, sys)
+            amp_b, amp_a, degen = _interface_amplitudes(sys, nu_b, nu_a)
+            lam = kb * (nu_b**2 + mu**2)
+            modes.append(Mode2D(m, n, mu, nu_b, nu_a, lam, amp_b, amp_a, degen))
+        m += 1
+    modes.sort(key=lambda md: (md.lambda_bar, md.m, md.n))
+    return tuple(modes)
+
+
+CU, MO, UNIT = Material(K=3.42, kappa=0.838), Material(K=1.05, kappa=0.339), Material(1.0, 1.0)
+PLATES = {
+    "cu_mo": SlabSystem(b=1.0, a=1.0, c=1.0, mat_b=CU, mat_a=MO),
+    # slower-diffusing left layer: every m > 0 scans from nu_lo > 0
+    "mo_cu": SlabSystem(b=1.0, a=1.0, c=1.0, mat_b=MO, mat_a=CU),
+    "unit": SlabSystem(b=1.0, a=1.0, c=1.0, mat_b=UNIT, mat_a=UNIT),
+    "rect": SlabSystem(b=0.7, a=1.3, c=2.5, mat_b=CU, mat_a=MO),
+}
+
+
+@pytest.mark.parametrize("n_eps", [0.0, 0.5, 1.38, 3.4, 27.6, 60.0, 1000.0])
+@pytest.mark.parametrize("plate", sorted(PLATES))
+def test_batched_bisection_gives_the_per_m_modes_bit_for_bit(plate, n_eps):
+    sys = PLATES[plate]
+    assert find_modes_2d(sys, n_eps).modes == _loop_find_modes_2d(sys, n_eps)
+
+
+@pytest.mark.parametrize("n_eps", [0.0, 60.0, 1000.0])
+def test_find_modes_2d_bisects_every_bracket_in_one_call(n_eps, monkeypatch):
+    import twoslab.bilayer2d
+
+    calls = []
+    real = twoslab.bilayer2d._bisect_brackets
+    monkeypatch.setattr(
+        twoslab.bilayer2d, "_bisect_brackets", lambda *a: calls.append(len(a[1])) or real(*a)
+    )
+    basis2d = find_modes_2d(PLATES["cu_mo"], n_eps)
+    assert len(calls) == 1
+    # every mode but the grid hit at nu_b = 0 comes from a bracket
+    assert calls[0] == max(len(basis2d) - 1, 0)
+
+
+def test_find_modes_2d_keeps_only_the_brackets_of_each_scan():
+    # holding every m's scan grid at once peaks above 4 MB at this size
+    sys = PLATES["cu_mo"]
+    find_modes_2d(sys, 1000.0)
+    tracemalloc.start()
+    try:
+        find_modes_2d(sys, 1000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_find_modes_2d_rejects_nan_threshold(sys_2d):
+    with pytest.raises(ValidationError, match="non-negative"):
+        find_modes_2d(sys_2d, float("nan"))

@@ -489,6 +489,31 @@ def test_main_exit2_when_example1_mode_cannot_be_amplified(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["example", "table"])
+def test_main_exit1_when_example1_has_no_mode_one(tmp_path, capsys, command):
+    # example 1's final data is mode 1, which a one-mode basis does not have
+    cfg = tmp_path / "one.json"
+    cfg.write_text('{"mode_count": 1}')
+    out = tmp_path / "out"
+    assert main([command, "1", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "mode_count" in err[0]
+    assert not out.exists()
+
+
+def test_main_exit2_when_the_cutoff_gain_overflows(tmp_path, capsys):
+    # N_eps = ln(1e300) / tf keeps lambda_bar (tf - t0) <= 690.8 for every retained
+    # mode, inside the amplification guard, but exp(2 N_eps (tf - t0)) = exp(1381.6)
+    # is past the double range
+    cfg = tmp_path / "tiny_eps.json"
+    cfg.write_text('{"beta": 1, "gamma": 1, "eps_list": [1e-300]}')
+    out = tmp_path / "out"
+    assert main(["check-bounds", "--trials", "1", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: cut-off gain overflow")
+    assert not out.exists()
+
+
 def test_main_exit2_on_amplification_overflow(sys_cm, tmp_path):
     # kilo-scaled conductivities push lambda_bar*(tf-t) past the exp range
     cfg = tmp_path / "hot.json"

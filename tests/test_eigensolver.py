@@ -10,6 +10,7 @@ from twoslab.bilayer2d import eigen_f_2d
 from twoslab.core import Material, NumericalError, SlabSystem, ValidationError
 from twoslab.eigensolver import (
     TANGENCY_TOL,
+    _bisect_brackets,
     eigen_f,
     eigen_phase,
     find_eigenvalues,
@@ -216,3 +217,64 @@ def test_scan_roots_matches_loop_reference_on_plate_determinant(sys_2d, m):
     mu = m * math.pi / sys_2d.c
     f = lambda v: eigen_f_2d(v, mu, sys_2d)
     assert scan_roots(f, 0.0, 30.0, 1e-3, 1e-12) == _loop_scan_roots(f, 0.0, 30.0, 1e-3, 1e-12)
+
+
+def _kinked(x, root, flat, cut, band):
+    """sign(x - root) * max(|x - root| - flat, 0), NaN on [cut, cut + band]; elementwise.
+
+    Exactly zero within ``flat`` of the root, so midpoints can hit it.
+    """
+    d = x - root
+    value = np.sign(d) * np.maximum(np.abs(d) - flat, 0.0)
+    return np.where((cut <= x) & (x <= cut + band), np.nan, value)
+
+
+def _scalar_bisect(f, lo, hi, slo, tol):
+    """One bracket at a time: the reference for _bisect_brackets."""
+    if hi - lo > tol:
+        while True:
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            inside = mid != lo and mid != hi
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if slo * fm < 0.0:
+                hi = mid
+            else:
+                lo, slo = mid, np.sign(fm)
+            if not (inside and hi - lo > tol):
+                break
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def _brackets(draw):
+    """(lo, hi, root, flat, cut, band, sign_lo) of one bracket of ``_kinked``."""
+    lo = draw(st.floats(-10.0, 10.0))
+    root = draw(st.floats(-12.0, 12.0))
+    kind = draw(st.sampled_from(["empty", "ulp", "wide", "dyadic"]))
+    if kind == "empty":
+        hi = lo
+    elif kind == "ulp":
+        # adjacent doubles: the first midpoint stalls
+        hi = float(np.nextafter(lo, math.inf))
+    elif kind == "wide":
+        hi = lo + draw(st.floats(0.0, 10.0))
+    else:
+        # dyadic ends and root: a midpoint lands exactly on the root
+        lo = float(math.floor(lo))
+        hi = lo + 2.0 ** draw(st.integers(-3, 3))
+        root = lo + (hi - lo) * draw(st.integers(0, 16)) / 16.0
+    flat = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    cut = draw(st.one_of(st.just(math.inf), st.floats(-12.0, 12.0)))
+    band = draw(st.one_of(st.just(math.inf), st.floats(0.0, 5.0)))
+    return lo, hi, root, flat, cut, band, draw(st.sampled_from([-1.0, 0.0, 1.0]))
+
+
+@given(brackets=st.lists(_brackets(), max_size=8), tol=st.sampled_from([0.0, 1e-12, 1e-6, 0.5]))
+def test_bisect_brackets_matches_scalar_bisection(brackets, tol):
+    lo, hi, root, flat, cut, band, sign = np.array(brackets, dtype=float).reshape(-1, 7).T
+    got = _bisect_brackets(lambda x: _kinked(x, root, flat, cut, band), lo, hi, sign, tol)
+    want = [_scalar_bisect(lambda x: _kinked(x, *b[2:6]), *b[:2], b[6], tol) for b in brackets]
+    assert got.tolist() == want

@@ -20,6 +20,7 @@ from twoslab.core import (
 )
 from twoslab.evolve import (
     SourceCoefficients,
+    _cutoff_gain,
     admissible_set,
     cutoff_reconstruct,
     forward_solve,
@@ -180,6 +181,23 @@ def test_stability_and_noise_gap_right_hand_sides_follow_their_formulas(basis_cm
         assert rhs == pytest.approx(gain * (w_b * norm_b_sq + w_a * norm_a_sq), rel=1e-14)
         _, rhs = noise_gap_bound(basis_cm, final, noisy, reg, t)
         assert rhs == pytest.approx(gain * (w_b + w_a) * reg.epsilon**2, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_eps", [0.3545, 0.355])
+def test_cutoff_gain_is_refused_only_past_the_exp_range(sys_cm, n_eps):
+    # over a window of 1000, 2 N_eps (tf - t0) is 709 (representable) or 710 (not);
+    # the retained modes stay far inside the amplification guard
+    s = dataclasses.replace(sys_cm, tf=1000.0)
+    reg = RegParams(1e-300, 1.0, 1.0, n_eps)
+    if n_eps < 0.355:
+        want = n_eps * math.exp(2000.0 * n_eps) / min(*s.weights, 1.0)
+        assert _cutoff_gain(s, reg, s.t0) == pytest.approx(want, rel=1e-12)
+        return
+    basis = build_basis(s, 8)
+    final = SampledField(uniform_grid(s, 40), np.ones(40), np.ones(40), s.tf)
+    for check in (stability_bound, lambda b, f, r, t: noise_gap_bound(b, f, f, r, t)):
+        with pytest.raises(AmplificationOverflowError, match="cut-off gain overflow"):
+            check(basis, final, reg, s.t0)
 
 
 def test_bounds_hold_over_seeded_trials(basis_cm, sys_cm, grid_cm):
