@@ -15,9 +15,11 @@ A negative radicand above means the requested branch is evanescent in
 the right layer, which the formulation excludes.  Decay rates are
 lambda_bar = kappa_b (nu_b^2 + mu^2) = kappa_a (nu_a^2 + mu^2).
 
-The roots in nu_b are found per transverse index m by a uniform scan
-for sign changes; the scan keeps only each m's brackets and grid hits,
-and the brackets of every m are bisected together in one call.
+The roots in nu_b are indexed per transverse index m by the slab's
+interface phase with the shift mu (``eigensolver.eigen_phase``): each
+multiple of pi the phase crosses on [nu_lo, nu_hi] is one mode, so the
+modes are counted in closed form and the roots of every m are bisected
+together in one call, with no grid.
 
 Backward reconstruction works on a fixed-y slice: with |Theta(eps)|
 retained modes, the slice is collocated on exactly that many nodes per
@@ -34,13 +36,12 @@ import numpy as np
 
 from .core import Grid, RegParams, SampledField, SlabSystem, ValidationError
 from .basis import _interface_amplitudes
-from .eigensolver import _bisect_brackets, _merge_roots, _scan_brackets
+from .eigensolver import _phase_roots, eigen_phase
 from .spectral import CoeffVector, _recover, _synthesize
 
-# Root scan of the interface determinant: grid step in nu_b and the
-# bisection tolerance of each bracketed root.
-SCAN_STEP = 1e-3
-REFINE_TOL = 1e-12
+# Largest closed-form bound on a plate's mode count that find_modes_2d accepts;
+# the modes and their brackets then stay within tens of MB.
+MAX_MODES_2D = 100_000
 
 
 class EvanescentBranchError(ValidationError):
@@ -137,61 +138,60 @@ def phi_2d(mode: Mode2D, x, y, sys: SlabSystem):
 def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
     """All modes with lambda_bar <= n_eps, sorted by (lambda_bar, m, n).
 
-    For each admissible transverse index m the x-frequencies are the
-    roots of the interface determinant scanned over the oscillatory
-    range; the scan window is closed-form here since lambda_bar <= n_eps
-    bounds nu_b directly.  Each m is scanned on its own grid, of which
-    only the grid hits and sign-change brackets are kept; the brackets of
-    every m are then bisected together, each with its own mu.
+    Each admissible transverse index m has the oscillatory branch
+    [nu_lo, nu_hi], with nu_hi closed-form since lambda_bar <= n_eps
+    bounds nu_b directly.  Its modes are the roots of
+    ``eigen_phase(., sys, mu) = k pi`` for every integer k with
+    phase(nu_lo) <= k pi <= phase(nu_hi), numbered n = 0, 1, ... within
+    m.  A target the phase meets at nu_lo (the constant mode) is that
+    end; the others of every m are bisected together in one call, each
+    with its own mu and target.  Plates whose closed-form mode count
+    exceeds MAX_MODES_2D are refused before anything is allocated.
     """
     c = _require_c(sys)
     if not n_eps >= 0:
         raise ValidationError("n_eps must be non-negative")
     kb, ka = sys.mat_b.kappa, sys.mat_a.kappa
-    scans = []
-    m = 0
-    while kb * (m * math.pi / c) ** 2 <= n_eps:
-        mu = m * math.pi / c
-        nu_hi = math.sqrt(max(0.0, n_eps / kb - mu**2))
-        # right layer oscillatory only from this frequency up
-        nu_lo = mu * math.sqrt(max(0.0, ka / kb - 1.0))
-        if nu_hi >= nu_lo:
-            f = lambda v: eigen_f_2d(v, mu, sys)
-            scans.append((m, mu, *_scan_brackets(f, nu_lo, nu_hi, SCAN_STEP)))
-        m += 1
-    # m = 0 always scans, so there is at least one entry
-    ms, mus, hits, lower, upper, sign = zip(*scans)
-    counts = [len(lo) for lo in lower]
-    mu_of = np.repeat(mus, counts)
-    refined = _bisect_brackets(
-        lambda v: eigen_f_2d(v, mu_of, sys),
-        np.concatenate(lower),
-        np.concatenate(upper),
-        np.concatenate(sign),
-        REFINE_TOL,
+    # phase(nu) <= nu (b + r a) + pi for every m, and nu_hi <= nu_max
+    nu_max = math.sqrt(n_eps / kb)
+    bound = (nu_max * c / math.pi + 1.0) * (
+        nu_max * (sys.b + sys.kappa_ratio_root() * sys.a) / math.pi + 2.0
     )
-    modes: list[Mode2D] = []
-    for m, mu, hits_m, lower_m, refined_m in zip(
-        ms, mus, hits, lower, np.split(refined, np.cumsum(counts)[:-1])
-    ):
-        roots = _merge_roots(hits_m, lower_m, refined_m, SCAN_STEP)
-        if m == 0 and len(roots):
-            roots[0] = 0.0
-        for n, (nu_b, nu_a) in enumerate(zip(roots.tolist(), nu_a_of(roots, mu, sys).tolist())):
-            amp_b, amp_a, degen = _interface_amplitudes(sys, nu_b, nu_a)
-            modes.append(
-                Mode2D(
-                    m=m,
-                    n=n,
-                    mu=mu,
-                    nu_b=nu_b,
-                    nu_a=nu_a,
-                    lambda_bar=kb * (nu_b**2 + mu**2),
-                    amp_b=amp_b,
-                    amp_a=amp_a,
-                    degenerate_interface=degen,
-                )
-            )
+    if not bound <= MAX_MODES_2D:
+        raise ValidationError(
+            f"n_eps = {n_eps!r} admits up to {bound:.3g} plate modes; "
+            f"at most {MAX_MODES_2D} are supported"
+        )
+    ms = np.arange(int(nu_max * c / math.pi) + 2)
+    mu = ms * math.pi / c
+    nu_hi = np.sqrt(np.maximum(n_eps / kb - mu**2, 0.0))
+    # right layer oscillatory only from this frequency up
+    nu_lo = mu * math.sqrt(max(0.0, ka / kb - 1.0))
+    keep = (kb * mu**2 <= n_eps) & (nu_hi >= nu_lo)
+    ms, mu, nu_lo, nu_hi = ms[keep], mu[keep], nu_lo[keep], nu_hi[keep]
+    at_lo, at_hi = eigen_phase(nu_lo, sys, mu), eigen_phase(nu_hi, sys, mu)
+    # targets k pi from the first at or above phase(nu_lo) to the last at or below phase(nu_hi)
+    first, last = np.ceil(at_lo / math.pi), np.floor(at_hi / math.pi)
+    counts = np.maximum(last - first + 1.0, 0.0).astype(int)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    n = np.arange(counts.sum()) - starts
+    target = (np.repeat(first, counts) + n) * math.pi
+    m_of, mu_of = np.repeat(ms, counts), np.repeat(mu, counts)
+    roots = np.repeat(nu_lo, counts)
+    todo = np.repeat(at_lo, counts) != target
+    roots[todo] = _phase_roots(
+        sys, roots[todo], np.repeat(nu_hi, counts)[todo], target[todo], mu_of[todo]
+    )
+    modes = [
+        Mode2D(
+            m, n_m, mu_m, nu_b, nu_a, kb * (nu_b**2 + mu_m**2),
+            *_interface_amplitudes(sys, nu_b, nu_a),
+        )
+        for m, n_m, mu_m, nu_b, nu_a in zip(
+            m_of.tolist(), n.tolist(), mu_of.tolist(), roots.tolist(),
+            nu_a_of(roots, mu_of, sys).tolist(),
+        )
+    ]
     modes.sort(key=lambda md: (md.lambda_bar, md.m, md.n))
     return Basis2D(sys=sys, modes=tuple(modes))
 

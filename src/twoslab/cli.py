@@ -53,6 +53,11 @@ from .bilayer2d import find_modes_2d, recover_slice_coefficients, synthesize_sli
 
 RNG_NAME = "numpy.Philox/SeedSequence(seed, spawn_key=(example, stream))"
 
+# Example 1's raw inversion solves a square mode_count x mode_count system
+# per slab (32 MB per matrix at this size, before the SVDs); larger
+# mode counts are refused before anything is allocated.
+MAX_RAW_INVERSION_MODES = 2000
+
 # Example-3 pulse: energy Q deposited over depth sigma in the left slab.
 EX3_Q = 5.0
 EX3_SIGMA = 1e-3
@@ -454,6 +459,11 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
     if cfg.mode_count < 2:
         raise ValidationError(
             f"example 1 needs mode 1: mode_count must be at least 2, got {cfg.mode_count}"
+        )
+    if cfg.mode_count > MAX_RAW_INVERSION_MODES:
+        raise ValidationError(
+            f"example 1 inverts a square grid of mode_count nodes per slab: mode_count "
+            f"must be at most {MAX_RAW_INVERSION_MODES}, got {cfg.mode_count}"
         )
     s = cfg.system()
     basis = build_basis(s, cfg.mode_count)

@@ -20,6 +20,10 @@ and k = round(psi/pi).  The left-hand side is continuous, strictly
 increasing and within pi/2 of lambda (b + r a), so root n is the only
 one in the closed-form bracket (n -+ 1/2) pi / (b + r a).  All brackets
 are bisected at once.
+
+The plate's transverse index m shifts the right layer's frequency; the
+same phase with that shift indexes its roots (``eigen_phase``), and rod
+and plate share one bisection core (``_phase_roots``).
 """
 
 from __future__ import annotations
@@ -31,9 +35,7 @@ import numpy as np
 
 from .core import NumericalError, SlabSystem, ValidationError
 
-# Grid values this close to zero are treated as exact roots, and local
-# minima of |f| below it are flagged as tangency (double) roots.
-TANGENCY_TOL = 1e-12
+_DBL_MAX = np.finfo(float).max
 
 
 def eigen_f(lambda_b, sys: SlabSystem):
@@ -50,16 +52,47 @@ def eigen_f(lambda_b, sys: SlabSystem):
     return out
 
 
-def eigen_phase(lambda_b, sys: SlabSystem) -> np.ndarray:
-    """Interface phase lambda_b b + h(lambda_a a); strictly increasing, vectorized.
-
-    Root n of ``eigen_f`` is where the phase equals n pi.
-    """
-    lam_b = np.asarray(lambda_b, dtype=float)
+def _phase(sys: SlabSystem, mu=0.0):
+    """``eigen_phase(., sys, mu)`` with its constants taken once, for bisection."""
     rho = (sys.mat_a.K / math.sqrt(sys.mat_a.kappa)) / (sys.mat_b.K / math.sqrt(sys.mat_b.kappa))
-    psi = sys.kappa_ratio_root() * lam_b * sys.a
-    k_pi = np.rint(psi / math.pi) * math.pi
-    return lam_b * sys.b + k_pi + np.arctan(rho * np.tan(psi - k_pi))
+    ratio = sys.kappa_ratio_root()
+    shift = (1.0 - sys.mat_a.kappa / sys.mat_b.kappa) * np.square(mu)
+    shifted = bool(np.any(shift))
+
+    def phase(nu_b):
+        nu = np.asarray(nu_b, dtype=float)
+        s = np.sqrt(np.maximum(nu * nu + shift, 0.0)) if shifted else nu
+        psi = ratio * s * sys.a
+        k_pi = np.rint(psi / math.pi) * math.pi
+        turn = rho * np.tan(psi - k_pi)
+        if shifted:
+            # times s/nu_b, exactly 1 where there is no shift; as nu_b -> 0 with
+            # s > 0 it is infinite, and DBL_MAX stands in so that a zero turn stays 0
+            limit = np.where(s > 0.0, _DBL_MAX, 1.0)
+            with np.errstate(over="ignore"):
+                turn = turn * np.divide(s, nu, out=limit, where=nu > 0.0)
+        return nu * sys.b + k_pi + np.arctan(turn)
+
+    return phase
+
+
+def eigen_phase(nu_b, sys: SlabSystem, mu=0.0) -> np.ndarray:
+    """Interface phase nu_b b + h(psi); vectorized over nu_b and mu.
+
+    With s = sqrt(max(nu_b^2 + (1 - kappa_a/kappa_b) mu^2, 0)) the right
+    layer's angle is psi = r s a and its flux ratio rho0 s/nu_b, so
+
+        h = k pi + atan(rho0 (s/nu_b) tan(psi - k pi)),   k = round(psi/pi).
+
+    At mu = 0, s = nu_b and this is the slab phase of the module docstring.
+    Root n of the determinant (``eigen_f`` at mu = 0, the plate's at mu)
+    is where the phase equals n pi; at nu_b = 0 with s > 0 the phase takes
+    its limit, s/nu_b being infinite.  With a shift the phase need not
+    increase, but phase - n pi has the sign of the increasing Pruefer angle
+    at a fixed scale (rescaling an angle fixes the multiples of pi/2), so
+    it changes sign once, at root n.
+    """
+    return _phase(sys, mu)(nu_b)
 
 
 @dataclass(frozen=True)
@@ -101,58 +134,15 @@ def _bisect_brackets(f, lo, hi, sign_lo, tol: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _scan_brackets(f, lo: float, hi: float, scan_step: float):
-    """Grid hits and sign-change brackets of f on a uniform grid over [lo, hi].
+def _phase_roots(sys: SlabSystem, lo, hi, target, mu=0.0) -> np.ndarray:
+    """Where ``eigen_phase(., sys, mu)`` meets each target in [lo, hi], bisected together.
 
-    The grid is lo + scan_step * k, its last node clipped to hi.  Returns
-    the nodes where |f| <= TANGENCY_TOL, and, for each pair of neighbouring
-    nodes with nonzero values of opposite sign, the bracket ends and the
-    sign of f at the lower end.  Only these are kept, not the grid.
+    The phase must be below its target at lo and not below it at hi; each
+    bracket is halved until its ends are adjacent doubles.  lo, hi,
+    target and mu broadcast elementwise, one element per root.
     """
-    n_steps = int(math.ceil((hi - lo) / scan_step))
-    if n_steps < 1:
-        empty = np.empty(0)
-        return empty, empty, empty, empty
-    xs = lo + scan_step * np.arange(n_steps + 1)
-    xs[-1] = min(xs[-1], hi)
-    fs = np.asarray(f(xs), dtype=float)
-
-    zeroish = np.abs(fs) <= TANGENCY_TOL
-    changes = np.flatnonzero(~zeroish[:-1] & ~zeroish[1:] & (fs[:-1] * fs[1:] < 0.0))
-    return xs[zeroish], xs[changes], xs[changes + 1], np.sign(fs[changes])
-
-
-def _merge_roots(hits, lower, refined, scan_step: float) -> np.ndarray:
-    """Grid hits and refined bracket roots, ascending.
-
-    A hit at a node comes before the root of a bracket starting there;
-    a hit within half a step of the previous root repeats it and is dropped.
-    """
-    order = np.argsort(np.concatenate((hits, lower)), kind="stable")
-    roots = np.concatenate((hits, refined))[order]
-    keep = (order >= len(hits)) | (np.diff(roots, prepend=-np.inf) > scan_step / 2)
-    return roots[keep]
-
-
-def scan_roots(
-    f,
-    lo: float,
-    hi: float,
-    scan_step: float,
-    refine_tol: float,
-    max_roots: int | None = None,
-) -> list[float]:
-    """Roots of f on [lo, hi] by uniform scan + bisection, ascending.
-
-    f must be vectorized.  Grid points where f vanishes to TANGENCY_TOL
-    are accepted directly, which also catches tangency (no-sign-change)
-    roots as local minima of |f|; everything else needs a sign change
-    between neighbouring grid points.  A grid hit within half a step of
-    the previous root repeats it and is dropped.
-    """
-    hits, lower, upper, sign = _scan_brackets(f, lo, hi, scan_step)
-    refined = _bisect_brackets(f, lower, upper, sign, refine_tol)
-    return _merge_roots(hits, lower, refined, scan_step)[:max_roots].tolist()
+    phase = _phase(sys, mu)
+    return _bisect_brackets(lambda v: phase(v) - target, lo, hi, -1.0, 0.0)
 
 
 def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:
@@ -176,9 +166,8 @@ def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:
             f"b + r a = {sys.b + ratio * sys.a!r}: the root brackets of {N} modes "
             "are not distinct positive finite doubles"
         )
-    # the phase increases, so it is negative at every lower bracket end
-    phase = lambda lam: eigen_phase(lam, sys) - n * math.pi
-    roots = _bisect_brackets(phase, ends[:-1], ends[1:], -1.0, 0.0)
+    # the phase increases, so it is below n pi at every lower bracket end
+    roots = _phase_roots(sys, ends[:-1], ends[1:], n * math.pi)
     pairs = [EigenValuePair(0, 0.0, 0.0, 0.0)]
     for k, lam_b in enumerate(roots.tolist(), start=1):
         pairs.append(EigenValuePair(k, lam_b, ratio * lam_b, sys.mat_b.kappa * lam_b**2))

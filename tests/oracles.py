@@ -121,7 +121,9 @@ def dispersion_2d(nu_b, mu, sys):
     """2D interface determinant at transverse wavenumber mu (local form)."""
     nb = np.asarray(nu_b, dtype=float)
     kb, ka = sys.mat_b.kappa, sys.mat_a.kappa
-    na = np.sqrt((kb * nb * nb + (kb - ka) * mu * mu) / ka)
+    # below the evanescent threshold the radicand is negative: NaN, no sign change
+    with np.errstate(invalid="ignore"):
+        na = np.sqrt((kb * nb * nb + (kb - ka) * mu * mu) / ka)
     return (
         sys.mat_b.K * nb * np.sin(nb * sys.b) * np.cos(na * sys.a)
         + sys.mat_a.K * na * np.sin(na * sys.a) * np.cos(nb * sys.b)
@@ -146,7 +148,8 @@ def brute_modes_2d(sys, n_eps, step=2e-4):
         if m == 0:
             roots.append(0.0)
         if nu_cap > 0:
-            xs = np.arange(step, nu_cap + step, step)
+            # from nu_b = 0, where equal diffusivities put a root for every m
+            xs = np.arange(0.0, nu_cap + step, step)
             if len(xs) >= 2:
                 fs = dispersion_2d(xs, mu, sys)
                 sign = np.sign(fs)

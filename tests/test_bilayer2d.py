@@ -1,17 +1,19 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from twoslab.basis import _interface_amplitudes, build_basis
+import twoslab.bilayer2d
+import twoslab.eigensolver
 from twoslab.bilayer2d import (
-    REFINE_TOL,
-    SCAN_STEP,
+    MAX_MODES_2D,
     EvanescentBranchError,
     Mode2D,
     eigen_f_2d,
@@ -33,7 +35,7 @@ from twoslab.core import (
     ValidationError,
     uniform_grid,
 )
-from twoslab.eigensolver import eigen_f, scan_roots
+from twoslab.eigensolver import eigen_f, eigen_phase, find_eigenvalues
 
 # enumeration thresholds with hand-checked mode inventories
 PAIRS_SMALL = [(0, 0)]
@@ -263,32 +265,6 @@ def test_reconstruct_slice_shares_matrices(sys_2d, y0, monkeypatch):
     assert np.array_equal(got.values_a, want.values_a)
 
 
-def _loop_find_modes_2d(sys, n_eps):
-    """Per-m scan and bisection: the reference for find_modes_2d's batched bisection."""
-    kb, ka = sys.mat_b.kappa, sys.mat_a.kappa
-    modes = []
-    m = 0
-    while kb * (m * math.pi / sys.c) ** 2 <= n_eps:
-        mu = m * math.pi / sys.c
-        nu_hi = math.sqrt(max(0.0, n_eps / kb - mu**2))
-        nu_lo = mu * math.sqrt(max(0.0, ka / kb - 1.0))
-        roots = []
-        if nu_hi >= nu_lo:
-            roots = scan_roots(
-                lambda v: eigen_f_2d(v, mu, sys), nu_lo, nu_hi, SCAN_STEP, REFINE_TOL
-            )
-        for n, nu_b in enumerate(roots):
-            if m == 0 and n == 0:
-                nu_b = 0.0
-            nu_a = nu_a_of(nu_b, mu, sys)
-            amp_b, amp_a, degen = _interface_amplitudes(sys, nu_b, nu_a)
-            lam = kb * (nu_b**2 + mu**2)
-            modes.append(Mode2D(m, n, mu, nu_b, nu_a, lam, amp_b, amp_a, degen))
-        m += 1
-    modes.sort(key=lambda md: (md.lambda_bar, md.m, md.n))
-    return tuple(modes)
-
-
 CU, MO, UNIT = Material(K=3.42, kappa=0.838), Material(K=1.05, kappa=0.339), Material(1.0, 1.0)
 PLATES = {
     "cu_mo": SlabSystem(b=1.0, a=1.0, c=1.0, mat_b=CU, mat_a=MO),
@@ -301,28 +277,102 @@ PLATES = {
 
 @pytest.mark.parametrize("n_eps", [0.0, 0.5, 1.38, 3.4, 27.6, 60.0, 1000.0])
 @pytest.mark.parametrize("plate", sorted(PLATES))
-def test_batched_bisection_gives_the_per_m_modes_bit_for_bit(plate, n_eps):
+def test_batched_bisection_gives_the_per_m_modes_bit_for_bit(plate, n_eps, monkeypatch):
+    # the targets of every m share one bisection; bisecting each m on its own
+    # (where m = 0 takes the unshifted slab phase) must give the same roots
+    real = twoslab.bilayer2d._phase_roots
+    seen = []
+
+    def spy(*args):
+        seen.append((args, real(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(twoslab.bilayer2d, "_phase_roots", spy)
+    find_modes_2d(PLATES[plate], n_eps)
+    [((sys, lo, hi, target, mu), batched)] = seen
+    per_m = [np.empty(0)] + [
+        real(sys, lo[mu == v], hi[mu == v], target[mu == v], mu[mu == v]) for v in np.unique(mu)
+    ]
+    assert np.array_equal(np.concatenate(per_m), batched)
+
+
+@pytest.mark.parametrize("plate", sorted(PLATES))
+def test_modes_match_the_brute_force_oracle(plate):
     sys = PLATES[plate]
-    assert find_modes_2d(sys, n_eps).modes == _loop_find_modes_2d(sys, n_eps)
+    for n_eps in (0.5, 1.38, 3.4, 27.6, 60.0):
+        _assert_brute_force_modes(sys, n_eps)
+
+
+def _assert_brute_force_modes(sys, n_eps):
+    got = {(md.m, md.n): md.nu_b for md in find_modes_2d(sys, n_eps).modes}
+    want = {(m, n): nu_b for m, n, _, nu_b, _ in oracles.brute_modes_2d(sys, n_eps)}
+    assert sorted(got) == sorted(want)
+    assert max(abs(got[key] - want[key]) for key in got) < 1e-10
+
+
+@st.composite
+def _plates(draw):
+    length = st.floats(0.3, 2.0)
+    material = st.builds(Material, K=st.floats(0.2, 5.0), kappa=st.floats(0.3, 3.0))
+    return SlabSystem(
+        b=draw(length), a=draw(length), c=draw(length), mat_b=draw(material), mat_a=draw(material)
+    )
+
+
+# derandomized: the oracle's grid step (2e-4) cannot resolve a root that close
+# to the evanescent threshold, so a fixed set of plates keeps the check exact
+@settings(max_examples=25, derandomize=True)
+@given(sys=_plates(), n_eps=st.floats(0.0, 20.0))
+def test_modes_match_the_brute_force_oracle_on_admissible_plates(sys, n_eps):
+    _assert_brute_force_modes(sys, n_eps)
+
+
+@pytest.mark.parametrize("plate", sorted(PLATES))
+def test_m_zero_plate_roots_are_the_slab_roots(plate):
+    # both bisect the same phase to adjacent doubles, from different brackets
+    sys = PLATES[plate]
+    m0 = sorted((md.n, md.nu_b) for md in find_modes_2d(sys, 1000.0).modes if md.m == 0)
+    slab = [p.lambda_b for p in find_eigenvalues(sys, len(m0) - 1)]
+    assert [n for n, _ in m0] == list(range(len(slab)))
+    assert np.allclose([nu for _, nu in m0], slab, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("plate", sorted(PLATES))
+def test_transverse_modes_raise_no_runtime_warning(plate):
+    sys = PLATES[plate]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        basis2d = find_modes_2d(sys, 1000.0)
+        mu = np.array([1.0, 2.0, 5.0]) * math.pi / sys.c
+        at_zero = eigen_phase(np.zeros(3), sys, mu)
+        near_zero = eigen_phase(np.full(3, 1e-9), sys, mu)
+    assert any(md.m > 0 for md in basis2d.modes)
+    # the nu_b = 0 end takes the phase's limit
+    assert np.allclose(at_zero, near_zero, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("plate", sorted(PLATES))
+def test_zero_threshold_keeps_the_constant_mode(plate):
+    # lambda_bar <= n_eps is inclusive, as admissible_set is in 1D
+    modes = find_modes_2d(PLATES[plate], 0.0).modes
+    assert [(md.m, md.n, md.nu_b) for md in modes] == [(0, 0, 0.0)]
 
 
 @pytest.mark.parametrize("n_eps", [0.0, 60.0, 1000.0])
 def test_find_modes_2d_bisects_every_bracket_in_one_call(n_eps, monkeypatch):
-    import twoslab.bilayer2d
-
     calls = []
-    real = twoslab.bilayer2d._bisect_brackets
+    real = twoslab.eigensolver._bisect_brackets
     monkeypatch.setattr(
-        twoslab.bilayer2d, "_bisect_brackets", lambda *a: calls.append(len(a[1])) or real(*a)
+        twoslab.eigensolver, "_bisect_brackets", lambda *a: calls.append(len(a[1])) or real(*a)
     )
     basis2d = find_modes_2d(PLATES["cu_mo"], n_eps)
     assert len(calls) == 1
-    # every mode but the grid hit at nu_b = 0 comes from a bracket
-    assert calls[0] == max(len(basis2d) - 1, 0)
+    # every mode but the constant one at nu_b = 0 comes from a bracket
+    assert calls[0] == len(basis2d) - 1
 
 
 def test_find_modes_2d_keeps_only_the_brackets_of_each_scan():
-    # holding every m's scan grid at once peaks above 4 MB at this size
+    # no grid: only one bracket per mode is held, well below 0.5 MB at this size
     sys = PLATES["cu_mo"]
     find_modes_2d(sys, 1000.0)
     tracemalloc.start()
@@ -331,9 +381,21 @@ def test_find_modes_2d_keeps_only_the_brackets_of_each_scan():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 0.5e6
 
 
 def test_find_modes_2d_rejects_nan_threshold(sys_2d):
     with pytest.raises(ValidationError, match="non-negative"):
         find_modes_2d(sys_2d, float("nan"))
+
+
+@pytest.mark.parametrize("n_eps", [1e6, 1e308, math.inf])
+def test_find_modes_2d_refuses_oversized_spectra_before_allocating(sys_2d, n_eps):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"at most {MAX_MODES_2D}"):
+            find_modes_2d(sys_2d, n_eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5

@@ -501,6 +501,37 @@ def test_main_exit1_when_example1_has_no_mode_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["example", "table"])
+def test_main_exit1_when_example1_raw_inversion_is_too_large(
+    tmp_path, capsys, monkeypatch, command
+):
+    # 100000 modes would need 74.5 GiB of raw-inversion matrices: refuse before any build
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the size check")
+
+    monkeypatch.setattr(cli, "build_basis", refuse)
+    monkeypatch.setattr(cli, "slab_matrix", refuse)
+    cfg = tmp_path / "big.json"
+    out = tmp_path / "out"
+    for count in (cli.MAX_RAW_INVERSION_MODES + 1, 100000):
+        cfg.write_text(json.dumps({"mode_count": count}))
+        assert main([command, "1", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "mode_count" in err[0]
+        assert not out.exists()
+
+
+def test_main_exit1_when_the_plate_spectrum_is_too_large(tmp_path, capsys):
+    # n_eps = 4.6e307 would admit ~1e307 plate modes; refused in closed form
+    cfg = tmp_path / "huge_gamma.json"
+    cfg.write_text('{"gamma": 1e308}')
+    out = tmp_path / "out"
+    assert main(["example", "2d", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "plate modes" in err[0]
+    assert not out.exists()
+
+
 def test_main_exit2_when_the_cutoff_gain_overflows(tmp_path, capsys):
     # N_eps = ln(1e300) / tf keeps lambda_bar (tf - t0) <= 690.8 for every retained
     # mode, inside the amplification guard, but exp(2 N_eps (tf - t0)) = exp(1381.6)

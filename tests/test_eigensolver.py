@@ -6,15 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.bilayer2d import eigen_f_2d
+from twoslab.bilayer2d import eigen_f_2d, find_modes_2d
 from twoslab.core import Material, NumericalError, SlabSystem, ValidationError
 from twoslab.eigensolver import (
-    TANGENCY_TOL,
     _bisect_brackets,
     eigen_f,
     eigen_phase,
     find_eigenvalues,
-    scan_roots,
 )
 
 UNIT = Material(K=1.0, kappa=1.0)
@@ -95,6 +93,17 @@ def test_eigen_phase_is_increasing_and_hits_n_pi_at_roots(sys_cm):
     assert np.max(np.abs(got - np.arange(101) * math.pi)) < 1e-12
 
 
+@pytest.mark.parametrize("fixture", ["sys_cm", "sys_stiff", "sys_2d"])
+def test_eigen_phase_is_the_slab_phase_wherever_mu_vanishes(fixture, request):
+    # the plate bisects m = 0 and m > 0 targets in one call, so an element
+    # with mu = 0 must take the slab phase bit for bit whatever its neighbours
+    s = request.getfixturevalue(fixture)
+    xs = np.linspace(0.0, 40.0, 20001)
+    mu = np.where(np.arange(len(xs)) % 2, 0.0, 3.0)
+    assert np.array_equal(eigen_phase(xs, s, mu)[1::2], eigen_phase(xs, s)[1::2])
+    assert np.array_equal(eigen_phase(xs, s, 0.0), eigen_phase(xs, s))
+
+
 def test_find_eigenvalues_rejects_negative_count(sys_cm):
     with pytest.raises(NumericalError):
         find_eigenvalues(sys_cm, -1)
@@ -135,25 +144,8 @@ def test_eigen_f_is_odd(sys_cm, x):
                                                        rel=1e-12, abs=1e-12)
 
 
-def test_scan_roots_on_sine():
-    roots = scan_roots(np.sin, 0.5, 10.0, 1e-3, 1e-12)
-    assert len(roots) == 3
-    assert np.allclose(roots, [math.pi, 2 * math.pi, 3 * math.pi], atol=1e-10)
-
-
-def test_scan_roots_accepts_tangency_grid_hit():
-    # (x-2)^2 never changes sign; the on-grid zero must still be reported
-    roots = scan_roots(lambda x: (np.asarray(x) - 2.0) ** 2, 1.5, 2.5, 1e-3, 1e-12)
-    assert roots == [2.0]
-
-
-def test_scan_roots_respects_max_roots():
-    roots = scan_roots(np.sin, 0.5, 50.0, 1e-3, 1e-12, max_roots=4)
-    assert len(roots) == 4
-
-
-def _loop_scan_roots(f, lo, hi, scan_step, refine_tol, max_roots=None):
-    """Point-by-point scan with scalar bisection: the reference for scan_roots."""
+def _loop_scan_roots(f, lo, hi, scan_step, refine_tol):
+    """Point-by-point sign-change scan with scalar bisection of each bracket."""
 
     def bisect(lo, hi, flo):
         while hi - lo > refine_tol:
@@ -167,56 +159,30 @@ def _loop_scan_roots(f, lo, hi, scan_step, refine_tol, max_roots=None):
                 lo, flo = mid, fmid
         return 0.5 * (lo + hi)
 
-    n_steps = int(math.ceil((hi - lo) / scan_step))
-    if n_steps < 1:
-        return []
-    xs = lo + scan_step * np.arange(n_steps + 1)
+    xs = lo + scan_step * np.arange(int(math.ceil((hi - lo) / scan_step)) + 1)
     xs[-1] = min(xs[-1], hi)
     fs = np.asarray(f(xs), dtype=float)
-    zeroish = np.abs(fs) <= TANGENCY_TOL
     roots = []
     for i in range(len(xs) - 1):
-        if max_roots is not None and len(roots) >= max_roots:
-            return roots
-        if zeroish[i]:
-            if not roots or xs[i] - roots[-1] > scan_step / 2:
-                roots.append(float(xs[i]))
-        elif not zeroish[i + 1] and fs[i] * fs[i + 1] < 0.0:
+        if fs[i] == 0.0:
+            roots.append(float(xs[i]))
+        elif fs[i] * fs[i + 1] < 0.0:
             roots.append(bisect(xs[i], xs[i + 1], fs[i]))
-    if zeroish[-1] and (not roots or xs[-1] - roots[-1] > scan_step / 2):
-        roots.append(float(xs[-1]))
-    return roots[:max_roots]
-
-
-def _flat_zero(x):
-    # zero on [1.9985, 2.0015]: three consecutive grid hits at step 1e-3
-    return np.maximum(np.abs(np.asarray(x) - 2.0) - 0.0015, 0.0)
-
-
-@pytest.mark.parametrize(
-    "f, lo, hi, max_roots",
-    [
-        (np.sin, 0.5, 50.0, None),
-        (np.sin, 0.5, 50.0, 4),
-        (np.sin, 0.0, 10.0, None),
-        (lambda x: (np.asarray(x) - 2.0) ** 2, 1.5, 2.5, None),
-        (_flat_zero, 1.5, 2.5, None),
-        # last node clipped to 2.0004, half a step from the hit at 2.0
-        (_flat_zero, 1.5, 2.0004, None),
-        (np.sin, 1.0, 0.5, None),
-    ],
-)
-def test_scan_roots_matches_loop_reference(f, lo, hi, max_roots):
-    assert scan_roots(f, lo, hi, 1e-3, 1e-12, max_roots) == _loop_scan_roots(
-        f, lo, hi, 1e-3, 1e-12, max_roots
-    )
+    return roots
 
 
 @pytest.mark.parametrize("m", [1, 3, 6])
 def test_scan_roots_matches_loop_reference_on_plate_determinant(sys_2d, m):
+    # the phase-indexed plate roots of one transverse index are the sign
+    # changes of the plate determinant that a fine loop scan finds
     mu = m * math.pi / sys_2d.c
     f = lambda v: eigen_f_2d(v, mu, sys_2d)
-    assert scan_roots(f, 0.0, 30.0, 1e-3, 1e-12) == _loop_scan_roots(f, 0.0, 30.0, 1e-3, 1e-12)
+    ref = _loop_scan_roots(f, 0.0, 30.0, 1e-3, 1e-12)
+    n_eps = sys_2d.mat_b.kappa * (31.0**2 + mu**2)
+    got = sorted(md.nu_b for md in find_modes_2d(sys_2d, n_eps).modes
+                 if md.m == m and md.nu_b <= 30.0)
+    assert len(got) == len(ref)
+    assert np.max(np.abs(np.array(got) - ref)) <= 1e-12
 
 
 def _kinked(x, root, flat, cut, band):
