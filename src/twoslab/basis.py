@@ -96,17 +96,29 @@ def phi_prime(mode: EigenMode, x, sys: SlabSystem):
     return out
 
 
+def _interface_cosines(sys: SlabSystem, lam_b: float, lam_a: float) -> tuple[float, float, bool]:
+    """cos(lambda_b b), cos(lambda_a a) and whether either (numerically) vanishes."""
+    cos_b = math.cos(lam_b * sys.b)
+    cos_a = math.cos(lam_a * sys.a)
+    return cos_b, cos_a, abs(cos_b) < DEGENERATE_COS_TOL or abs(cos_a) < DEGENERATE_COS_TOL
+
+
+def _pinned_cosines(sys: SlabSystem, pair: EigenValuePair) -> tuple[float, float]:
+    """The interface cosines of a mode that 1/cos pins to 1; refused when either vanishes."""
+    cos_b, cos_a, degenerate = _interface_cosines(sys, pair.lambda_b, pair.lambda_a)
+    if degenerate:
+        raise DegenerateInterfaceError(
+            f"mode {pair.n}: interface cosine vanishes, closed-form norm undefined"
+        )
+    return cos_b, cos_a
+
+
 def norm_N_closed(sys: SlabSystem, pair: EigenValuePair) -> float:
     """Closed-form squared weighted norm N_n of the interface-normalized mode."""
     mb, ma = sys.mat_b, sys.mat_a
     if pair.n == 0:
         return sys.b * mb.K / mb.kappa + sys.a * ma.K / ma.kappa
-    cos_b = math.cos(pair.lambda_b * sys.b)
-    cos_a = math.cos(pair.lambda_a * sys.a)
-    if abs(cos_b) < DEGENERATE_COS_TOL or abs(cos_a) < DEGENERATE_COS_TOL:
-        raise DegenerateInterfaceError(
-            f"mode {pair.n}: interface cosine vanishes, closed-form norm undefined"
-        )
+    cos_b, cos_a = _pinned_cosines(sys, pair)
     return (sys.b * mb.K / (2 * mb.kappa)) / cos_b**2 + (
         sys.a * ma.K / (2 * ma.kappa)
     ) / cos_a**2
@@ -116,12 +128,7 @@ def norm_M_closed(sys: SlabSystem, pair: EigenValuePair) -> float:
     """Closed-form squared derivative norm M_n; equals lambda_bar_n * N_n."""
     if pair.n == 0:
         return 0.0
-    cos_b = math.cos(pair.lambda_b * sys.b)
-    cos_a = math.cos(pair.lambda_a * sys.a)
-    if abs(cos_b) < DEGENERATE_COS_TOL or abs(cos_a) < DEGENERATE_COS_TOL:
-        raise DegenerateInterfaceError(
-            f"mode {pair.n}: interface cosine vanishes, closed-form norm undefined"
-        )
+    cos_b, cos_a = _pinned_cosines(sys, pair)
     return (sys.b * sys.mat_b.K / 2) * pair.lambda_b**2 / cos_b**2 + (
         sys.a * sys.mat_a.K / 2
     ) * pair.lambda_a**2 / cos_a**2
@@ -157,9 +164,8 @@ def _interface_amplitudes(
     vanishes the unit-norm interface null vector is used instead and the
     flag is set.
     """
-    cos_b = math.cos(lam_b * sys.b)
-    cos_a = math.cos(lam_a * sys.a)
-    if abs(cos_b) < DEGENERATE_COS_TOL or abs(cos_a) < DEGENERATE_COS_TOL:
+    cos_b, cos_a, degenerate = _interface_cosines(sys, lam_b, lam_a)
+    if degenerate:
         return *_interface_null_vector(sys, lam_b, lam_a), True
     return 1.0 / cos_b, 1.0 / cos_a, False
 

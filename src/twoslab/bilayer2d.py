@@ -24,7 +24,10 @@ together in one call, with no grid.
 Backward reconstruction works on a fixed-y slice: with |Theta(eps)|
 retained modes, the slice is collocated on exactly that many nodes per
 layer (``core.uniform_grid``) and the square systems are solved per
-layer by the recovery and synthesis cores of ``spectral``.
+layer by the recovery and synthesis cores of ``spectral``.  A plate
+basis keeps its layer frequencies and amplitudes as arrays under the
+names of ``basis.EigenBasis``, so a slice matrix is the slab matrix of
+``basis.slab_matrix`` times each mode's transverse factor at the slice.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid, RegParams, SampledField, SlabSystem, ValidationError
-from .basis import _interface_amplitudes
+from .basis import _interface_amplitudes, slab_matrix
 from .eigensolver import _phase_roots, eigen_phase
 from .spectral import CoeffVector, _recover, _synthesize
 
@@ -101,8 +104,14 @@ class Mode2D:
 
 @dataclass(frozen=True)
 class Basis2D:
+    """Plate modes by decay rate, with nu_b, nu_a and amplitudes as ``EigenBasis``'s arrays."""
+
     sys: SlabSystem
     modes: tuple[Mode2D, ...]
+    lambda_b: np.ndarray
+    lambda_a: np.ndarray
+    amp_b: np.ndarray
+    amp_a: np.ndarray
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -193,23 +202,21 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
         )
     ]
     modes.sort(key=lambda md: (md.lambda_bar, md.m, md.n))
-    return Basis2D(sys=sys, modes=tuple(modes))
+    return Basis2D(
+        sys,
+        tuple(modes),
+        lambda_b=np.array([md.nu_b for md in modes]),
+        lambda_a=np.array([md.nu_a for md in modes]),
+        amp_b=np.array([md.amp_b for md in modes]),
+        amp_a=np.array([md.amp_a for md in modes]),
+    )
 
 
 def slice_matrix(basis2d: Basis2D, nodes: np.ndarray, slab: str, y0: float) -> np.ndarray:
     """Collocation matrix of phi_2d values at fixed y0 for one layer."""
     c = _require_c(basis2d.sys)
-    nodes = np.asarray(nodes, dtype=float)
-    modes = basis2d.modes
-    if slab == "b":
-        amp = np.array([md.amp_b for md in modes])
-        xpart = amp * np.cos(np.outer(nodes + basis2d.sys.b, [md.nu_b for md in modes]))
-    elif slab == "a":
-        amp = np.array([md.amp_a for md in modes])
-        xpart = amp * np.cos(np.outer(nodes - basis2d.sys.a, [md.nu_a for md in modes]))
-    else:
-        raise ValueError("slab must be 'b' or 'a'")
-    return xpart * np.array([y_mode(md.m, y0, c) for md in modes])
+    y = np.array([y_mode(md.m, y0, c) for md in basis2d.modes])
+    return slab_matrix(basis2d, nodes, slab, len(basis2d)) * y
 
 
 def _slice_matrices(basis2d: Basis2D, grid: Grid, y0: float) -> tuple[np.ndarray, np.ndarray]:

@@ -22,8 +22,9 @@ import argparse
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -96,31 +97,10 @@ class RunConfig:
         return RegParams.from_rule(epsilon, self.beta, self.gamma, self.tf)
 
     def to_dict(self) -> dict:
-        def mat(m: Material) -> dict:
-            d = {"K": m.K, "kappa": m.kappa}
-            if m.rho_c_override is not None:
-                d["rho_c_override"] = m.rho_c_override
-            return d
-
-        d = {
-            "a": self.a, "b": self.b,
-            "material_b": mat(self.material_b), "material_a": mat(self.material_a),
-            "t0": self.t0, "tf": self.tf,
-            "eps_list": list(self.eps_list),
-            "beta": self.beta, "gamma": self.gamma,
-            "grid_points": self.grid_points, "seed": self.seed,
-            "recovery_policy": self.recovery_policy, "mode_count": self.mode_count,
-        }
-        if self.c is not None:
-            d["c"] = self.c
+        """The JSON form of the config; the optionals c and rho_c_override appear only when set."""
+        d = asdict(self, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+        d["eps_list"] = list(self.eps_list)
         return d
-
-
-_MATERIAL_KEYS = {"K", "kappa", "rho_c_override"}
-_CONFIG_KEYS = {
-    "a", "b", "c", "material_b", "material_a", "t0", "tf", "eps_list",
-    "beta", "gamma", "grid_points", "seed", "recovery_policy", "mode_count",
-}
 
 
 def _real(value, name: str) -> float:
@@ -132,6 +112,10 @@ def _real(value, name: str) -> float:
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
 
 
+def _optional_real(value, name: str) -> float | None:
+    return None if value is None else _real(value, name)
+
+
 def _integer(value, name: str) -> int:
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -141,61 +125,65 @@ def _integer(value, name: str) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _parse_material(obj: dict, name: str) -> Material:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{name} must be an object")
-    unknown = set(obj) - _MATERIAL_KEYS
-    if unknown:
-        raise ValidationError(f"{name}: unknown keys {sorted(unknown)}")
-    if "K" not in obj or "kappa" not in obj:
+def _policy(value, name: str) -> str:
+    policy = str(value)
+    if policy not in ("least-squares", "strict-paper", "projection"):
+        raise ValidationError(f"{name}: unknown policy {policy!r}")
+    return policy
+
+
+def _eps_list(value, name: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list of numbers")
+    eps = tuple(_real(e, name) for e in value)
+    if not eps or any(not (0 < e < 1) for e in eps):
+        raise ValidationError(f"{name} must hold values in (0, 1)")
+    labels = [eps_label(e) for e in eps]
+    if len(set(labels)) < len(labels):
+        raise ValidationError(f"{name} entries must have distinct labels, got {labels}")
+    return eps
+
+
+def _parse_material(obj, name: str) -> Material:
+    values = _read_fields(Material, obj, name)
+    if "K" not in values or "kappa" not in values:
         raise ValidationError(f"{name}: K and kappa are required")
-    rho_c = obj.get("rho_c_override")
-    return Material(
-        K=_real(obj["K"], f"{name}.K"),
-        kappa=_real(obj["kappa"], f"{name}.kappa"),
-        rho_c_override=None if rho_c is None else _real(rho_c, f"{name}.rho_c_override"),
-    )
+    return Material(**values)
+
+
+# the reader of each config field, chosen by the field's type
+_READERS = {
+    float: _real,
+    float | None: _optional_real,
+    int: _integer,
+    str: _policy,
+    tuple[float, ...]: _eps_list,
+    Material: _parse_material,
+}
+
+
+def _read_fields(cls, obj, path: str) -> dict:
+    """obj's entries for the fields of ``cls``, each read by its type's reader.
+
+    Unknown keys are refused; messages name each value by its dotted path.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path} must be an object")
+    types = get_type_hints(cls)
+    unknown = set(obj) - set(types)
+    if unknown:
+        raise ValidationError(f"{path}: unknown keys {sorted(unknown)}")
+    return {k: _READERS[t](obj[k], f"{path}.{k}") for k, t in types.items() if k in obj}
 
 
 def config_from_dict(obj: dict, base: RunConfig | None = None) -> RunConfig:
     """Merge a JSON object into a base config; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise ValidationError("config must be a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ValidationError(f"config: unknown keys {sorted(unknown)}")
-    cfg = base if base is not None else RunConfig()
-    kwargs: dict = {}
-    for key in ("a", "b", "c", "t0", "tf", "beta", "gamma"):
-        if key in obj:
-            kwargs[key] = _real(obj[key], key) if obj[key] is not None else None
-    for key in ("grid_points", "seed", "mode_count"):
-        if key in obj:
-            kwargs[key] = _integer(obj[key], key)
+    kwargs = _read_fields(RunConfig, obj, "config")
     if kwargs.get("mode_count", 1) < 1:
         raise ValidationError("mode_count must be at least 1")
     if kwargs.get("seed", 0) < 0:
         raise ValidationError("seed must be non-negative")
-    if "recovery_policy" in obj:
-        policy = str(obj["recovery_policy"])
-        if policy not in ("least-squares", "strict-paper", "projection"):
-            raise ValidationError(f"unknown recovery_policy {policy!r}")
-        kwargs["recovery_policy"] = policy
-    if "eps_list" in obj:
-        if not isinstance(obj["eps_list"], list):
-            raise ValidationError("eps_list must be a list of numbers")
-        eps = tuple(_real(e, "eps_list") for e in obj["eps_list"])
-        if not eps or any(not (0 < e < 1) for e in eps):
-            raise ValidationError("eps_list must hold values in (0, 1)")
-        labels = [eps_label(e) for e in eps]
-        if len(set(labels)) < len(labels):
-            raise ValidationError(f"eps_list entries must have distinct labels, got {labels}")
-        kwargs["eps_list"] = eps
-    if "material_b" in obj:
-        kwargs["material_b"] = _parse_material(obj["material_b"], "material_b")
-    if "material_a" in obj:
-        kwargs["material_a"] = _parse_material(obj["material_a"], "material_a")
-    cfg = replace(cfg, **kwargs)
+    cfg = replace(base if base is not None else RunConfig(), **kwargs)
     cfg.system()  # validate geometry/time window now
     return cfg
 
@@ -321,11 +309,11 @@ class ResultTable:
 def emit_table(table: ResultTable, path: str | Path) -> None:
     """Write the table as CSV with 5 fractional digits."""
     names = list(table.columns)
-    lines = ["x," + ",".join(names)]
-    for i, x in enumerate(table.xs):
-        row = [f"{x:.5f}"] + [f"{table.columns[n][i]:.5f}" for n in names]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [
+        ",".join([f"{x:.5f}"] + [f"{table.columns[n][i]:.5f}" for n in names])
+        for i, x in enumerate(table.xs)
+    ]
+    _write_csv(Path(path), "x," + ",".join(names), rows)
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
@@ -406,9 +394,11 @@ def _check(name: str, lhs: float, rhs: float, direction: str) -> BoundRecord:
     return BoundRecord(name=name, lhs=lhs, rhs=rhs, ok=ok)
 
 
-def _l2_error(grid: Grid, vb, va, eb, ea) -> float:
-    db = float(np.trapezoid((np.asarray(vb) - np.asarray(eb)) ** 2, grid.nodes_b))
-    da = float(np.trapezoid((np.asarray(va) - np.asarray(ea)) ** 2, grid.nodes_a))
+def _l2_error(grid: Grid, values: np.ndarray, exact: np.ndarray) -> float:
+    """Trapezoid L2 distance of two fields stacked as table columns (left slab first)."""
+    nb = len(grid.nodes_b)
+    db = float(np.trapezoid((values[:nb] - exact[:nb]) ** 2, grid.nodes_b))
+    da = float(np.trapezoid((values[nb:] - exact[nb:]) ** 2, grid.nodes_a))
     return math.sqrt(max(0.0, db + da))
 
 
@@ -481,13 +471,12 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
 
     clean = SampledField(grid, data_b(grid.nodes_b), data_a(grid.nodes_a), s.tf)
     bound = math.sqrt(2.0 * max(s.a, s.b))
+    xs = np.concatenate([grid.nodes_b, grid.nodes_a])
 
     columns: dict[str, np.ndarray] = {}
     bounds: list[BoundRecord] = []
     meta: dict = {
         "example": 1,
-        "rng": RNG_NAME,
-        "seed": cfg.seed,
         "noise_bound": bound,
         "lambda_bar_1": lam1.lambda_bar,
         # data amplitude uses the literal e^{-tf/2}; reconstruction applies
@@ -514,10 +503,8 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
         if i == 0:
             for t in np.linspace(s.t0, s.tf, 11):
                 snap = cutoff_reconstruct(basis, noisy, reg, float(t), policy=cfg.recovery_policy)
-                for x, v in zip(grid.nodes_b, snap.values_b):
-                    surface_rows.append(f"{x:.5f},{t:.5f},{v:.6e}")
-                for x, v in zip(grid.nodes_a, snap.values_a):
-                    surface_rows.append(f"{x:.5f},{t:.5f},{v:.6e}")
+                values = np.concatenate([snap.values_b, snap.values_a])
+                surface_rows += [f"{x:.5f},{t:.5f},{v:.6e}" for x, v in zip(xs, values)]
 
     # raw inversion: square system with every mode, no cut-off.  The
     # design matrices are numerically rank deficient (restricted cosines
@@ -551,13 +538,10 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
     columns["exact"] = exact0 * np.concatenate(
         [basis.phi(1, grid.nodes_b), basis.phi(1, grid.nodes_a)]
     )
-    table = ResultTable(
-        xs=np.concatenate([grid.nodes_b, grid.nodes_a]), columns=columns
-    )
     return ExampleResult(
         name="example1",
         config=cfg,
-        table=table,
+        table=ResultTable(xs=xs, columns=columns),
         metadata=meta,
         bounds=bounds,
         extra_csv={
@@ -580,11 +564,11 @@ def _piecewise_initial(s: SlabSystem):
     return f_b, f_a
 
 
-def _forward_backward_example(
-    cfg: RunConfig, example_id: int, f_b, f_a, noise_bound: float, basis: EigenBasis
-) -> tuple[ResultTable, dict, list[BoundRecord]]:
-    """Shared forward-then-reconstruct loop for Examples 2 and 3."""
+def _forward_backward_example(cfg: RunConfig, example_id: int, f_b, f_a) -> ExampleResult:
+    """Shared forward-then-reconstruct run of Examples 2 and 3."""
     s = cfg.system()
+    basis = build_basis(s, cfg.mode_count)
+    noise_bound = (2.0 * s.b) ** -0.25
     grid = uniform_grid(s, cfg.grid_points)
     exact = np.concatenate(
         [np.asarray(f_b(grid.nodes_b), float), np.asarray(f_a(grid.nodes_a), float)]
@@ -606,35 +590,25 @@ def _forward_backward_example(
             "epsilon": eps,
             "n_eps": reg.n_eps,
             "retained_modes": m,
-            "l2_error_vs_initial": _l2_error(
-                grid, recon.values_b, recon.values_a, exact[: len(grid.nodes_b)],
-                exact[len(grid.nodes_b):],
-            ),
+            "l2_error_vs_initial": _l2_error(grid, vals, exact),
             "right_slab_max_abs": float(np.max(np.abs(recon.values_a))),
         }
     columns["exact"] = exact
     table = ResultTable(np.concatenate([grid.nodes_b, grid.nodes_a]), columns)
     meta = {
         "example": example_id,
-        "rng": RNG_NAME,
-        "seed": cfg.seed,
         "noise_bound": noise_bound,
         "per_eps": per_eps,
     }
-    return table, meta, bounds
+    return ExampleResult(
+        name=f"example{example_id}", config=cfg, table=table, metadata=meta, bounds=bounds,
+        extra_csv={}, eigen_basis=basis,
+    )
 
 
 def run_example2(cfg: RunConfig) -> ExampleResult:
     """Piecewise-linear initial state: forward evolve, then reconstruct."""
-    s = cfg.system()
-    basis = build_basis(s, cfg.mode_count)
-    f_b, f_a = _piecewise_initial(s)
-    bound = (2.0 * s.b) ** -0.25
-    table, meta, bounds = _forward_backward_example(cfg, 2, f_b, f_a, bound, basis)
-    return ExampleResult(
-        name="example2", config=cfg, table=table, metadata=meta, bounds=bounds,
-        extra_csv={}, eigen_basis=basis,
-    )
+    return _forward_backward_example(cfg, 2, *_piecewise_initial(cfg.system()))
 
 
 def run_example3(cfg: RunConfig) -> ExampleResult:
@@ -644,9 +618,8 @@ def run_example3(cfg: RunConfig) -> ExampleResult:
     the published table values are reproduced; clearing the override
     gives the physical K/kappa capacity instead.
     """
-    s = cfg.system()
-    basis = build_basis(s, cfg.mode_count)
-    plateau = EX3_Q / (s.mat_b.rho_c * EX3_SIGMA)
+    rho_c_b = cfg.system().mat_b.rho_c
+    plateau = EX3_Q / (rho_c_b * EX3_SIGMA)
 
     def f_b(x):
         return np.full_like(np.asarray(x, dtype=float), plateau)
@@ -654,13 +627,11 @@ def run_example3(cfg: RunConfig) -> ExampleResult:
     def f_a(x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    bound = (2.0 * s.b) ** -0.25
-    table, meta, bounds = _forward_backward_example(cfg, 3, f_b, f_a, bound, basis)
-    meta["plateau"] = plateau
-    meta["rho_c_b"] = s.mat_b.rho_c
-    meta["pulse"] = {"Q": EX3_Q, "sigma": EX3_SIGMA}
+    result = _forward_backward_example(cfg, 3, f_b, f_a)
+    result.metadata.update(plateau=plateau, rho_c_b=rho_c_b, pulse={"Q": EX3_Q, "sigma": EX3_SIGMA})
 
     # log-scale companion: per-eps reconstructions with |value| columns
+    table = result.table
     names = [eps_label(e) for e in cfg.eps_list]
     rows = []
     for i, x in enumerate(table.xs):
@@ -670,10 +641,8 @@ def run_example3(cfg: RunConfig) -> ExampleResult:
             parts += [f"{v:.6e}", f"{abs(v):.6e}"]
         rows.append(",".join(parts))
     header = "x," + ",".join(f"{nm},abs_{nm.removeprefix('eps_')}" for nm in names)
-    return ExampleResult(
-        name="example3", config=cfg, table=table, metadata=meta, bounds=bounds,
-        extra_csv={"logscale.csv": (header, rows)}, eigen_basis=basis,
-    )
+    result.extra_csv["logscale.csv"] = (header, rows)
+    return result
 
 
 def run_example2d(cfg: RunConfig) -> ExampleResult:
@@ -686,6 +655,7 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
     if s.c is None:
         raise ValidationError("example 2d needs a transverse depth c in the config")
     y0 = 0.0
+    noise_bound = ((s.a + s.b) * s.c) ** -0.5
     display = uniform_grid(s, cfg.grid_points)
 
     def slice_b(x):
@@ -711,21 +681,17 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
         c_b, c_a = recover_slice_coefficients(basis2d, initial, y0)
         decay = np.exp(-basis2d.lambda_bars() * s.window)
         final = synthesize_slice(basis2d, c_b * decay, c_a * decay, y0, s.tf, grid)
-        noisy = inject_noise(
-            final, eps, ((s.a + s.b) * s.c) ** -0.5, rng_for(cfg.seed, 4, i)
-        )
+        noisy = inject_noise(final, eps, noise_bound, rng_for(cfg.seed, 4, i))
         r_b, r_a = recover_slice_coefficients(basis2d, noisy, y0)
         recon = synthesize_slice(basis2d, r_b, r_a, y0, s.t0, display)
-        columns[eps_label(eps)] = np.concatenate([recon.values_b, recon.values_a])
+        vals = np.concatenate([recon.values_b, recon.values_a])
+        columns[eps_label(eps)] = vals
         per_eps[eps_label(eps)] = {
             "epsilon": eps,
             "n_eps": reg.n_eps,
             "retained_modes": count,
             "mode_index_pairs": [[md.m, md.n] for md in basis2d.modes],
-            "l2_error_vs_initial": _l2_error(
-                display, recon.values_b, recon.values_a,
-                exact[: len(display.nodes_b)], exact[len(display.nodes_b):],
-            ),
+            "l2_error_vs_initial": _l2_error(display, vals, exact),
         }
         modes_csv_rows = [
             f"{md.m},{md.n},{md.mu:.12e},{md.nu_b:.12e},{md.nu_a:.12e},{md.lambda_bar:.12e}"
@@ -735,10 +701,8 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
     table = ResultTable(np.concatenate([display.nodes_b, display.nodes_a]), columns)
     meta = {
         "example": "2d",
-        "rng": RNG_NAME,
-        "seed": cfg.seed,
         "y0": y0,
-        "noise_bound": ((s.a + s.b) * s.c) ** -0.5,
+        "noise_bound": noise_bound,
         "per_eps": per_eps,
     }
     return ExampleResult(
@@ -766,7 +730,8 @@ def write_example_outputs(result: ExampleResult, out_dir: str | Path) -> Path:
         write_eigenvalues_csv(result.eigen_basis, out / "eigenvalues.csv")
     for fname, (header, rows) in result.extra_csv.items():
         _write_csv(out / fname, header, rows)
-    meta = dict(result.metadata)
+    # the run facts every example records next to its own metadata
+    meta = dict(result.metadata, rng=RNG_NAME, seed=result.config.seed)
     meta["config"] = result.config.to_dict()
     meta["bounds_ok"] = result.bounds_ok
     write_metadata(meta, out / "metadata.json")
@@ -827,14 +792,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", help="output directory (default: out)")
 
 
-def _resolve_config(args, example: str = "1") -> RunConfig:
+def _resolve_config(args, example: str) -> RunConfig:
     cfg = default_config(example)
     if args.config:
         cfg = load_config(args.config, cfg)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValidationError("--seed must be non-negative")
-        cfg = replace(cfg, seed=args.seed)
+        cfg = config_from_dict({"seed": args.seed}, cfg)
     return cfg
 
 
@@ -860,13 +823,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--t", type=float, help="reconstruction time (default t0)")
     _add_common(p)
 
-    p = sub.add_parser("example", help="run a canned experiment")
-    p.add_argument("which", choices=["1", "2", "3", "2d"])
-    _add_common(p)
-
-    p = sub.add_parser("table", help="run an experiment, emit only its table")
-    p.add_argument("which", choices=["1", "2", "3", "2d"])
-    _add_common(p)
+    for name, text in (("example", "run a canned experiment"),
+                       ("table", "run an experiment, emit only its table")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("which", choices=list(RUNNERS))
+        _add_common(p)
 
     p = sub.add_parser("check-bounds", help="Monte Carlo bound verification")
     p.add_argument("--trials", type=int, default=100)
@@ -883,50 +844,47 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _write_and_report(write, payload, path: Path) -> None:
+    """Write one artifact with ``write(payload, path)``, creating its directory, and report it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write(payload, path)
+    print(f"wrote {path}")
+
+
 def _dispatch(args) -> int:
     out = Path(args.out)
+    cfg = _resolve_config(args, getattr(args, "which", "1"))
     if args.command == "eigen":
-        cfg = _resolve_config(args)
-        count = args.count if args.count is not None else cfg.mode_count
-        basis = build_basis(cfg.system(), count)
-        out.mkdir(parents=True, exist_ok=True)
-        write_eigenvalues_csv(basis, out / "eigenvalues.csv")
-        print(f"wrote {out / 'eigenvalues.csv'}")
+        basis = build_basis(cfg.system(), args.count if args.count is not None else cfg.mode_count)
+        _write_and_report(write_eigenvalues_csv, basis, out / "eigenvalues.csv")
         return 0
 
     if args.command == "forward":
-        cfg = _resolve_config(args)
         s = cfg.system()
         field0 = read_field_csv(args.infile, s.t0)
-        modes = args.modes if args.modes is not None else _grid_capacity(field0, cfg)
+        grid = field0.grid
+        modes = args.modes
+        if modes is None:  # as many modes as both slabs' nodes can determine
+            modes = min(cfg.mode_count, len(grid.nodes_b), len(grid.nodes_a))
         basis = build_basis(s, modes)
-        final = forward_solve(basis, field0, field0.grid, modes, policy=cfg.recovery_policy)
-        out.mkdir(parents=True, exist_ok=True)
-        write_field_csv(final, out / "forward.csv")
-        print(f"wrote {out / 'forward.csv'}")
+        final = forward_solve(basis, field0, grid, modes, policy=cfg.recovery_policy)
+        _write_and_report(write_field_csv, final, out / "forward.csv")
         return 0
 
     if args.command == "backward":
-        cfg = _resolve_config(args)
         s = cfg.system()
         field_tf = read_field_csv(args.infile, s.tf)
         reg = cfg.reg(args.eps)
         basis = build_basis(s, cfg.mode_count)
         t = args.t if args.t is not None else s.t0
         recon = cutoff_reconstruct(basis, field_tf, reg, t, policy=cfg.recovery_policy)
-        out.mkdir(parents=True, exist_ok=True)
-        write_field_csv(recon, out / "backward.csv")
-        print(f"wrote {out / 'backward.csv'}")
+        _write_and_report(write_field_csv, recon, out / "backward.csv")
         return 0
 
     if args.command in ("example", "table"):
-        cfg = _resolve_config(args, args.which)
         result = run_example(args.which, cfg)
         if args.command == "table":
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / f"{result.name}_table.csv"
-            emit_table(result.table, path)
-            print(f"wrote {path}")
+            _write_and_report(emit_table, result.table, out / f"{result.name}_table.csv")
         else:
             run_dir = write_example_outputs(result, out)
             print(f"wrote {run_dir}")
@@ -936,7 +894,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check-bounds":
-        cfg = _resolve_config(args)
         records = check_bounds(cfg, trials=args.trials)
         out.mkdir(parents=True, exist_ok=True)
         write_bounds_csv(records, out / "bounds.csv")
@@ -945,10 +902,6 @@ def _dispatch(args) -> int:
         return 3 if bad else 0
 
     raise ValidationError(f"unhandled command {args.command!r}")
-
-
-def _grid_capacity(field: SampledField, cfg: RunConfig) -> int:
-    return min(cfg.mode_count, len(field.grid.nodes_b), len(field.grid.nodes_a))
 
 
 if __name__ == "__main__":

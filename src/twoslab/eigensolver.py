@@ -23,7 +23,8 @@ are bisected at once.
 
 The plate's transverse index m shifts the right layer's frequency; the
 same phase with that shift indexes its roots (``eigen_phase``), and rod
-and plate share one bisection core (``_phase_roots``).
+and plate share one bisection core (``_phase_roots``), which takes every
+phase below its target at the lower end and stops at adjacent doubles.
 """
 
 from __future__ import annotations
@@ -105,44 +106,38 @@ class EigenValuePair:
     lambda_bar: float
 
 
-def _bisect_brackets(f, lo, hi, sign_lo, tol: float) -> np.ndarray:
+def _bisect_brackets(f, lo, hi) -> np.ndarray:
     """One root of f in each bracket [lo_i, hi_i], all bisected together.
 
     ``f`` maps an array of abscissae to values, element i belonging to
-    bracket i; ``sign_lo`` is the sign of f at the lower ends.  Each
-    bracket is halved until its width is <= tol, f vanishes exactly at a
-    midpoint, or no double lies strictly inside; the midpoint of what
-    remains is returned.  A NaN value moves the lower end up.
+    bracket i, and must be negative at every lower end.  Each bracket is
+    halved until f vanishes exactly at a midpoint or no double lies
+    strictly inside; the midpoint of what remains is returned.  A NaN
+    value moves the lower end up.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    slo = np.broadcast_to(sign_lo, lo.shape).astype(float)
-    active = hi - lo > tol
+    active = hi > lo
     while active.any():
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         # a midpoint equal to an end means adjacent doubles: this update is the last
         inside = (mid != lo) & (mid != hi)
-        lower = slo * fm < 0.0
-        # an exact zero moves both ends onto it; the zero width (or, for
-        # tol < 0, the next round's stall) ends the bracket
-        np.copyto(hi, mid, where=active & (lower | (fm == 0.0)))
-        upper = active & ~lower
-        np.copyto(lo, mid, where=upper)
-        np.copyto(slo, np.sign(fm), where=upper)
-        active &= inside & (hi - lo > tol)
+        # an exact zero moves both ends onto it, which ends the bracket
+        np.copyto(hi, mid, where=active & (fm >= 0.0))
+        np.copyto(lo, mid, where=active & ~(fm > 0.0))
+        active &= inside & (fm != 0.0)
     return 0.5 * (lo + hi)
 
 
 def _phase_roots(sys: SlabSystem, lo, hi, target, mu=0.0) -> np.ndarray:
     """Where ``eigen_phase(., sys, mu)`` meets each target in [lo, hi], bisected together.
 
-    The phase must be below its target at lo and not below it at hi; each
-    bracket is halved until its ends are adjacent doubles.  lo, hi,
-    target and mu broadcast elementwise, one element per root.
+    The phase must be below its target at lo and not below it at hi.
+    lo, hi, target and mu broadcast elementwise, one element per root.
     """
     phase = _phase(sys, mu)
-    return _bisect_brackets(lambda v: phase(v) - target, lo, hi, -1.0, 0.0)
+    return _bisect_brackets(lambda v: phase(v) - target, lo, hi)
 
 
 def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:

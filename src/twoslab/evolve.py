@@ -88,11 +88,8 @@ def forward_solve(
             values_a=np.asarray(f_a(grid.nodes_a), dtype=float),
             time=s.t0,
         )
-    if field0.grid is grid:
-        # recovery and synthesis share the mode matrices of the one grid
-        c0, Pb, Pa = _recover_on_grid(basis, field0, mode_count, policy)
-    else:
-        c0 = recover_coefficients(basis, field0, mode_count, policy=policy)
+    c0, Pb, Pa = _recover_on_grid(basis, field0, mode_count, policy)
+    if field0.grid is not grid:
         Pb, Pa = _mode_matrices(basis, grid, len(c0))
     decay = np.exp(-c0.basis.lambda_bars()[:mode_count] * s.window)
     c_tf = CoeffVector(basis=basis, c_b=c0.c_b * decay, c_a=c0.c_a * decay)

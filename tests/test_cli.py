@@ -3,7 +3,7 @@ import json
 import math
 import shutil
 import subprocess
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,15 +60,39 @@ def ex2d():
 # configuration
 
 
-def test_config_round_trip():
-    cfg = replace(
-        RunConfig(),
-        c=2.0,
-        material_b=Material(K=3.42, kappa=0.838, rho_c_override=0.245),
-        eps_list=(1e-3,),
-        seed=77,
+_OPTIONALS_SET = replace(
+    RunConfig(),
+    c=2.0,
+    material_b=Material(K=3.42, kappa=0.838, rho_c_override=0.245),
+    eps_list=(1e-3,),
+    seed=77,
+)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [default_config(e) for e in ("1", "2", "3", "2d")] + [_OPTIONALS_SET],
+    ids=["1", "2", "3", "2d", "optionals"],
+)
+def test_config_round_trip(cfg):
+    d = json.loads(json.dumps(cfg.to_dict()))
+    assert config_from_dict(d) == cfg
+    # every field is written, the optionals c and rho_c_override only when set
+    unset = {"c"} if cfg.c is None else set()
+    assert set(d) == {f.name for f in fields(RunConfig)} - unset
+    for name in ("material_b", "material_a"):
+        rho_c = getattr(cfg, name).rho_c_override
+        assert ("rho_c_override" in d[name]) == (rho_c is not None)
+
+
+def test_config_accepts_null_only_for_the_optionals():
+    cfg = config_from_dict(
+        {"c": None, "material_b": {"K": 1.0, "kappa": 2.0, "rho_c_override": None}}
     )
-    assert config_from_dict(cfg.to_dict()) == cfg
+    assert cfg.c is None and cfg.material_b.rho_c_override is None
+    for key in {f.name for f in fields(RunConfig)} - {"c"}:
+        with pytest.raises(ValidationError, match=key):
+            config_from_dict({key: None})
 
 
 def test_config_merge_keeps_base_fields():
@@ -434,6 +458,13 @@ def test_main_exit1_on_zero_mode_count(tmp_path):
         '{"eps_list": ["0.01"]}',
         '{"material_b": {"K": "3.42", "kappa": 0.838}}',
         None,  # no config file at the given path
+        # null is the unset value of the optionals c and rho_c_override only
+        '{"a": null}',
+        '{"b": null}',
+        '{"t0": null}',
+        '{"tf": null}',
+        '{"beta": null}',
+        '{"gamma": null}',
     ],
 )
 def test_main_exit1_on_wrong_type_or_non_finite_config(tmp_path, capsys, command, text):
@@ -444,6 +475,32 @@ def test_main_exit1_on_wrong_type_or_non_finite_config(tmp_path, capsys, command
     assert main(command + ["--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_main_seed_overrides_the_config_seed(tmp_path):
+    (tmp_path / "seed9.json").write_text('{"seed": 9}')
+    (tmp_path / "seed3.json").write_text('{"seed": 3}')
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    assert main(["example", "2", "--config", str(tmp_path / "seed9.json"), "--seed", "3",
+                 "--out", str(by_flag)]) == 0
+    assert main(["example", "2", "--config", str(tmp_path / "seed3.json"),
+                 "--out", str(by_config)]) == 0
+    files = sorted(p.name for p in (by_config / "example2").iterdir())
+    assert files == sorted(p.name for p in (by_flag / "example2").iterdir())
+    _, mismatch, errors = filecmp.cmpfiles(
+        by_flag / "example2", by_config / "example2", files, shallow=False
+    )
+    assert not mismatch and not errors
+    assert json.loads((by_flag / "example2" / "metadata.json").read_text())["seed"] == 3
+
+
+@pytest.mark.parametrize("command", [["eigen"], ["example", "2"], ["check-bounds"]])
+def test_main_exit1_on_negative_seed(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(command + ["--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
     assert not out.exists()
 
 

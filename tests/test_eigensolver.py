@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
@@ -195,52 +195,56 @@ def _kinked(x, root, flat, cut, band):
     return np.where((cut <= x) & (x <= cut + band), np.nan, value)
 
 
-def _scalar_bisect(f, lo, hi, slo, tol):
-    """One bracket at a time: the reference for _bisect_brackets."""
-    if hi - lo > tol:
-        while True:
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            inside = mid != lo and mid != hi
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if slo * fm < 0.0:
-                hi = mid
-            else:
-                lo, slo = mid, np.sign(fm)
-            if not (inside and hi - lo > tol):
-                break
+def _scalar_bisect(f, lo, hi):
+    """One bracket at a time, f < 0 at lo: the reference for _bisect_brackets."""
+    while hi > lo:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            lo = hi = mid
+            break
+        stalled = mid in (lo, hi)
+        if fm > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if stalled:
+            break
     return 0.5 * (lo + hi)
 
 
 @st.composite
 def _brackets(draw):
-    """(lo, hi, root, flat, cut, band, sign_lo) of one bracket of ``_kinked``."""
+    """(lo, hi, root, flat, cut, band) of one bracket of ``_kinked``, negative at lo."""
     lo = draw(st.floats(-10.0, 10.0))
-    root = draw(st.floats(-12.0, 12.0))
     kind = draw(st.sampled_from(["empty", "ulp", "wide", "dyadic"]))
-    if kind == "empty":
-        hi = lo
-    elif kind == "ulp":
-        # adjacent doubles: the first midpoint stalls
-        hi = float(np.nextafter(lo, math.inf))
-    elif kind == "wide":
-        hi = lo + draw(st.floats(0.0, 10.0))
-    else:
-        # dyadic ends and root: a midpoint lands exactly on the root
+    if kind == "dyadic":
+        # dyadic ends, root and flat: a midpoint lands exactly on a zero
         lo = float(math.floor(lo))
         hi = lo + 2.0 ** draw(st.integers(-3, 3))
-        root = lo + (hi - lo) * draw(st.integers(0, 16)) / 16.0
-    flat = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
-    cut = draw(st.one_of(st.just(math.inf), st.floats(-12.0, 12.0)))
+        k = draw(st.integers(1, 16))
+        root = lo + (hi - lo) * k / 16.0
+        flat = (hi - lo) * draw(st.integers(0, k - 1)) / 16.0
+    else:
+        if kind == "empty":
+            hi = lo
+        elif kind == "ulp":
+            # adjacent doubles: the first midpoint stalls
+            hi = float(np.nextafter(lo, math.inf))
+        else:
+            hi = lo + draw(st.floats(0.0, 10.0))
+        flat = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+        root = lo + flat + draw(st.floats(1e-3, 24.0))
+    # the NaN band starts above lo, so f(lo) is a number
+    cut = draw(st.one_of(st.just(math.inf), st.floats(lo, 24.0, exclude_min=True)))
     band = draw(st.one_of(st.just(math.inf), st.floats(0.0, 5.0)))
-    return lo, hi, root, flat, cut, band, draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    assume(_kinked(lo, root, flat, cut, band) < 0.0)
+    return lo, hi, root, flat, cut, band
 
 
-@given(brackets=st.lists(_brackets(), max_size=8), tol=st.sampled_from([0.0, 1e-12, 1e-6, 0.5]))
-def test_bisect_brackets_matches_scalar_bisection(brackets, tol):
-    lo, hi, root, flat, cut, band, sign = np.array(brackets, dtype=float).reshape(-1, 7).T
-    got = _bisect_brackets(lambda x: _kinked(x, root, flat, cut, band), lo, hi, sign, tol)
-    want = [_scalar_bisect(lambda x: _kinked(x, *b[2:6]), *b[:2], b[6], tol) for b in brackets]
+@given(brackets=st.lists(_brackets(), max_size=8))
+def test_bisect_brackets_matches_scalar_bisection(brackets):
+    lo, hi, root, flat, cut, band = np.array(brackets, dtype=float).reshape(-1, 6).T
+    got = _bisect_brackets(lambda x: _kinked(x, root, flat, cut, band), lo, hi)
+    want = [_scalar_bisect(lambda x: _kinked(x, *b[2:]), *b[:2]) for b in brackets]
     assert got.tolist() == want
