@@ -13,6 +13,16 @@ system, whose norms have closed forms too.  Norms and Gram matrices are
 closed forms; a basis builds its Gauss-Legendre rule only when a
 callable has to be integrated against the modes.
 
+``build_basis`` evaluates each closed form once for all modes, as array
+expressions over the frequencies: the interface cosines, the amplitudes
+and N_n, M_n.  The degenerate-interface modes share one stacked SVD of
+their 2x2 systems.  The ``EigenMode`` records are then built in one pass
+over the columns, and the basis keeps the columns as arrays too.
+``norm_N_closed`` and ``norm_M_closed`` are one-mode calls of the same
+core.  Squares use ``np.float_power(x, 2.0)``, which rounds as Python's
+``x**2`` does, so every record equals its per-mode scalar form bit for
+bit.
+
 The family is orthogonal in the weighted inner product
 
     (K_b/kappa_b) <f, g>_{L2(-b,0)} + (K_a/kappa_a) <f, g>_{L2(0,a)},
@@ -96,102 +106,115 @@ def phi_prime(mode: EigenMode, x, sys: SlabSystem):
     return out
 
 
-def _interface_cosines(sys: SlabSystem, lam_b: float, lam_a: float) -> tuple[float, float, bool]:
-    """cos(lambda_b b), cos(lambda_a a) and whether either (numerically) vanishes."""
-    cos_b = math.cos(lam_b * sys.b)
-    cos_a = math.cos(lam_a * sys.a)
-    return cos_b, cos_a, abs(cos_b) < DEGENERATE_COS_TOL or abs(cos_a) < DEGENERATE_COS_TOL
+def _interface_cosines(sys: SlabSystem, lam_b, lam_a):
+    """cos(lambda_b b), cos(lambda_a a) and where either (numerically) vanishes; elementwise."""
+    cos_b = np.cos(lam_b * sys.b)
+    cos_a = np.cos(lam_a * sys.a)
+    return cos_b, cos_a, (np.abs(cos_b) < DEGENERATE_COS_TOL) | (np.abs(cos_a) < DEGENERATE_COS_TOL)
 
 
-def _pinned_cosines(sys: SlabSystem, pair: EigenValuePair) -> tuple[float, float]:
-    """The interface cosines of a mode that 1/cos pins to 1; refused when either vanishes."""
+def _constant_mode_norm(sys: SlabSystem) -> float:
+    """N_0 of the constant mode phi = 1, the weighted length of the rod."""
+    mb, ma = sys.mat_b, sys.mat_a
+    return sys.b * mb.K / mb.kappa + sys.a * ma.K / ma.kappa
+
+
+def _pinned_norms(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a):
+    """Closed-form (N_n, M_n) of the modes that 1/cos pins to 1 at the interface; elementwise.
+
+    Valid for n >= 1 with both cosines away from zero; M_n = lambda_bar_n N_n.
+    """
+    mb, ma = sys.mat_b, sys.mat_a
+    sq_b, sq_a = np.float_power(cos_b, 2.0), np.float_power(cos_a, 2.0)
+    norm_N = (sys.b * mb.K / (2 * mb.kappa)) / sq_b + (sys.a * ma.K / (2 * ma.kappa)) / sq_a
+    norm_M = (sys.b * mb.K / 2) * np.float_power(lam_b, 2.0) / sq_b + (
+        sys.a * ma.K / 2
+    ) * np.float_power(lam_a, 2.0) / sq_a
+    return norm_N, norm_M
+
+
+def _closed_norms(sys: SlabSystem, pair: EigenValuePair) -> tuple[float, float]:
+    """(N_n, M_n) of one interface-normalized mode; refused when an interface cosine vanishes."""
+    if pair.n == 0:
+        return _constant_mode_norm(sys), 0.0
     cos_b, cos_a, degenerate = _interface_cosines(sys, pair.lambda_b, pair.lambda_a)
     if degenerate:
         raise DegenerateInterfaceError(
             f"mode {pair.n}: interface cosine vanishes, closed-form norm undefined"
         )
-    return cos_b, cos_a
+    norm_N, norm_M = _pinned_norms(sys, pair.lambda_b, pair.lambda_a, cos_b, cos_a)
+    return float(norm_N), float(norm_M)
 
 
 def norm_N_closed(sys: SlabSystem, pair: EigenValuePair) -> float:
     """Closed-form squared weighted norm N_n of the interface-normalized mode."""
-    mb, ma = sys.mat_b, sys.mat_a
-    if pair.n == 0:
-        return sys.b * mb.K / mb.kappa + sys.a * ma.K / ma.kappa
-    cos_b, cos_a = _pinned_cosines(sys, pair)
-    return (sys.b * mb.K / (2 * mb.kappa)) / cos_b**2 + (
-        sys.a * ma.K / (2 * ma.kappa)
-    ) / cos_a**2
+    return _closed_norms(sys, pair)[0]
 
 
 def norm_M_closed(sys: SlabSystem, pair: EigenValuePair) -> float:
     """Closed-form squared derivative norm M_n; equals lambda_bar_n * N_n."""
-    if pair.n == 0:
-        return 0.0
-    cos_b, cos_a = _pinned_cosines(sys, pair)
-    return (sys.b * sys.mat_b.K / 2) * pair.lambda_b**2 / cos_b**2 + (
-        sys.a * sys.mat_a.K / 2
-    ) * pair.lambda_a**2 / cos_a**2
+    return _closed_norms(sys, pair)[1]
 
 
-def _interface_null_vector(sys: SlabSystem, lam_b: float, lam_a: float) -> tuple[float, float]:
-    """Unit-norm (theta_b, theta_a) solving the homogeneous interface system."""
-    A = np.array(
-        [
-            [math.cos(lam_b * sys.b), -math.cos(lam_a * sys.a)],
-            [
-                sys.mat_b.K * lam_b * math.sin(lam_b * sys.b),
-                sys.mat_a.K * lam_a * math.sin(lam_a * sys.a),
-            ],
-        ]
-    )
-    _, _, vt = np.linalg.svd(A)
-    theta = vt[-1]
+def _interface_null_vectors(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a):
+    """Unit-norm (theta_b, theta_a) solving each mode's homogeneous interface system.
+
+    The 2x2 systems [[cos_b, -cos_a], [K_b lam_b sin(lam_b b), K_a lam_a sin(lam_a a)]]
+    of all modes go through one stacked SVD.
+    """
+    A = np.empty((len(lam_b), 2, 2))
+    A[:, 0, 0] = cos_b
+    A[:, 0, 1] = -cos_a
+    A[:, 1, 0] = sys.mat_b.K * lam_b * np.sin(lam_b * sys.b)
+    A[:, 1, 1] = sys.mat_a.K * lam_a * np.sin(lam_a * sys.a)
+    theta = np.linalg.svd(A)[2][:, -1]
     # deterministic sign: the component that cannot vanish is positive.  That
     # is theta_b when cos(lambda_b b) vanishes, and theta_a otherwise.
-    lead = theta[0] if abs(A[0, 0]) < DEGENERATE_COS_TOL else theta[1]
-    if lead < 0:
-        theta = -theta
-    return float(theta[0]), float(theta[1])
+    lead = np.where(np.abs(cos_b) < DEGENERATE_COS_TOL, theta[:, 0], theta[:, 1])
+    theta = np.where(lead[:, None] < 0, -theta, theta)
+    return theta[:, 0], theta[:, 1]
 
 
-def _interface_amplitudes(
-    sys: SlabSystem, lam_b: float, lam_a: float
-) -> tuple[float, float, bool]:
-    """Slab amplitudes (amp_b, amp_a, degenerate) of the mode with these frequencies.
+def _interface_amplitudes(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a, degenerate):
+    """Slab amplitudes (amp_b, amp_a) of the modes with these frequencies; elementwise.
 
-    1/cos pins both slabs to 1 at the interface; when either cosine
-    vanishes the unit-norm interface null vector is used instead and the
-    flag is set.
+    1/cos pins both slabs to 1 at the interface; where ``degenerate`` marks
+    a vanishing cosine the unit-norm interface null vector is used instead.
     """
-    cos_b, cos_a, degenerate = _interface_cosines(sys, lam_b, lam_a)
-    if degenerate:
-        return *_interface_null_vector(sys, lam_b, lam_a), True
-    return 1.0 / cos_b, 1.0 / cos_a, False
+    amp_b, amp_a = np.empty_like(cos_b), np.empty_like(cos_a)
+    np.divide(1.0, cos_b, out=amp_b, where=~degenerate)
+    np.divide(1.0, cos_a, out=amp_a, where=~degenerate)
+    if degenerate.any():
+        amp_b[degenerate], amp_a[degenerate] = _interface_null_vectors(
+            sys, lam_b[degenerate], lam_a[degenerate], cos_b[degenerate], cos_a[degenerate]
+        )
+    return amp_b, amp_a
 
 
 @dataclass(frozen=True)
 class EigenBasis:
     """Ordered eigen-elements of one system.
 
-    Frequencies and amplitudes are also kept as arrays, one entry per
-    mode.  The composite Gauss-Legendre rule for callables (``quad_x_b``,
-    ``quad_w_b``, ``quad_x_a``, ``quad_w_a``) is built on first access and
-    cached.
+    Frequencies, decay rates, amplitudes and the norms N_n are also kept
+    as arrays, one entry per mode.  The composite Gauss-Legendre rule for
+    callables (``quad_x_b``, ``quad_w_b``, ``quad_x_a``, ``quad_w_a``) is
+    built on first access and cached.
     """
 
     sys: SlabSystem
     modes: tuple[EigenMode, ...]
     lambda_b: np.ndarray
     lambda_a: np.ndarray
+    lambda_bar: np.ndarray
     amp_b: np.ndarray
     amp_a: np.ndarray
+    norm_N: np.ndarray
 
     def __len__(self) -> int:
         return len(self.modes)
 
     def lambda_bars(self) -> np.ndarray:
-        return np.array([m.pair.lambda_bar for m in self.modes])
+        return self.lambda_bar
 
     def phi(self, n: int, x):
         return phi(self.modes[n], x, self.sys)
@@ -234,42 +257,54 @@ def slab_matrix(basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int
     raise ValueError("slab must be 'b' or 'a'")
 
 
-def _degenerate_norms(
-    sys: SlabSystem, pair: EigenValuePair, th_b: float, th_a: float
-) -> tuple[float, float]:
-    """Closed-form (N_n, M_n) of the mode theta_alpha cos(lambda_alpha s) on each slab."""
+def _degenerate_norms(sys: SlabSystem, lam_b, lam_a, th_b, th_a):
+    """Closed-form (N_n, M_n) of the modes theta_alpha cos(lambda_alpha s); elementwise."""
     N = M = 0.0
     w_b, w_a = sys.weights
     for w, mat, lam, length, th in (
-        (w_b, sys.mat_b, pair.lambda_b, sys.b, th_b),
-        (w_a, sys.mat_a, pair.lambda_a, sys.a, th_a),
+        (w_b, sys.mat_b, lam_b, sys.b, th_b),
+        (w_a, sys.mat_a, lam_a, sys.a, th_a),
     ):
-        wobble = math.sin(2 * lam * length) / (4 * lam)
-        N += w * th**2 * (length / 2 + wobble)
-        M += mat.K * th**2 * lam**2 * (length / 2 - wobble)
+        wobble = np.sin(2 * lam * length) / (4 * lam)
+        sq = np.float_power(th, 2.0)
+        N += w * sq * (length / 2 + wobble)
+        M += mat.K * sq * np.float_power(lam, 2.0) * (length / 2 - wobble)
     return N, M
 
 
 def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
-    """Compute the first mode_count eigen-elements with norms attached."""
+    """Compute the first mode_count eigen-elements with norms attached.
+
+    Amplitudes and norms of all modes are array expressions over the
+    frequencies; the degenerate-interface modes take theirs from one
+    stacked null-vector solve, and the records are built in one pass.
+    """
     if mode_count < 1:
         raise ValidationError("mode_count must be at least 1")
     pairs = find_eigenvalues(sys, mode_count - 1)
-    modes = []
-    for pair in pairs:
-        amp_b, amp_a, degenerate = _interface_amplitudes(sys, pair.lambda_b, pair.lambda_a)
-        if degenerate:
-            norm_N, norm_M = _degenerate_norms(sys, pair, amp_b, amp_a)
-        else:
-            norm_N, norm_M = norm_N_closed(sys, pair), norm_M_closed(sys, pair)
-        modes.append(EigenMode(pair, norm_N, norm_M, amp_b, amp_a, degenerate))
+    lam_b = np.array([p.lambda_b for p in pairs])
+    lam_a = np.array([p.lambda_a for p in pairs])
+    lam_bar = np.array([p.lambda_bar for p in pairs])
+    cos_b, cos_a, degenerate = _interface_cosines(sys, lam_b, lam_a)
+    amp_b, amp_a = _interface_amplitudes(sys, lam_b, lam_a, cos_b, cos_a, degenerate)
+    norm_N, norm_M = np.empty(mode_count), np.empty(mode_count)
+    pinned = ~degenerate
+    norm_N[pinned], norm_M[pinned] = _pinned_norms(
+        sys, lam_b[pinned], lam_a[pinned], cos_b[pinned], cos_a[pinned]
+    )
+    norm_N[degenerate], norm_M[degenerate] = _degenerate_norms(
+        sys, lam_b[degenerate], lam_a[degenerate], amp_b[degenerate], amp_a[degenerate]
+    )
+    norm_N[0], norm_M[0] = _constant_mode_norm(sys), 0.0
+    modes = tuple(
+        map(
+            EigenMode, pairs, norm_N.tolist(), norm_M.tolist(),
+            amp_b.tolist(), amp_a.tolist(), degenerate.tolist(),
+        )
+    )
     return EigenBasis(
-        sys,
-        tuple(modes),
-        lambda_b=np.array([p.lambda_b for p in pairs]),
-        lambda_a=np.array([p.lambda_a for p in pairs]),
-        amp_b=np.array([m.amp_b for m in modes]),
-        amp_a=np.array([m.amp_a for m in modes]),
+        sys, modes, lambda_b=lam_b, lambda_a=lam_a, lambda_bar=lam_bar,
+        amp_b=amp_b, amp_a=amp_a, norm_N=norm_N,
     )
 
 

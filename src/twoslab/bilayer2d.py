@@ -19,7 +19,10 @@ The roots in nu_b are indexed per transverse index m by the slab's
 interface phase with the shift mu (``eigensolver.eigen_phase``): each
 multiple of pi the phase crosses on [nu_lo, nu_hi] is one mode, so the
 modes are counted in closed form and the roots of every m are bisected
-together in one call, with no grid.
+together in one call, with no grid.  nu_a, lambda_bar and the amplitudes
+(the array core of ``basis``) of all modes are then array expressions,
+``np.lexsort`` puts them in (lambda_bar, m, n) order, and the ``Mode2D``
+records are built in one pass over the sorted columns.
 
 Backward reconstruction works on a fixed-y slice: with |Theta(eps)|
 retained modes, the slice is collocated on exactly that many nodes per
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid, RegParams, SampledField, SlabSystem, ValidationError
-from .basis import _interface_amplitudes, slab_matrix
+from .basis import _interface_amplitudes, _interface_cosines, slab_matrix
 from .eigensolver import _phase_roots, eigen_phase
 from .spectral import CoeffVector, _recover, _synthesize
 
@@ -104,12 +107,17 @@ class Mode2D:
 
 @dataclass(frozen=True)
 class Basis2D:
-    """Plate modes by decay rate, with nu_b, nu_a and amplitudes as ``EigenBasis``'s arrays."""
+    """Plate modes by decay rate.
+
+    nu_b, nu_a, lambda_bar and the amplitudes are also kept as arrays, under
+    ``EigenBasis``'s names.
+    """
 
     sys: SlabSystem
     modes: tuple[Mode2D, ...]
     lambda_b: np.ndarray
     lambda_a: np.ndarray
+    lambda_bar: np.ndarray
     amp_b: np.ndarray
     amp_a: np.ndarray
 
@@ -117,7 +125,7 @@ class Basis2D:
         return len(self.modes)
 
     def lambda_bars(self) -> np.ndarray:
-        return np.array([md.lambda_bar for md in self.modes])
+        return self.lambda_bar
 
 
 def y_mode(m: int, y, c: float):
@@ -191,24 +199,24 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
     roots[todo] = _phase_roots(
         sys, roots[todo], np.repeat(nu_hi, counts)[todo], target[todo], mu_of[todo]
     )
-    modes = [
-        Mode2D(
-            m, n_m, mu_m, nu_b, nu_a, kb * (nu_b**2 + mu_m**2),
-            *_interface_amplitudes(sys, nu_b, nu_a),
-        )
-        for m, n_m, mu_m, nu_b, nu_a in zip(
-            m_of.tolist(), n.tolist(), mu_of.tolist(), roots.tolist(),
-            nu_a_of(roots, mu_of, sys).tolist(),
-        )
+    nu_a = nu_a_of(roots, mu_of, sys)
+    lam_bar = kb * (np.float_power(roots, 2.0) + np.float_power(mu_of, 2.0))
+    cos_b, cos_a, degenerate = _interface_cosines(sys, roots, nu_a)
+    amp_b, amp_a = _interface_amplitudes(sys, roots, nu_a, cos_b, cos_a, degenerate)
+    # the fields of Mode2D in (lambda_bar, m, n) order
+    order = np.lexsort((n, m_of, lam_bar))
+    columns = [
+        col[order] for col in (m_of, n, mu_of, roots, nu_a, lam_bar, amp_b, amp_a, degenerate)
     ]
-    modes.sort(key=lambda md: (md.lambda_bar, md.m, md.n))
+    _, _, _, nu_b, nu_a, lam_bar, amp_b, amp_a, _ = columns
     return Basis2D(
         sys,
-        tuple(modes),
-        lambda_b=np.array([md.nu_b for md in modes]),
-        lambda_a=np.array([md.nu_a for md in modes]),
-        amp_b=np.array([md.amp_b for md in modes]),
-        amp_a=np.array([md.amp_a for md in modes]),
+        tuple(map(Mode2D, *(col.tolist() for col in columns))),
+        lambda_b=nu_b,
+        lambda_a=nu_a,
+        lambda_bar=lam_bar,
+        amp_b=amp_b,
+        amp_a=amp_a,
     )
 
 

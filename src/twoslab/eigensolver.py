@@ -25,6 +25,10 @@ The plate's transverse index m shifts the right layer's frequency; the
 same phase with that shift indexes its roots (``eigen_phase``), and rod
 and plate share one bisection core (``_phase_roots``), which takes every
 phase below its target at the lower end and stops at adjacent doubles.
+lambda_a and lambda_bar of all roots are then two array expressions, and
+the records are built in one pass over their columns.  Squares go through
+``np.float_power(x, 2.0)``, which rounds as Python's ``x**2`` does
+(numpy's ``x**2`` is ``x*x`` and can differ in the last bit).
 """
 
 from __future__ import annotations
@@ -113,21 +117,19 @@ def _bisect_brackets(f, lo, hi) -> np.ndarray:
     bracket i, and must be negative at every lower end.  Each bracket is
     halved until f vanishes exactly at a midpoint or no double lies
     strictly inside; the midpoint of what remains is returned.  A NaN
-    value moves the lower end up.
+    value moves the lower end up.  Halving leaves a finished bracket's
+    midpoint where it is, so all are halved until none is open.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    active = hi > lo
-    while active.any():
+    while True:
         mid = 0.5 * (lo + hi)
+        if not ((lo < mid) & (mid < hi)).any():
+            return mid
         fm = f(mid)
-        # a midpoint equal to an end means adjacent doubles: this update is the last
-        inside = (mid != lo) & (mid != hi)
-        # an exact zero moves both ends onto it, which ends the bracket
-        np.copyto(hi, mid, where=active & (fm >= 0.0))
-        np.copyto(lo, mid, where=active & ~(fm > 0.0))
-        active &= inside & (fm != 0.0)
-    return 0.5 * (lo + hi)
+        # an exact zero moves both ends onto it, which closes the bracket
+        hi = np.where(fm >= 0.0, mid, hi)
+        lo = np.where(fm > 0.0, lo, mid)
 
 
 def _phase_roots(sys: SlabSystem, lo, hi, target, mu=0.0) -> np.ndarray:
@@ -162,8 +164,9 @@ def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:
             "are not distinct positive finite doubles"
         )
     # the phase increases, so it is below n pi at every lower bracket end
-    roots = _phase_roots(sys, ends[:-1], ends[1:], n * math.pi)
-    pairs = [EigenValuePair(0, 0.0, 0.0, 0.0)]
-    for k, lam_b in enumerate(roots.tolist(), start=1):
-        pairs.append(EigenValuePair(k, lam_b, ratio * lam_b, sys.mat_b.kappa * lam_b**2))
-    return pairs
+    lam_b = np.concatenate(([0.0], _phase_roots(sys, ends[:-1], ends[1:], n * math.pi)))
+    lam_a = ratio * lam_b
+    lam_bar = sys.mat_b.kappa * np.float_power(lam_b, 2.0)
+    return list(
+        map(EigenValuePair, range(N + 1), lam_b.tolist(), lam_a.tolist(), lam_bar.tolist())
+    )

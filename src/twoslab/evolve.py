@@ -165,7 +165,7 @@ def instability_lower_bound(
     """
     amp, lhs = _amplified_norm_sq(basis, coeffs, t)
     wmax = max(*basis.sys.weights, 1.0)
-    N = np.array([basis.modes[n].norm_N for n in range(len(coeffs))])
+    N = basis.norm_N[: len(coeffs)]
     rhs = float(np.sum(np.minimum(coeffs.c_b**2, coeffs.c_a**2) * amp**2 * N) / wmax)
     return lhs, rhs
 

@@ -46,6 +46,9 @@ CONDITION_LIMIT = 1e12
 # exp() argument ceiling; past this double precision is gone anyway.
 EXP_ARG_LIMIT = 700.0
 
+# The coefficient recovery routes of ``recover_coefficients``.
+RECOVERY_POLICIES = ("least-squares", "strict-paper", "projection")
+
 
 @dataclass(frozen=True)
 class CoeffVector:
@@ -115,7 +118,7 @@ def _validate_recovery(
     basis: EigenBasis, field: SampledField, mode_count: int, policy: str
 ) -> None:
     """Policy, then node counts (and the mode range of the per-slab policies)."""
-    if policy not in ("least-squares", "strict-paper", "projection"):
+    if policy not in RECOVERY_POLICIES:
         raise ValidationError(f"unknown recovery policy {policy!r}")
     nb, na = len(field.grid.nodes_b), len(field.grid.nodes_a)
     if policy == "projection":
@@ -195,6 +198,8 @@ def project_coefficients(basis: EigenBasis, field, mode_count: int) -> CoeffVect
     own grid) or a pair of callables (f_b, f_a) integrated by the basis
     quadrature.  Both slabs receive the same coefficients.
     """
+    if mode_count > len(basis):
+        raise ValidationError(f"{mode_count} modes requested from a basis of {len(basis)}")
     w_b, w_a = basis.sys.weights
     if isinstance(field, SampledField):
         Pb, Pa = _mode_matrices(basis, field.grid, mode_count)
@@ -202,8 +207,7 @@ def project_coefficients(basis: EigenBasis, field, mode_count: int) -> CoeffVect
         inner_a = Pa.T @ (_trapezoid_weights(field.grid.nodes_a) * field.values_a)
     else:
         inner_b, inner_a = _quadrature_inner(basis, *field, mode_count)
-    N = np.array([basis.modes[n].norm_N for n in range(mode_count)])
-    c = (w_b * inner_b + w_a * inner_a) / N
+    c = (w_b * inner_b + w_a * inner_a) / basis.norm_N[:mode_count]
     return CoeffVector(basis=basis, c_b=c, c_a=c.copy())
 
 

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import twoslab.basis as basis_module
+import twoslab.bilayer2d as bilayer2d_module
 import twoslab.cli as cli
+import twoslab.spectral as spectral_module
 from twoslab.basis import build_basis
 from twoslab.cli import (
     BoundRecord,
@@ -34,6 +37,7 @@ from twoslab.cli import (
 )
 from twoslab.core import Material, SampledField, ValidationError, trapezoid_norm, uniform_grid
 from twoslab.evolve import NOISE_BUDGET_RTOL
+from twoslab.spectral import RECOVERY_POLICIES, _validate_recovery
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +130,27 @@ def test_config_rejects_mode_count_below_one(count):
 def test_config_rejects_bad_policy():
     with pytest.raises(ValidationError, match="recovery_policy"):
         config_from_dict({"recovery_policy": "ridge"})
+
+
+def test_recovery_policies_are_named_once(sys_cm, grid_cm, tmp_path, capsys):
+    # the config reader and the recovery validation both read RECOVERY_POLICIES
+    basis = build_basis(sys_cm, 5)
+    zeros_b, zeros_a = np.zeros(len(grid_cm.nodes_b)), np.zeros(len(grid_cm.nodes_a))
+    field = SampledField(grid_cm, zeros_b, zeros_a, 0.1)
+    for policy in RECOVERY_POLICIES:
+        assert config_from_dict({"recovery_policy": policy}).recovery_policy == policy
+        _validate_recovery(basis, field, 5, policy)
+    with pytest.raises(ValidationError, match="recovery_policy"):
+        config_from_dict({"recovery_policy": "ridge"})
+    with pytest.raises(ValidationError, match="recovery policy"):
+        _validate_recovery(basis, field, 5, "ridge")
+    cfg = tmp_path / "ridge.json"
+    cfg.write_text('{"recovery_policy": "ridge"}')
+    out = tmp_path / "out"
+    assert main(["example", "2", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "ridge" in err[0]
+    assert not out.exists()
 
 
 def test_material_parsing():
@@ -340,6 +365,44 @@ def test_example2d_mode_retention(ex2d):
     errs = [per[eps_label(e)]["l2_error_vs_initial"] for e in ex2d.config.eps_list]
     assert errs[2] == pytest.approx(0.467645, rel=1e-3)
     assert errs[2] < errs[0]
+
+
+def _count_slab_matrices(monkeypatch, *modules):
+    """Record (slab, node count) of every slab_matrix call made through ``modules``."""
+    calls = []
+    real = basis_module.slab_matrix
+
+    def spy(basis, nodes, slab, mode_count):
+        calls.append((slab, len(nodes)))
+        return real(basis, nodes, slab, mode_count)
+
+    for module in modules:
+        monkeypatch.setattr(module, "slab_matrix", spy)
+    return calls
+
+
+def test_example1_raw_inversion_builds_each_square_matrix_once(monkeypatch):
+    cfg = replace(default_config("1"), mode_count=30)
+    calls = _count_slab_matrices(monkeypatch, cli, spectral_module)
+    result = run_example("1", cfg)
+    square = [slab for slab, nodes in calls if nodes == cfg.mode_count]
+    assert sorted(square) == ["a", "b"]
+    assert result.metadata["unregularized_max_abs"] > 0.0
+
+
+def test_example2d_builds_each_slice_matrix_once_per_eps(monkeypatch):
+    # per eps: one matrix per layer on the count-node grid, shared by the
+    # initial fit, the final synthesis and the noisy fit, and one on the display grid
+    cfg = replace(default_config("2d"), beta=0.2, eps_list=(1e-2, 1e-6))
+    calls = _count_slab_matrices(monkeypatch, bilayer2d_module)
+    result = run_example("2d", cfg)
+    counts = [result.metadata["per_eps"][eps_label(e)]["retained_modes"] for e in cfg.eps_list]
+    assert cfg.grid_points not in counts
+    want = sorted(
+        [(slab, n) for n in counts for slab in "ab"]
+        + [(slab, cfg.grid_points) for _ in counts for slab in "ab"]
+    )
+    assert sorted(calls) == want
 
 
 def test_run_example_unknown():

@@ -145,6 +145,15 @@ def test_project_coefficients_reproduces_a_mode(basis_cm):
     assert c.consistency_gap() == 0.0
 
 
+def test_project_coefficients_refuses_more_modes_than_the_basis(basis_cm, sys_cm):
+    # the norms are the basis' array, so a longer request must not be cut short silently
+    grid = uniform_grid(sys_cm, 40)
+    field = SampledField(grid, np.ones(40), np.ones(40), sys_cm.tf)
+    for f in (field, (np.ones_like, np.ones_like)):
+        with pytest.raises(ValidationError, match="modes requested"):
+            project_coefficients(basis_cm, f, len(basis_cm) + 1)
+
+
 def test_project_coefficients_sampled_route_agrees(basis_cm, sys_cm):
     grid = uniform_grid(sys_cm, 400)
     f = lambda x: np.cos(0.4 * np.asarray(x, dtype=float))
