@@ -11,6 +11,14 @@ eigenfunction columns phi_{alpha n}(x_j).  Two recovery routes exist:
   C_n = [w_b <T_b, phi_bn> + w_a <T_a, phi_an>] / N_n, and assigns the
   same value to both slabs.
 
+Every guarded solve factors its matrix once.  The condition guard
+(``_require_conditioned``) reads the condition from a spectrum already
+computed: the singular values that ``lstsq`` returns with a per-slab
+solution, or the eigenvalue magnitudes (``eigvalsh``) of the symmetric
+Gram matrix of the "projection" policy, which ``solve`` then factors.
+A factorisation that does not converge is refused as well, with
+condition nan.
+
 Synthesis evaluates T(x, t) = sum C_n exp(lambda_bar_n (tf - t)) phi_n(x),
 the backward-amplified series; exponents above 700 are refused.
 
@@ -77,17 +85,24 @@ def _strict_subsample(n_nodes: int, mode_count: int) -> np.ndarray:
     return np.round(np.linspace(0, n_nodes - 1, mode_count)).astype(int)
 
 
-def _require_conditioned(A: np.ndarray, what: str) -> None:
-    """Refuse A when its condition estimate passes CONDITION_LIMIT (or is not finite)."""
-    cond = float(np.linalg.cond(A))
+def _require_conditioned(spectrum: np.ndarray, what: str) -> None:
+    """Refuse a matrix whose condition passes CONDITION_LIMIT (or is not finite).
+
+    ``spectrum`` holds its singular values, or the eigenvalue magnitudes
+    of a symmetric matrix; the condition is their max/min, infinite when
+    the smallest is exactly zero.
+    """
+    top, bottom = float(spectrum.max()), float(spectrum.min())
+    cond = top / bottom if bottom > 0.0 else math.inf
     if cond > CONDITION_LIMIT or not math.isfinite(cond):
         raise RankDeficientError(f"{what} numerically rank deficient (condition {cond:.3e})", cond)
 
 
 def _solve_slab(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Least-squares solve of A c = rhs, refused when A is ill conditioned."""
-    _require_conditioned(A, "design matrix")
-    return np.linalg.lstsq(A, rhs, rcond=None)[0]
+    c, _, _, s = np.linalg.lstsq(A, rhs, rcond=None)
+    _require_conditioned(s, "design matrix")
+    return c
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -109,7 +124,7 @@ def _recover_projection(
     Wa = w_a * _trapezoid_weights(field.grid.nodes_a)
     G = Pb.T @ (Wb[:, None] * Pb) + Pa.T @ (Wa[:, None] * Pa)
     r = Pb.T @ (Wb * field.values_b) + Pa.T @ (Wa * field.values_a)
-    _require_conditioned(G, "projection Gram matrix")
+    _require_conditioned(np.abs(np.linalg.eigvalsh(G)), "projection Gram matrix")
     c = np.linalg.solve(G, r)
     return CoeffVector(basis=basis, c_b=c, c_a=c.copy())
 
@@ -117,17 +132,17 @@ def _recover_projection(
 def _validate_recovery(
     basis: EigenBasis, field: SampledField, mode_count: int, policy: str
 ) -> None:
-    """Policy, then node counts (and the mode range of the per-slab policies)."""
+    """Policy, then node counts, then the mode range."""
     if policy not in RECOVERY_POLICIES:
         raise ValidationError(f"unknown recovery policy {policy!r}")
     nb, na = len(field.grid.nodes_b), len(field.grid.nodes_a)
     if policy == "projection":
         if nb + na < mode_count:
             raise ValidationError(f"{nb}+{na} nodes cannot determine {mode_count} modes")
-        return
-    for slab, n in (("b", nb), ("a", na)):
-        if n < mode_count:
-            raise ValidationError(f"slab {slab}: {n} nodes cannot determine {mode_count} modes")
+    else:
+        for slab, n in (("b", nb), ("a", na)):
+            if n < mode_count:
+                raise ValidationError(f"slab {slab}: {n} nodes cannot determine {mode_count} modes")
     if mode_count < 1 or mode_count > len(basis):
         raise ValidationError("mode_count must be in 1..len(basis)")
 
@@ -150,17 +165,21 @@ def _recover(
 ) -> CoeffVector:
     """Recovery from the mode matrices of the field's own grid, inputs validated.
 
-    "strict-paper" solves on the rows of the subsampled nodes.
+    "strict-paper" solves on the rows of the subsampled nodes.  A
+    factorisation that does not converge is refused with condition nan.
     """
-    if policy == "projection":
-        return _recover_projection(basis, field, Pb, Pa)
-    out = []
-    for A, values in ((Pb, field.values_b), (Pa, field.values_a)):
-        values = np.asarray(values, float)
-        if policy == "strict-paper":
-            idx = _strict_subsample(len(A), mode_count)
-            A, values = A[idx], values[idx]
-        out.append(_solve_slab(A, values))
+    try:
+        if policy == "projection":
+            return _recover_projection(basis, field, Pb, Pa)
+        out = []
+        for A, values in ((Pb, field.values_b), (Pa, field.values_a)):
+            values = np.asarray(values, float)
+            if policy == "strict-paper":
+                idx = _strict_subsample(len(A), mode_count)
+                A, values = A[idx], values[idx]
+            out.append(_solve_slab(A, values))
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientError(f"coefficient recovery failed: {exc}", math.nan) from exc
     return CoeffVector(basis=basis, c_b=out[0], c_a=out[1])
 
 

@@ -598,6 +598,27 @@ def test_main_exit2_on_non_finite_bound_side(tmp_path, capsys):
     assert not (out / "bounds.csv").exists()
 
 
+@pytest.mark.parametrize("policy,broken", [("least-squares", "lstsq"), ("projection", "eigvalsh")])
+def test_main_exit2_when_a_factorisation_does_not_converge(
+    sys_cm, tmp_path, capsys, monkeypatch, policy, broken
+):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    grid = uniform_grid(sys_cm, 40)
+    csv = tmp_path / "final.csv"
+    write_field_csv(SampledField(grid, np.cos(grid.nodes_b), np.cos(grid.nodes_a), sys_cm.tf), csv)
+    cfg = tmp_path / "policy.json"
+    cfg.write_text(json.dumps({"recovery_policy": policy}))
+    monkeypatch.setattr(np.linalg, broken, fail)
+    out = tmp_path / "out"
+    argv = ["backward", "--infile", str(csv), "--eps", "1e-4", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: coefficient recovery failed")
+    assert not out.exists()
+
+
 def test_main_exit2_when_example1_mode_cannot_be_amplified(tmp_path, capsys):
     # lambda_bar_1 * 8000 is far past the exp range; the guard refuses it first
     cfg = tmp_path / "long.json"

@@ -248,3 +248,20 @@ def test_bisect_brackets_matches_scalar_bisection(brackets):
     got = _bisect_brackets(lambda x: _kinked(x, root, flat, cut, band), lo, hi)
     want = [_scalar_bisect(lambda x: _kinked(x, *b[2:]), *b[:2]) for b in brackets]
     assert got.tolist() == want
+
+
+def test_bisect_brackets_moves_lo_past_a_nan_band():
+    # the band [0.4, 0.6] covers the first midpoint 0.5: each NaN must move
+    # lo up, or the bracket never closes; f gives up after 200 values
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        if calls > 200:
+            raise AssertionError("the bracket did not close within 200 values")
+        return _kinked(x, 0.8, 0.0, 0.4, 0.2)
+
+    got = _bisect_brackets(f, [0.0], [1.0])
+    assert got.tolist() == [_scalar_bisect(lambda x: _kinked(x, 0.8, 0.0, 0.4, 0.2), 0.0, 1.0)]
+    assert abs(got[0] - 0.8) < 1e-15

@@ -1,3 +1,7 @@
+import collections
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,11 +12,15 @@ from twoslab.core import (
     AmplificationOverflowError,
     Grid,
     RankDeficientError,
+    RegParams,
     SampledField,
     ValidationError,
     uniform_grid,
 )
+from twoslab.evolve import cutoff_reconstruct, forward_solve
 from twoslab.spectral import (
+    CONDITION_LIMIT,
+    RECOVERY_POLICIES,
     CoeffVector,
     _strict_subsample,
     amplification_factors,
@@ -43,10 +51,10 @@ def test_design_matrix_shape_and_condition(basis_cm):
 
 
 def test_design_matrix_rejects_bad_mode_count(basis_cm, sys_cm):
-    # the per-slab design matrices take modes 1..len(basis) only
+    # every policy takes modes 1..len(basis) only
     grid = uniform_grid(sys_cm, 10)
     field = SampledField(grid, np.zeros(10), np.zeros(10), sys_cm.tf)
-    for policy in ("least-squares", "strict-paper"):
+    for policy in RECOVERY_POLICIES:
         for count in (0, len(basis_cm) + 1):
             with pytest.raises(ValidationError, match="mode_count must be in"):
                 recover_coefficients(basis_cm, field, count, policy)
@@ -236,3 +244,179 @@ def test_recovery_core_reuses_full_grid_matrices(basis_cm, sys_cm, policy):
     want = recover_coefficients(basis_cm, field, 5, policy)
     assert np.array_equal(got.c_b, want.c_b)
     assert np.array_equal(got.c_a, want.c_a)
+
+
+# ---------------------------------------------------------------------------
+# the condition guard reads the spectrum of the solve's own factorisation
+
+
+def _prescribed(rng, n, s, factors):
+    """An n x len(s) matrix U diag(s) V^T with singular values s.
+
+    Signed permutations are orthogonal exactly in doubles, so the
+    singular values are s to round-off.  Dense orthogonal factors round
+    A's entries at eps * max(s), which moves a condition of 1e13 by up
+    to about eps * 1e13 * sqrt(n), near 1e-2 relative.
+    """
+    m = len(s)
+    if factors == "permutation":
+        U = np.eye(n)[:, rng.permutation(n)[:m]] * rng.choice([-1.0, 1.0], m)
+        V = np.eye(m)[:, rng.permutation(m)] * rng.choice([-1.0, 1.0], m)
+    else:
+        U = np.linalg.qr(rng.standard_normal((n, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    return (U * s) @ V.T
+
+
+@pytest.mark.parametrize("factors,rtol", [("permutation", 1e-6), ("dense", 1e-2)])
+@pytest.mark.parametrize("policy", ["least-squares", "projection"])
+@pytest.mark.parametrize("condition", [1e11, 1e13])
+def test_guard_verdict_on_prescribed_conditions(basis_cm, sys_cm, policy, condition, factors, rtol):
+    from twoslab.spectral import _recover, _trapezoid_weights
+
+    rng = np.random.default_rng(int(math.log10(condition)))
+    n, m = 12, 6
+    grid = uniform_grid(sys_cm, n)
+    field = SampledField(grid, rng.standard_normal(n), rng.standard_normal(n), sys_cm.tf)
+    s = np.geomspace(1.0, 1.0 / condition, m)
+    if policy == "least-squares":
+        Pb, Pa = _prescribed(rng, n, s, factors), _prescribed(rng, n, s, factors)
+    else:
+        # Pa = 0 and Pb = D^-1/2 U diag(sqrt s) V^T make the Gram V diag(s) V^T
+        D = basis_cm.sys.weights[0] * _trapezoid_weights(grid.nodes_b)
+        Pb = _prescribed(rng, n, np.sqrt(s), factors) / np.sqrt(D)[:, None]
+        Pa = np.zeros((n, m))
+    if condition < CONDITION_LIMIT:
+        _recover(basis_cm, field, m, policy, Pb, Pa)
+        return
+    with pytest.raises(RankDeficientError, match="numerically rank deficient") as exc:
+        _recover(basis_cm, field, m, policy, Pb, Pa)
+    assert exc.value.condition == pytest.approx(condition, rel=rtol)
+
+
+def test_guard_counts_an_exactly_singular_matrix_as_infinite(basis_cm, sys_cm):
+    from twoslab.spectral import _recover
+
+    grid = uniform_grid(sys_cm, 6)
+    field = SampledField(grid, np.ones(6), np.ones(6), sys_cm.tf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for policy in ("least-squares", "projection"):
+            with pytest.raises(RankDeficientError, match="condition inf") as exc:
+                _recover(basis_cm, field, 3, policy, np.zeros((6, 3)), np.zeros((6, 3)))
+            assert exc.value.condition == math.inf
+
+
+def _cond_guarded_recover(basis, field, mode_count, policy):
+    """The recovery guarded by np.linalg.cond before the same solves; None when refused."""
+    from twoslab.spectral import _mode_matrices, _trapezoid_weights
+
+    def refused(A):
+        cond = float(np.linalg.cond(A))
+        return cond > CONDITION_LIMIT or not math.isfinite(cond)
+
+    Pb, Pa = _mode_matrices(basis, field.grid, mode_count)
+    if policy == "projection":
+        w_b, w_a = basis.sys.weights
+        Wb = w_b * _trapezoid_weights(field.grid.nodes_b)
+        Wa = w_a * _trapezoid_weights(field.grid.nodes_a)
+        G = Pb.T @ (Wb[:, None] * Pb) + Pa.T @ (Wa[:, None] * Pa)
+        r = Pb.T @ (Wb * field.values_b) + Pa.T @ (Wa * field.values_a)
+        return None if refused(G) else (np.linalg.solve(G, r),) * 2
+    out = []
+    for A, values in ((Pb, field.values_b), (Pa, field.values_a)):
+        if policy == "strict-paper":
+            idx = _strict_subsample(len(A), mode_count)
+            A, values = A[idx], values[idx]
+        if refused(A):
+            return None
+        out.append(np.linalg.lstsq(A, values, rcond=None)[0])
+    return tuple(out)
+
+
+def test_guard_verdicts_and_coefficients_match_the_cond_guard(sys_cm, sys_explicit):
+    verdicts = {True: 0, False: 0}
+    for sys in (sys_cm, sys_explicit):
+        basis = build_basis(sys, 40)
+        rng = np.random.default_rng(17)
+        for n in (5, 12, 20, 30, 60):
+            grid = uniform_grid(sys, n)
+            field = SampledField(grid, rng.standard_normal(n), rng.standard_normal(n), sys.tf)
+            for m in range(1, 41):
+                for policy in RECOVERY_POLICIES:
+                    if m > (2 * n if policy == "projection" else n):
+                        continue
+                    want = _cond_guarded_recover(basis, field, m, policy)
+                    try:
+                        got = recover_coefficients(basis, field, m, policy)
+                    except RankDeficientError:
+                        got = None
+                    assert (got is None) == (want is None), (sys, n, m, policy)
+                    verdicts[got is None] += 1
+                    if got is not None:
+                        assert got.c_b.tobytes() == want[0].tobytes()
+                        assert got.c_a.tobytes() == want[1].tobytes()
+    assert min(verdicts.values()) > 100, verdicts
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Calls of the numpy.linalg factorisations, counted by name."""
+    calls = collections.Counter()
+    for name in ("cond", "svd", "lstsq", "eigvalsh", "solve"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+_ONE_FACTORISATION = {
+    "least-squares": {"lstsq": 2},
+    "strict-paper": {"lstsq": 2},
+    "projection": {"eigvalsh": 1, "solve": 1},
+}
+
+
+@pytest.mark.parametrize("policy", RECOVERY_POLICIES)
+def test_each_guarded_solve_factors_its_matrix_once(basis_cm, sys_cm, linalg_calls, policy):
+    grid = uniform_grid(sys_cm, 20)
+    field = _in_span_field(basis_cm, np.linspace(1.0, 0.2, 8), grid, sys_cm.tf)
+    forward_solve(basis_cm, field, grid, 6, policy=policy)
+    assert dict(linalg_calls) == _ONE_FACTORISATION[policy]
+    linalg_calls.clear()
+    reg = RegParams(epsilon=1e-6, beta=0.05, gamma=0.5, n_eps=2.0)
+    cutoff_reconstruct(basis_cm, field, reg, sys_cm.t0, policy=policy)
+    assert dict(linalg_calls) == _ONE_FACTORISATION[policy]
+
+
+def test_slice_solves_factor_each_matrix_once(sys_2d, linalg_calls):
+    from twoslab.bilayer2d import find_modes_2d, reconstruct_2d_slice, synthesize_slice
+
+    basis2d = find_modes_2d(sys_2d, 20.0)
+    c = np.linspace(1.0, 0.5, len(basis2d))
+    grid = uniform_grid(sys_2d, len(basis2d))
+    final = synthesize_slice(basis2d, c, c, 0.3, sys_2d.tf, grid)
+    linalg_calls.clear()
+    reg = RegParams(epsilon=1e-6, beta=0.05, gamma=0.5, n_eps=20.0)
+    reconstruct_2d_slice(sys_2d, final, reg, 0.3, sys_2d.t0)
+    assert dict(linalg_calls) == {"lstsq": 2}
+
+
+@pytest.mark.parametrize("policy,broken", [
+    ("least-squares", "lstsq"),
+    ("strict-paper", "lstsq"),
+    ("projection", "eigvalsh"),
+])
+def test_unconverged_factorisation_fails_closed(basis_cm, span_data, monkeypatch, policy, broken):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, broken, fail)
+    _, _, field = span_data
+    with pytest.raises(RankDeficientError, match="coefficient recovery failed") as exc:
+        recover_coefficients(basis_cm, field, 6, policy=policy)
+    assert math.isnan(exc.value.condition)
