@@ -8,14 +8,16 @@ Writes <out>/sweep_example<N>.csv with one row per epsilon: the cut-off
 threshold, the retained mode count and the L2 reconstruction error
 against the known initial state.  Useful for eyeballing how the error
 tracks the eps -> 0 limit on a denser ladder than the canned runs.
+Exit codes are those of the twoslab CLI: 1 for an invalid ladder (an eps
+outside (0, 1), or two with one label), 2 for a numerical failure.
 """
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from twoslab.cli import default_config, eps_label, run_example
+from twoslab.cli import config_from_dict, default_config, eps_label, run_example
+from twoslab.core import NumericalError, ValidationError
 
 
 def main() -> int:
@@ -28,8 +30,15 @@ def main() -> int:
     ap.add_argument("--out", default="out")
     args = ap.parse_args()
 
-    cfg = replace(default_config(args.example), eps_list=tuple(args.eps))
-    result = run_example(args.example, cfg)
+    try:
+        cfg = config_from_dict({"eps_list": args.eps}, default_config(args.example))
+        result = run_example(args.example, cfg)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
 
     rows = ["epsilon,n_eps,retained_modes,l2_error_vs_initial"]
     for eps in cfg.eps_list:

@@ -4,23 +4,17 @@
 Usage:
     python scripts/run_all.py [--out out] [--trials 100] [--seed N]
 
-Artifacts land in <out>/example{1,2,3,2d}/ and <out>/bounds.csv; each
-run directory holds reconstruction.csv, metadata.json and the
-experiment-specific companions.
+Runs ``twoslab example 1/2/3/2d`` and then ``twoslab check-bounds``, all
+with the same --out and --seed.  Artifacts land in <out>/example{1,2,3,2d}/
+and <out>/bounds.csv.  Stops at the first run that exits 1 (invalid input)
+or 2 (numerical failure) and returns that code; otherwise returns the
+largest code, so 3 means some run reported a bound violation.
 """
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
-from twoslab.cli import (
-    check_bounds,
-    default_config,
-    run_example,
-    write_bounds_csv,
-    write_example_outputs,
-)
+from twoslab.cli import main as twoslab
 
 
 def main() -> int:
@@ -30,28 +24,15 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=None, help="override every config seed")
     args = ap.parse_args()
 
-    out = Path(args.out)
-    failures = 0
-    for which in ("1", "2", "3", "2d"):
-        cfg = default_config(which)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        result = run_example(which, cfg)
-        run_dir = write_example_outputs(result, out)
-        status = "ok" if result.bounds_ok else "BOUND VIOLATION"
-        print(f"example {which}: {run_dir} ({status})")
-        failures += 0 if result.bounds_ok else 1
-
-    cfg = default_config("1")
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    records = check_bounds(cfg, trials=args.trials)
-    out.mkdir(parents=True, exist_ok=True)
-    write_bounds_csv(records, out / "bounds.csv")
-    bad = sum(1 for r in records if not r.ok)
-    print(f"bound suite: {len(records)} checks, {bad} violations -> {out / 'bounds.csv'}")
-    failures += bad
-    return 3 if failures else 0
+    common = ["--out", args.out] + ([] if args.seed is None else ["--seed", str(args.seed)])
+    runs = [["example", which] for which in ("1", "2", "3", "2d")]
+    worst = 0
+    for argv in runs + [["check-bounds", "--trials", str(args.trials)]]:
+        code = twoslab(argv + common)
+        if code in (1, 2):
+            return code
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

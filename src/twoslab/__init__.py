@@ -20,7 +20,7 @@ from .core import (
     uniform_grid,
 )
 from .eigensolver import EigenValuePair, eigen_f, find_eigenvalues
-from .basis import EigenBasis, EigenMode, build_basis, norm_M_closed, norm_N_closed
+from .basis import EigenBasis, EigenMode, build_basis
 from .spectral import (
     CoeffVector,
     amplification_factors,
@@ -29,13 +29,12 @@ from .spectral import (
     synthesize,
 )
 from .evolve import (
-    AdmissibleSet,
-    admissible_set,
     cutoff_reconstruct,
     forward_solve,
     instability_lower_bound,
     noise_gap_bound,
     nonhomogeneous_solve,
+    retained_modes,
     source_compatibility,
     stability_bound,
 )
@@ -51,7 +50,6 @@ from .bilayer2d import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleSet",
     "AmplificationOverflowError",
     "Basis2D",
     "CoeffVector",
@@ -67,7 +65,6 @@ __all__ = [
     "SampledField",
     "SlabSystem",
     "ValidationError",
-    "admissible_set",
     "amplification_factors",
     "build_basis",
     "cutoff_reconstruct",
@@ -80,12 +77,11 @@ __all__ = [
     "instability_lower_bound",
     "noise_gap_bound",
     "nonhomogeneous_solve",
-    "norm_M_closed",
-    "norm_N_closed",
     "nu_a_of",
     "project_coefficients",
     "recover_coefficients",
     "reconstruct_2d_slice",
+    "retained_modes",
     "source_compatibility",
     "stability_bound",
     "synthesize",

@@ -18,10 +18,8 @@ expressions over the frequencies: the interface cosines, the amplitudes
 and N_n, M_n.  The degenerate-interface modes share one stacked SVD of
 their 2x2 systems.  The ``EigenMode`` records are then built in one pass
 over the columns, and the basis keeps the columns as arrays too.
-``norm_N_closed`` and ``norm_M_closed`` are one-mode calls of the same
-core.  Squares use ``np.float_power(x, 2.0)``, which rounds as Python's
-``x**2`` does, so every record equals its per-mode scalar form bit for
-bit.
+Squares use ``np.float_power(x, 2.0)``, which rounds as Python's ``x**2``
+does, so every record equals its per-mode scalar form bit for bit.
 
 The family is orthogonal in the weighted inner product
 
@@ -39,15 +37,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import NumericalError, SlabSystem, ValidationError
+from .core import SlabSystem, ValidationError
 from .eigensolver import EigenValuePair, find_eigenvalues
 
 # |cos| below this at the interface marks the mode as degenerate.
 DEGENERATE_COS_TOL = 1e-6
-
-
-class DegenerateInterfaceError(NumericalError):
-    """Closed-form norm requested for a degenerate-interface mode."""
 
 
 @lru_cache(maxsize=128)
@@ -94,18 +88,6 @@ def phi(mode: EigenMode, x, sys: SlabSystem):
     return out
 
 
-def phi_prime(mode: EigenMode, x, sys: SlabSystem):
-    """Analytic derivative of phi; zero at both outer faces."""
-    xs = np.asarray(x, dtype=float)
-    lb, la = mode.pair.lambda_b, mode.pair.lambda_a
-    left = -mode.amp_b * lb * np.sin(lb * (xs + sys.b))
-    right = -mode.amp_a * la * np.sin(la * (xs - sys.a))
-    out = np.where(xs < 0.0, left, right)
-    if np.isscalar(x):
-        return float(out)
-    return out
-
-
 def _interface_cosines(sys: SlabSystem, lam_b, lam_a):
     """cos(lambda_b b), cos(lambda_a a) and where either (numerically) vanishes; elementwise."""
     cos_b = np.cos(lam_b * sys.b)
@@ -131,29 +113,6 @@ def _pinned_norms(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a):
         sys.a * ma.K / 2
     ) * np.float_power(lam_a, 2.0) / sq_a
     return norm_N, norm_M
-
-
-def _closed_norms(sys: SlabSystem, pair: EigenValuePair) -> tuple[float, float]:
-    """(N_n, M_n) of one interface-normalized mode; refused when an interface cosine vanishes."""
-    if pair.n == 0:
-        return _constant_mode_norm(sys), 0.0
-    cos_b, cos_a, degenerate = _interface_cosines(sys, pair.lambda_b, pair.lambda_a)
-    if degenerate:
-        raise DegenerateInterfaceError(
-            f"mode {pair.n}: interface cosine vanishes, closed-form norm undefined"
-        )
-    norm_N, norm_M = _pinned_norms(sys, pair.lambda_b, pair.lambda_a, cos_b, cos_a)
-    return float(norm_N), float(norm_M)
-
-
-def norm_N_closed(sys: SlabSystem, pair: EigenValuePair) -> float:
-    """Closed-form squared weighted norm N_n of the interface-normalized mode."""
-    return _closed_norms(sys, pair)[0]
-
-
-def norm_M_closed(sys: SlabSystem, pair: EigenValuePair) -> float:
-    """Closed-form squared derivative norm M_n; equals lambda_bar_n * N_n."""
-    return _closed_norms(sys, pair)[1]
 
 
 def _interface_null_vectors(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a):
@@ -218,9 +177,6 @@ class EigenBasis:
 
     def phi(self, n: int, x):
         return phi(self.modes[n], x, self.sys)
-
-    def phi_prime(self, n: int, x):
-        return phi_prime(self.modes[n], x, self.sys)
 
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -308,23 +264,15 @@ def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
     )
 
 
-def _cos_products(lam: np.ndarray, amp: np.ndarray, length: float, sign: float) -> np.ndarray:
-    """amp_m amp_n * integral over [0, length] of cos(l_m s) cos(l_n s) (sign +1)
-    or sin(l_m s) sin(l_n s) (sign -1), for every pair of frequencies.
+def _cos_products(lam: np.ndarray, amp: np.ndarray, length: float) -> np.ndarray:
+    """Every pair's amp_m amp_n * integral over [0, length] of cos(l_m s) cos(l_n s).
 
-    The product-to-sum identity gives (length/2) [sinc(d) + sign sinc(t)]
+    The product-to-sum identity gives (length/2) [sinc(d) + sinc(t)]
     with d, t = (l_m -+ l_n) length/pi; np.sinc covers l_m = l_n and l = 0.
     """
     d = np.subtract.outer(lam, lam) * (length / math.pi)
     t = np.add.outer(lam, lam) * (length / math.pi)
-    return np.outer(amp, amp) * (0.5 * length) * (np.sinc(d) + sign * np.sinc(t))
-
-
-def weighted_gram(basis: EigenBasis, mode_count: int | None = None) -> np.ndarray:
-    """Full matrix of weighted inner products, diagonal N_n for eigen-modes."""
-    w_b, w_a = basis.sys.weights
-    Gb, Ga = slab_grams(basis, mode_count)
-    return w_b * Gb + w_a * Ga
+    return np.outer(amp, amp) * (0.5 * length) * (np.sinc(d) + np.sinc(t))
 
 
 def slab_grams(basis: EigenBasis, mode_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -332,16 +280,6 @@ def slab_grams(basis: EigenBasis, mode_count: int | None = None) -> tuple[np.nda
     s = basis.sys
     k = slice(len(basis) if mode_count is None else mode_count)
     return (
-        _cos_products(basis.lambda_b[k], basis.amp_b[k], s.b, 1.0),
-        _cos_products(basis.lambda_a[k], basis.amp_a[k], s.a, 1.0),
+        _cos_products(basis.lambda_b[k], basis.amp_b[k], s.b),
+        _cos_products(basis.lambda_a[k], basis.amp_a[k], s.a),
     )
-
-
-def derivative_gram(basis: EigenBasis, mode_count: int | None = None) -> np.ndarray:
-    """Matrix of K-weighted inner products of derivatives, diagonal M_n."""
-    s = basis.sys
-    k = slice(len(basis) if mode_count is None else mode_count)
-    lb, la = basis.lambda_b[k], basis.lambda_a[k]
-    Gb = _cos_products(lb, basis.amp_b[k] * lb, s.b, -1.0)
-    Ga = _cos_products(la, basis.amp_a[k] * la, s.a, -1.0)
-    return s.mat_b.K * Gb + s.mat_a.K * Ga

@@ -42,11 +42,11 @@ from .core import (
 from .basis import EigenBasis, build_basis, slab_matrix
 from .evolve import (
     NOISE_BUDGET_RTOL,
-    admissible_set,
     cutoff_reconstruct,
     forward_solve,
     instability_lower_bound,
     noise_gap_bound,
+    retained_modes,
     stability_bound,
 )
 from .spectral import (
@@ -255,8 +255,10 @@ def _budget_norm(grid: Grid, values_b: np.ndarray, values_a: np.ndarray) -> floa
     return db + da
 
 
-def inject_noise(field: SampledField, epsilon: float, bound: float, seed) -> SampledField:
-    """Add uniform noise eps * rand with |rand| <= bound per node.
+def inject_noise(
+    field: SampledField, epsilon: float, bound: float, rng: np.random.Generator
+) -> SampledField:
+    """Add uniform noise eps * rand with |rand| <= bound per node, drawn from ``rng``.
 
     The perturbation is rescaled when its summed per-slab discrete L2
     norms exceed the terminal budget eps.  Adding it to the field rounds
@@ -264,13 +266,9 @@ def inject_noise(field: SampledField, epsilon: float, bound: float, seed) -> Sam
     is measured again and shrunk when it exceeds eps by more than
     NOISE_BUDGET_RTOL, leaving room for that rounding.  The noisy field
     therefore always passes the budget check of ``noise_gap_bound``.
-    ``seed`` may be an int or a numpy Generator.
     """
     if bound < 0:
         raise ValidationError("noise bound must be non-negative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed))
-    )
     grid = field.grid
     nb, na = len(grid.nodes_b), len(grid.nodes_a)
     draw = rng.uniform(-bound, bound, size=nb + na)
@@ -316,9 +314,6 @@ class ResultTable:
 
     xs: np.ndarray
     columns: dict[str, np.ndarray]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
 
 
 def emit_table(table: ResultTable, path: str | Path) -> None:
@@ -449,7 +444,7 @@ def _example_bounds(
     # the growth estimate concerns the solution's own Fourier
     # coefficients; the projection gives a consistent vector (per-slab
     # least squares may not)
-    coeffs = project_coefficients(basis, noisy, len(admissible_set(basis, reg.n_eps)))
+    coeffs = project_coefficients(basis, noisy, retained_modes(basis, reg.n_eps))
     lhs, rhs = instability_lower_bound(basis, coeffs, t)
     return rec + [_check(f"instability[{tag}]", lhs, rhs, "lower")]
 
@@ -505,14 +500,13 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
     for i, eps in enumerate(cfg.eps_list):
         reg = cfg.reg(eps)
         noisy = inject_noise(clean, eps, bound, rng_for(cfg.seed, 1, i))
-        adm = admissible_set(basis, reg.n_eps)
         recon = cutoff_reconstruct(basis, noisy, reg, s.t0, policy=cfg.recovery_policy)
         columns[eps_label(eps)] = np.concatenate([recon.values_b, recon.values_a])
         bounds += _example_bounds(basis, clean, noisy, reg, s.t0, f"eps={eps:g}")
         meta["per_eps"][eps_label(eps)] = {
             "epsilon": eps,
             "n_eps": reg.n_eps,
-            "retained_modes": len(adm),
+            "retained_modes": retained_modes(basis, reg.n_eps),
             "value_at_interface_right": float(recon.values_a[0]),
         }
         if i == 0:
@@ -585,17 +579,17 @@ def _forward_backward_example(cfg: RunConfig, example_id: int, f_b, f_a) -> Exam
     basis = build_basis(s, cfg.mode_count)
     noise_bound = (2.0 * s.b) ** -0.25
     grid = uniform_grid(s, cfg.grid_points)
-    exact = np.concatenate(
-        [np.asarray(f_b(grid.nodes_b), float), np.asarray(f_a(grid.nodes_a), float)]
+    initial = SampledField(
+        grid, np.asarray(f_b(grid.nodes_b), float), np.asarray(f_a(grid.nodes_a), float), s.t0
     )
+    exact = np.concatenate([initial.values_b, initial.values_a])
     columns: dict[str, np.ndarray] = {}
     bounds: list[BoundRecord] = []
     per_eps: dict = {}
     for i, eps in enumerate(cfg.eps_list):
         reg = cfg.reg(eps)
-        adm = admissible_set(basis, reg.n_eps)
-        m = len(adm)
-        final = forward_solve(basis, (f_b, f_a), grid, m, policy=cfg.recovery_policy)
+        m = retained_modes(basis, reg.n_eps)
+        final = forward_solve(basis, initial, grid, m, policy=cfg.recovery_policy)
         noisy = inject_noise(final, eps, noise_bound, rng_for(cfg.seed, example_id, i))
         recon = cutoff_reconstruct(basis, noisy, reg, s.t0, policy=cfg.recovery_policy)
         vals = np.concatenate([recon.values_b, recon.values_a])

@@ -45,51 +45,30 @@ from .spectral import (
 NOISE_BUDGET_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
-    """Indices of modes whose decay rate clears the cut-off (a prefix)."""
+def retained_modes(basis: EigenBasis, n_eps: float) -> int:
+    """Count of modes with lambda_bar_n <= n_eps (inclusive at the boundary).
 
-    n_eps: float
-    indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def admissible_set(basis: EigenBasis, n_eps: float) -> AdmissibleSet:
-    """All n with lambda_bar_n <= n_eps (inclusive at the boundary)."""
-    lam = basis.lambda_bars()
-    idx = np.flatnonzero(lam <= n_eps)
-    # decay rates are ascending, so admissibility is a prefix
-    return AdmissibleSet(n_eps=n_eps, indices=tuple(int(i) for i in idx))
+    Decay rates are ascending, so the retained modes are the first this many.
+    """
+    return int(np.count_nonzero(basis.lambda_bars() <= n_eps))
 
 
 def forward_solve(
     basis: EigenBasis,
-    initial,
+    initial: SampledField,
     grid: Grid,
     mode_count: int,
     policy: str = "least-squares",
 ) -> SampledField:
-    """Evolve initial data at t0 to the final time tf.
+    """Evolve the sampled field ``initial`` at t0 to the final time tf on ``grid``.
 
-    ``initial`` is a SampledField at t0 or a pair of callables (f_b, f_a)
-    which are sampled on ``grid``.  Coefficients are recovered per slab
-    from the samples, then decayed by exp(-lambda_bar_n (tf - t0)).
+    Coefficients are recovered from the samples by ``policy``, decayed by
+    exp(-lambda_bar_n (tf - t0)) and synthesized on ``grid``, which may
+    differ from the grid of ``initial``.
     """
     s = basis.sys
-    if isinstance(initial, SampledField):
-        field0 = initial
-    else:
-        f_b, f_a = initial
-        field0 = SampledField(
-            grid=grid,
-            values_b=np.asarray(f_b(grid.nodes_b), dtype=float),
-            values_a=np.asarray(f_a(grid.nodes_a), dtype=float),
-            time=s.t0,
-        )
-    c0, Pb, Pa = _recover_on_grid(basis, field0, mode_count, policy)
-    if field0.grid is not grid:
+    c0, Pb, Pa = _recover_on_grid(basis, initial, mode_count, policy)
+    if initial.grid is not grid:
         Pb, Pa = _mode_matrices(basis, grid, len(c0))
     decay = np.exp(-c0.basis.lambda_bars()[:mode_count] * s.window)
     c_tf = CoeffVector(basis=basis, c_b=c0.c_b * decay, c_a=c0.c_a * decay)
@@ -113,7 +92,7 @@ def cutoff_reconstruct(
     s = basis.sys
     if not (s.t0 <= t <= s.tf):
         raise ValidationError("t must lie in [t0, tf]")
-    count = len(admissible_set(basis, reg.n_eps))
+    count = retained_modes(basis, reg.n_eps)
     if count == 0:
         raise ValidationError("cut-off removed every mode; nothing to reconstruct")
     coeffs, Pb, Pa = _recover_on_grid(basis, measured_tf, count, policy)
@@ -135,7 +114,7 @@ def _cutoff_norm_sq(basis: EigenBasis, field: SampledField, reg: RegParams, t: f
     Projected, not fitted per slab: per-slab least squares can return
     gauge-wild coefficients that the estimates say nothing about.
     """
-    k = len(admissible_set(basis, reg.n_eps))
+    k = retained_modes(basis, reg.n_eps)
     return _amplified_norm_sq(basis, project_coefficients(basis, field, k), t)[1]
 
 

@@ -75,10 +75,6 @@ class CoeffVector:
     def __len__(self) -> int:
         return len(self.c_b)
 
-    def consistency_gap(self) -> float:
-        """Largest |C_bn - C_an|; zero for data from one genuine solution."""
-        return float(np.max(np.abs(self.c_b - self.c_a))) if len(self) else 0.0
-
 
 def _strict_subsample(n_nodes: int, mode_count: int) -> np.ndarray:
     # evenly spread node indices, endpoints kept, deterministic

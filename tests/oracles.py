@@ -302,3 +302,55 @@ def legendre_matched_source(basis, count, g_left):
         return rc_a * legendre.legval(2 * np.asarray(x, dtype=float) / s.a - 1, c)
 
     return f_b, f_a
+
+
+# ---------------------------------------------------------------------------
+# Helpers that tests need and no library path runs.  weighted_gram sums the
+# package's own closed-form slab Grams, so it is no independent oracle; the
+# derivative forms restate closed forms that the library does not carry.
+
+
+def phi_prime(basis, n, x):
+    """Analytic derivative of mode n at x; the x >= 0 branch uses the right slab."""
+    md, s = basis.modes[n], basis.sys
+    xs = np.asarray(x, dtype=float)
+    lb, la = md.pair.lambda_b, md.pair.lambda_a
+    left = -md.amp_b * lb * np.sin(lb * (xs + s.b))
+    right = -md.amp_a * la * np.sin(la * (xs - s.a))
+    out = np.where(xs < 0.0, left, right)
+    return float(out) if np.isscalar(x) else out
+
+
+def weighted_gram(basis, mode_count=None):
+    """(K_b/kappa_b) G_b + (K_a/kappa_a) G_a from the package's closed-form slab Grams."""
+    from twoslab.basis import slab_grams
+
+    w_b, w_a = basis.sys.weights
+    G_b, G_a = slab_grams(basis, mode_count)
+    return w_b * G_b + w_a * G_a
+
+
+def _sin_products(lam, amp, length):
+    """amp_m amp_n * integral over [0, length] of sin(l_m s) sin(l_n s) for every pair.
+
+    The product-to-sum identity gives (length/2) [sinc(d) - sinc(t)] with
+    d, t = (l_m -+ l_n) length/pi.
+    """
+    d = np.subtract.outer(lam, lam) * (length / np.pi)
+    t = np.add.outer(lam, lam) * (length / np.pi)
+    return np.outer(amp, amp) * (0.5 * length) * (np.sinc(d) - np.sinc(t))
+
+
+def derivative_gram(basis, mode_count=None):
+    """K_b D_b + K_a D_a, the K-weighted Gram of the mode derivatives; diagonal M_n."""
+    s = basis.sys
+    k = slice(len(basis) if mode_count is None else mode_count)
+    lb, la = basis.lambda_b[k], basis.lambda_a[k]
+    D_b = _sin_products(lb, basis.amp_b[k] * lb, s.b)
+    D_a = _sin_products(la, basis.amp_a[k] * la, s.a)
+    return s.mat_b.K * D_b + s.mat_a.K * D_a
+
+
+def consistency_gap(coeffs):
+    """Largest |C_bn - C_an| of a CoeffVector; zero for data from one genuine solution."""
+    return float(np.max(np.abs(coeffs.c_b - coeffs.c_a))) if len(coeffs) else 0.0

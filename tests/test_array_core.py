@@ -22,8 +22,6 @@ from twoslab.basis import (
     _interface_cosines,
     _interface_null_vectors,
     build_basis,
-    norm_M_closed,
-    norm_N_closed,
 )
 from twoslab.bilayer2d import Mode2D, find_modes_2d, nu_a_of
 from twoslab.core import Material, SlabSystem
@@ -190,14 +188,6 @@ def test_degenerate_modes_share_one_stacked_svd(rod, degenerate, monkeypatch):
     basis = build_basis(RODS[rod], 403)
     assert sum(m.degenerate_interface for m in basis.modes) == degenerate
     assert shapes == ([(degenerate, 2, 2)] if degenerate else [])
-
-
-@pytest.mark.parametrize("rod", sorted(RODS))
-def test_one_element_norms_are_the_array_norms(rod):
-    sys = RODS[rod]
-    for m in build_basis(sys, 403).modes:
-        if not m.degenerate_interface:
-            assert (norm_N_closed(sys, m.pair), norm_M_closed(sys, m.pair)) == (m.norm_N, m.norm_M)
 
 
 @pytest.mark.parametrize("n_eps", [0.0, 0.5, 1.38, 3.4, 27.6, 60.0, 250.0, 1000.0])

@@ -198,13 +198,18 @@ def test_rng_for_is_stream_keyed():
     assert not np.array_equal(a, c)
 
 
+def _philox(seed):
+    """A Philox generator keyed by one integer seed."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def test_inject_noise_respects_budget(sys_cm, grid_cm):
     clean = SampledField(grid_cm, np.zeros(40), np.zeros(40), sys_cm.tf)
     eps = 1e-2
-    noisy = inject_noise(clean, eps, 10.0, 123)
+    noisy = inject_noise(clean, eps, 10.0, _philox(123))
     db, da = trapezoid_norm(noisy)
     assert db + da <= eps * (1 + 1e-12)
-    again = inject_noise(clean, eps, 10.0, 123)
+    again = inject_noise(clean, eps, 10.0, _philox(123))
     assert np.array_equal(noisy.values_b, again.values_b)
     assert np.array_equal(noisy.values_a, again.values_a)
 
@@ -214,7 +219,7 @@ def test_inject_noise_budget_survives_rounding_on_large_values(sys_cm, grid_cm):
     clean = SampledField(grid_cm, np.full(40, 1.0e4), np.linspace(-9e3, 9e3, 40), sys_cm.tf)
     eps = 1e-6
     for seed in range(50):
-        noisy = inject_noise(clean, eps, 10.0, seed)
+        noisy = inject_noise(clean, eps, 10.0, _philox(seed))
         delta = SampledField(grid_cm, noisy.values_b - clean.values_b,
                              noisy.values_a - clean.values_a, clean.time)
         db, da = trapezoid_norm(delta)
@@ -230,7 +235,7 @@ def test_example3_stays_within_noise_budget_across_seeds(grid_points):
 
 def test_inject_noise_zero_eps_is_identity(sys_cm, grid_cm):
     clean = SampledField(grid_cm, np.ones(40), np.ones(40), sys_cm.tf)
-    noisy = inject_noise(clean, 0.0, 1.0, 5)
+    noisy = inject_noise(clean, 0.0, 1.0, _philox(5))
     assert np.array_equal(noisy.values_b, clean.values_b)
     assert np.array_equal(noisy.values_a, clean.values_a)
 
@@ -238,7 +243,7 @@ def test_inject_noise_zero_eps_is_identity(sys_cm, grid_cm):
 def test_inject_noise_negative_bound(sys_cm, grid_cm):
     clean = SampledField(grid_cm, np.zeros(40), np.zeros(40), sys_cm.tf)
     with pytest.raises(ValidationError):
-        inject_noise(clean, 1e-2, -1.0, 5)
+        inject_noise(clean, 1e-2, -1.0, _philox(5))
 
 
 def test_eps_label():
@@ -266,7 +271,7 @@ def test_table_round_trip(tmp_path_factory, xs, vals):
     assert header == "x,u,v"
     back = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.allclose(back[:, 0], table.xs, atol=5.1e-6)
-    assert np.allclose(back[:, 1], table.column("u"), atol=5.1e-6)
+    assert np.allclose(back[:, 1], table.columns["u"], atol=5.1e-6)
 
 
 def test_field_csv_round_trip(sys_cm, grid_cm, tmp_path):

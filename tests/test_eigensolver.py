@@ -245,7 +245,20 @@ def _brackets(draw):
 @given(brackets=st.lists(_brackets(), max_size=8))
 def test_bisect_brackets_matches_scalar_bisection(brackets):
     lo, hi, root, flat, cut, band = np.array(brackets, dtype=float).reshape(-1, 6).T
-    got = _bisect_brackets(lambda x: _kinked(x, root, flat, cut, band), lo, hi)
+    # each call halves every open bracket once.  Halving a span of finite
+    # doubles, at most 2^1024 wide, down to the subnormal spacing 2^-1074
+    # takes at most about 2100 halvings, so a budget of 2200 calls turns a
+    # bracket that never closes into a failure instead of a hang
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        if calls > 2200:
+            raise AssertionError("a bracket did not close within 2200 halvings")
+        return _kinked(x, root, flat, cut, band)
+
+    got = _bisect_brackets(f, lo, hi)
     want = [_scalar_bisect(lambda x: _kinked(x, *b[2:]), *b[:2]) for b in brackets]
     assert got.tolist() == want
 

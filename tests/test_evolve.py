@@ -21,12 +21,12 @@ from twoslab.core import (
 from twoslab.evolve import (
     SourceCoefficients,
     _cutoff_gain,
-    admissible_set,
     cutoff_reconstruct,
     forward_solve,
     instability_lower_bound,
     noise_gap_bound,
     nonhomogeneous_solve,
+    retained_modes,
     simpson,
     source_coefficients,
     source_compatibility,
@@ -43,19 +43,20 @@ def _mode_coeffs(basis, n, value, count=None):
 
 
 def test_admissible_set_is_inclusive_prefix(basis_cm):
-    lam2 = basis_cm.modes[2].pair.lambda_bar
-    adm = admissible_set(basis_cm, lam2)
-    assert adm.indices == (0, 1, 2)
+    # a threshold equal to lambda_bar_2 keeps mode 2
+    lam = basis_cm.lambda_bars()
+    assert retained_modes(basis_cm, lam[2]) == 3
+    assert retained_modes(basis_cm, np.nextafter(lam[2], 0.0)) == 2
 
 
 @given(n_eps=st.floats(min_value=0.0, max_value=10.0))
 def test_admissible_set_properties(basis_cm, n_eps):
-    adm = admissible_set(basis_cm, n_eps)
-    assert adm.indices == tuple(range(len(adm)))
+    # the retained modes are the longest prefix with lambda_bar_n <= n_eps
+    count = retained_modes(basis_cm, n_eps)
     lam = basis_cm.lambda_bars()
-    assert all(lam[i] <= n_eps for i in adm.indices)
-    if len(adm) < len(basis_cm):
-        assert lam[len(adm)] > n_eps
+    assert (lam[:count] <= n_eps).all()
+    if count < len(basis_cm):
+        assert lam[count] > n_eps
 
 
 def test_forward_solve_decays_each_mode(basis_cm, sys_cm, grid_cm):
@@ -69,18 +70,9 @@ def test_forward_solve_decays_each_mode(basis_cm, sys_cm, grid_cm):
     assert final.time == sys_cm.tf
 
 
-def test_forward_solve_callable_route_matches_field_route(basis_cm, sys_cm, grid_cm):
-    f = lambda x: np.cos(0.3 * np.asarray(x, dtype=float))
-    field = SampledField(grid_cm, f(grid_cm.nodes_b), f(grid_cm.nodes_a), sys_cm.t0)
-    via_field = forward_solve(basis_cm, field, grid_cm, 6, policy="projection")
-    via_calls = forward_solve(basis_cm, (f, f), grid_cm, 6, policy="projection")
-    assert np.allclose(via_field.values_b, via_calls.values_b, atol=1e-13)
-    assert np.allclose(via_field.values_a, via_calls.values_a, atol=1e-13)
-
-
 def test_round_trip_reproduces_spanned_initial(basis_cm, sys_cm, grid_cm):
     reg = RegParams.from_rule(1e-4, 0.05, 0.5, sys_cm.tf)
-    m = len(admissible_set(basis_cm, reg.n_eps))
+    m = retained_modes(basis_cm, reg.n_eps)
     c = np.zeros(8)
     c[:m] = np.random.default_rng(7).uniform(-1, 1, m)
     cv = CoeffVector(basis=basis_cm, c_b=c, c_a=c.copy())
@@ -441,9 +433,10 @@ def test_forward_solve_builds_each_slab_matrix_once(basis_cm, sys_cm, policy, mo
     calls = _count_slab_matrix(monkeypatch)
     forward_solve(basis_cm, SampledField(grid, field0.values_b, field0.values_a, 0.0), grid, 5, policy)
     assert calls == {"b": 1, "a": 1}
-    # callables are sampled on the target grid itself
+    # a field sampled on the target grid itself
     calls.update(b=0, a=0)
-    forward_solve(basis_cm, (np.cos, np.cos), grid, 5, policy)
+    cosine = SampledField(grid, np.cos(grid.nodes_b), np.cos(grid.nodes_a), 0.0)
+    forward_solve(basis_cm, cosine, grid, 5, policy)
     assert calls == {"b": 1, "a": 1}
 
 
