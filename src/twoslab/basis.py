@@ -9,17 +9,21 @@ normalized so both slabs take the value 1 at the interface whenever
 cos(lambda_b b) and cos(lambda_a a) stay away from zero.  When either
 cosine (numerically) vanishes the interface value cannot be pinned to 1;
 those modes fall back to the unit-norm null vector of the 2x2 interface
-system, whose norms have closed forms too.  Norms and Gram matrices are
-closed forms; a basis builds its Gauss-Legendre rule only when a
-callable has to be integrated against the modes.
+system.  Norms and Gram matrices are closed forms; a basis builds its
+Gauss-Legendre rule only when a callable has to be integrated against
+the modes.
 
 ``build_basis`` evaluates each closed form once for all modes, as array
-expressions over the frequencies: the interface cosines, the amplitudes
-and N_n, M_n.  The degenerate-interface modes share one stacked SVD of
+expressions over the frequencies: the amplitudes with their degenerate
+flags, then N_n and M_n.  Every mode's norms, the constant and the
+degenerate ones included, are each layer's amp^2 (L/2) (1 +- sinc(2 lambda
+L/pi)) summed over the layers, so N_n is the weighted diagonal of
+``slab_grams``.  The degenerate-interface modes share one stacked SVD of
 their 2x2 systems.  The ``EigenMode`` records are then built in one pass
 over the columns, and the basis keeps the columns as arrays too.
-Squares use ``np.float_power(x, 2.0)``, which rounds as Python's ``x**2``
-does, so every record equals its per-mode scalar form bit for bit.
+Squares of frequencies use ``np.float_power(x, 2.0)``, which rounds as
+Python's ``x**2`` does, so every record equals its per-mode scalar form
+bit for bit.
 
 The family is orthogonal in the weighted inner product
 
@@ -88,33 +92,6 @@ def phi(mode: EigenMode, x, sys: SlabSystem):
     return out
 
 
-def _interface_cosines(sys: SlabSystem, lam_b, lam_a):
-    """cos(lambda_b b), cos(lambda_a a) and where either (numerically) vanishes; elementwise."""
-    cos_b = np.cos(lam_b * sys.b)
-    cos_a = np.cos(lam_a * sys.a)
-    return cos_b, cos_a, (np.abs(cos_b) < DEGENERATE_COS_TOL) | (np.abs(cos_a) < DEGENERATE_COS_TOL)
-
-
-def _constant_mode_norm(sys: SlabSystem) -> float:
-    """N_0 of the constant mode phi = 1, the weighted length of the rod."""
-    mb, ma = sys.mat_b, sys.mat_a
-    return sys.b * mb.K / mb.kappa + sys.a * ma.K / ma.kappa
-
-
-def _pinned_norms(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a):
-    """Closed-form (N_n, M_n) of the modes that 1/cos pins to 1 at the interface; elementwise.
-
-    Valid for n >= 1 with both cosines away from zero; M_n = lambda_bar_n N_n.
-    """
-    mb, ma = sys.mat_b, sys.mat_a
-    sq_b, sq_a = np.float_power(cos_b, 2.0), np.float_power(cos_a, 2.0)
-    norm_N = (sys.b * mb.K / (2 * mb.kappa)) / sq_b + (sys.a * ma.K / (2 * ma.kappa)) / sq_a
-    norm_M = (sys.b * mb.K / 2) * np.float_power(lam_b, 2.0) / sq_b + (
-        sys.a * ma.K / 2
-    ) * np.float_power(lam_a, 2.0) / sq_a
-    return norm_N, norm_M
-
-
 def _interface_null_vectors(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a):
     """Unit-norm (theta_b, theta_a) solving each mode's homogeneous interface system.
 
@@ -134,12 +111,15 @@ def _interface_null_vectors(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a):
     return theta[:, 0], theta[:, 1]
 
 
-def _interface_amplitudes(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a, degenerate):
-    """Slab amplitudes (amp_b, amp_a) of the modes with these frequencies; elementwise.
+def _interface_amplitudes(sys: SlabSystem, lam_b, lam_a):
+    """Slab amplitudes (amp_b, amp_a) and degenerate flags of the modes with these frequencies.
 
-    1/cos pins both slabs to 1 at the interface; where ``degenerate`` marks
-    a vanishing cosine the unit-norm interface null vector is used instead.
+    1/cos pins both slabs to 1 at the interface; where cos(lambda_b b) or
+    cos(lambda_a a) (numerically) vanishes, the mode is flagged degenerate
+    and the unit-norm interface null vector is used instead.  Elementwise.
     """
+    cos_b, cos_a = np.cos(lam_b * sys.b), np.cos(lam_a * sys.a)
+    degenerate = (np.abs(cos_b) < DEGENERATE_COS_TOL) | (np.abs(cos_a) < DEGENERATE_COS_TOL)
     amp_b, amp_a = np.empty_like(cos_b), np.empty_like(cos_a)
     np.divide(1.0, cos_b, out=amp_b, where=~degenerate)
     np.divide(1.0, cos_a, out=amp_a, where=~degenerate)
@@ -147,7 +127,7 @@ def _interface_amplitudes(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a, degenerat
         amp_b[degenerate], amp_a[degenerate] = _interface_null_vectors(
             sys, lam_b[degenerate], lam_a[degenerate], cos_b[degenerate], cos_a[degenerate]
         )
-    return amp_b, amp_a
+    return amp_b, amp_a, degenerate
 
 
 @dataclass(frozen=True)
@@ -213,18 +193,24 @@ def slab_matrix(basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int
     raise ValueError("slab must be 'b' or 'a'")
 
 
-def _degenerate_norms(sys: SlabSystem, lam_b, lam_a, th_b, th_a):
-    """Closed-form (N_n, M_n) of the modes theta_alpha cos(lambda_alpha s); elementwise."""
+def _mode_norms(sys: SlabSystem, lam_b, lam_a, amp_b, amp_a):
+    """(N_n, M_n) of the modes amp_alpha cos(lambda_alpha s), summed over the layers; elementwise.
+
+    On a layer of length L, amp^2 times the integral of cos^2 (sin^2) over
+    [0, L] is amp^2 (L/2) (1 +- sinc(2 lambda L/pi)); the cos^2 term is
+    ``_cos_products``' diagonal, evaluated the same way, so N_n is the
+    weighted diagonal of ``slab_grams`` bit for bit.  np.sinc covers lambda = 0.
+    """
     N = M = 0.0
     w_b, w_a = sys.weights
-    for w, mat, lam, length, th in (
-        (w_b, sys.mat_b, lam_b, sys.b, th_b),
-        (w_a, sys.mat_a, lam_a, sys.a, th_a),
+    for w, mat, lam, length, amp in (
+        (w_b, sys.mat_b, lam_b, sys.b, amp_b),
+        (w_a, sys.mat_a, lam_a, sys.a, amp_a),
     ):
-        wobble = np.sin(2 * lam * length) / (4 * lam)
-        sq = np.float_power(th, 2.0)
-        N += w * sq * (length / 2 + wobble)
-        M += mat.K * sq * np.float_power(lam, 2.0) * (length / 2 - wobble)
+        sq = amp * amp * (0.5 * length)
+        wobble = np.sinc((lam + lam) * (length / math.pi))
+        N += w * (sq * (1.0 + wobble))
+        M += mat.K * np.float_power(lam, 2.0) * (sq * (1.0 - wobble))
     return N, M
 
 
@@ -232,8 +218,8 @@ def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
     """Compute the first mode_count eigen-elements with norms attached.
 
     Amplitudes and norms of all modes are array expressions over the
-    frequencies; the degenerate-interface modes take theirs from one
-    stacked null-vector solve, and the records are built in one pass.
+    frequencies; the degenerate-interface modes take their amplitudes from
+    one stacked null-vector solve, and the records are built in one pass.
     """
     if mode_count < 1:
         raise ValidationError("mode_count must be at least 1")
@@ -241,17 +227,8 @@ def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
     lam_b = np.array([p.lambda_b for p in pairs])
     lam_a = np.array([p.lambda_a for p in pairs])
     lam_bar = np.array([p.lambda_bar for p in pairs])
-    cos_b, cos_a, degenerate = _interface_cosines(sys, lam_b, lam_a)
-    amp_b, amp_a = _interface_amplitudes(sys, lam_b, lam_a, cos_b, cos_a, degenerate)
-    norm_N, norm_M = np.empty(mode_count), np.empty(mode_count)
-    pinned = ~degenerate
-    norm_N[pinned], norm_M[pinned] = _pinned_norms(
-        sys, lam_b[pinned], lam_a[pinned], cos_b[pinned], cos_a[pinned]
-    )
-    norm_N[degenerate], norm_M[degenerate] = _degenerate_norms(
-        sys, lam_b[degenerate], lam_a[degenerate], amp_b[degenerate], amp_a[degenerate]
-    )
-    norm_N[0], norm_M[0] = _constant_mode_norm(sys), 0.0
+    amp_b, amp_a, degenerate = _interface_amplitudes(sys, lam_b, lam_a)
+    norm_N, norm_M = _mode_norms(sys, lam_b, lam_a, amp_b, amp_a)
     modes = tuple(
         map(
             EigenMode, pairs, norm_N.tolist(), norm_M.tolist(),

@@ -41,13 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid, RegParams, SampledField, SlabSystem, ValidationError
-from .basis import _interface_amplitudes, _interface_cosines, slab_matrix
-from .eigensolver import _phase_roots, eigen_phase
+from .basis import _interface_amplitudes, slab_matrix
+from .eigensolver import MAX_MODES, _phase_roots, eigen_phase
 from .spectral import CoeffVector, _recover, _synthesize
-
-# Largest closed-form bound on a plate's mode count that find_modes_2d accepts;
-# the modes and their brackets then stay within tens of MB.
-MAX_MODES_2D = 100_000
 
 
 class EvanescentBranchError(ValidationError):
@@ -163,7 +159,7 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
     m.  A target the phase meets at nu_lo (the constant mode) is that
     end; the others of every m are bisected together in one call, each
     with its own mu and target.  Plates whose closed-form mode count
-    exceeds MAX_MODES_2D are refused before anything is allocated.
+    exceeds MAX_MODES are refused before anything is allocated.
     """
     c = _require_c(sys)
     if not n_eps >= 0:
@@ -174,10 +170,10 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
     bound = (nu_max * c / math.pi + 1.0) * (
         nu_max * (sys.b + sys.kappa_ratio_root() * sys.a) / math.pi + 2.0
     )
-    if not bound <= MAX_MODES_2D:
+    if not bound <= MAX_MODES:
         raise ValidationError(
             f"n_eps = {n_eps!r} admits up to {bound:.3g} plate modes; "
-            f"at most {MAX_MODES_2D} are supported"
+            f"at most {MAX_MODES} are supported"
         )
     ms = np.arange(int(nu_max * c / math.pi) + 2)
     mu = ms * math.pi / c
@@ -201,8 +197,7 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
     )
     nu_a = nu_a_of(roots, mu_of, sys)
     lam_bar = kb * (np.float_power(roots, 2.0) + np.float_power(mu_of, 2.0))
-    cos_b, cos_a, degenerate = _interface_cosines(sys, roots, nu_a)
-    amp_b, amp_a = _interface_amplitudes(sys, roots, nu_a, cos_b, cos_a, degenerate)
+    amp_b, amp_a, degenerate = _interface_amplitudes(sys, roots, nu_a)
     # the fields of Mode2D in (lambda_bar, m, n) order
     order = np.lexsort((n, m_of, lam_bar))
     columns = [

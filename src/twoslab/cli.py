@@ -234,8 +234,10 @@ def default_config(example: str) -> RunConfig:
             recovery_policy="least-squares",
         )
     if example == "2d":
+        # the slice systems are square, solved per layer by least squares
         return replace(
-            RunConfig(), a=1.0, b=1.0, c=1.0, beta=0.01, gamma=1.0, mode_count=16
+            RunConfig(), a=1.0, b=1.0, c=1.0, beta=0.01, gamma=1.0, mode_count=16,
+            recovery_policy="least-squares",
         )
     raise ValidationError(f"unknown example {example!r}")
 
@@ -663,6 +665,11 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
     s = cfg.system()
     if s.c is None:
         raise ValidationError("example 2d needs a transverse depth c in the config")
+    if cfg.recovery_policy != "least-squares":
+        raise ValidationError(
+            "example 2d solves its square slice systems by least squares: "
+            f"recovery_policy must be 'least-squares', got {cfg.recovery_policy!r}"
+        )
     y0 = 0.0
     noise_bound = ((s.a + s.b) * s.c) ** -0.5
     display = uniform_grid(s, cfg.grid_points)

@@ -121,7 +121,8 @@ def validate_system(sys: SlabSystem) -> SlabSystem:
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
+    """A frozen copy of arr, so the caller's array stays writable and cannot change it."""
+    out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
 

@@ -42,6 +42,11 @@ from .core import NumericalError, SlabSystem, ValidationError
 
 _DBL_MAX = np.finfo(float).max
 
+# Most modes a rod (find_eigenvalues) or plate (bilayer2d.find_modes_2d)
+# spectrum may hold; larger requests are refused before anything is
+# allocated, so the modes and their brackets stay within tens of MB.
+MAX_MODES = 100_000
+
 
 def eigen_f(lambda_b, sys: SlabSystem):
     """Transcendental eigenvalue function; vectorized over lambda_b."""
@@ -148,9 +153,12 @@ def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:
     Index 0 is always lambda_b = 0 (the constant mode).  Root n >= 1 is
     bisected on the phase ``eigen_phase - n pi`` inside its own bracket
     (n -+ 1/2) pi / (b + r a) until the bracket ends are adjacent doubles.
+    More than MAX_MODES modes are refused before anything is allocated.
     """
     if N < 0:
         raise NumericalError("N must be non-negative")
+    if N >= MAX_MODES:
+        raise ValidationError(f"{N + 1} modes requested; at most {MAX_MODES} are supported")
     ratio = sys.kappa_ratio_root()
     n = np.arange(1, N + 1)
     width = math.pi / (sys.b + ratio * sys.a)

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from twoslab.basis import (
     DEGENERATE_COS_TOL,
     EigenMode,
-    _interface_cosines,
     _interface_null_vectors,
     build_basis,
+    slab_grams,
 )
 from twoslab.bilayer2d import Mode2D, find_modes_2d, nu_a_of
 from twoslab.core import Material, SlabSystem
@@ -81,25 +81,23 @@ def _loop_amplitudes(sys, lam_b, lam_a):
     return 1.0 / cos_b, 1.0 / cos_a, False
 
 
-def _loop_norms(sys, pair, amp_b, amp_a, degenerate):
-    mb, ma = sys.mat_b, sys.mat_a
-    if pair.n == 0:
-        return sys.b * mb.K / mb.kappa + sys.a * ma.K / ma.kappa, 0.0
-    if degenerate:
-        N = M = 0.0
-        for w, mat, lam, length, th in (
-            (sys.weights[0], mb, pair.lambda_b, sys.b, amp_b),
-            (sys.weights[1], ma, pair.lambda_a, sys.a, amp_a),
-        ):
-            wobble = math.sin(2 * lam * length) / (4 * lam)
-            N += w * th**2 * (length / 2 + wobble)
-            M += mat.K * th**2 * lam**2 * (length / 2 - wobble)
-        return N, M
-    cos_b, cos_a = math.cos(pair.lambda_b * sys.b), math.cos(pair.lambda_a * sys.a)
-    N = (sys.b * mb.K / (2 * mb.kappa)) / cos_b**2 + (sys.a * ma.K / (2 * ma.kappa)) / cos_a**2
-    M = (sys.b * mb.K / 2) * pair.lambda_b**2 / cos_b**2 + (
-        sys.a * ma.K / 2
-    ) * pair.lambda_a**2 / cos_a**2
+def _loop_sinc(x):
+    if x == 0.0:
+        return 1.0
+    return math.sin(math.pi * x) / (math.pi * x)
+
+
+def _loop_norms(sys, pair, amp_b, amp_a):
+    """Each layer's amp^2 (L/2) (1 +- sinc(2 lambda L/pi)), summed over the layers."""
+    N = M = 0.0
+    for w, mat, lam, length, amp in (
+        (sys.weights[0], sys.mat_b, pair.lambda_b, sys.b, amp_b),
+        (sys.weights[1], sys.mat_a, pair.lambda_a, sys.a, amp_a),
+    ):
+        sq = amp * amp * (0.5 * length)
+        wobble = _loop_sinc((lam + lam) * (length / math.pi))
+        N += w * (sq * (1.0 + wobble))
+        M += mat.K * lam**2 * (sq * (1.0 - wobble))
     return N, M
 
 
@@ -107,7 +105,7 @@ def _loop_build_basis(sys, count):
     modes = []
     for pair in _loop_find_eigenvalues(sys, count - 1):
         amp_b, amp_a, degenerate = _loop_amplitudes(sys, pair.lambda_b, pair.lambda_a)
-        N, M = _loop_norms(sys, pair, amp_b, amp_a, degenerate)
+        N, M = _loop_norms(sys, pair, amp_b, amp_a)
         modes.append(EigenMode(pair, N, M, amp_b, amp_a, degenerate))
     return tuple(modes)
 
@@ -178,6 +176,18 @@ def test_build_basis_matches_the_per_mode_loop_bit_for_bit(rod, count):
     assert basis.lambda_bars() is basis.lambda_bar
 
 
+@pytest.mark.parametrize("rod", sorted(RODS))
+def test_norms_are_the_weighted_gram_diagonal(rod):
+    sys = RODS[rod]
+    basis = build_basis(sys, 403)
+    Gb, Ga = slab_grams(basis)
+    w_b, w_a = sys.weights
+    assert _same_bits(basis.norm_N, w_b * np.diag(Gb) + w_a * np.diag(Ga))
+    norm_M = np.array([m.norm_M for m in basis.modes])
+    assert norm_M[0] == 0.0
+    assert np.all(np.abs(norm_M - basis.lambda_bar * basis.norm_N) <= 1e-12 * norm_M)
+
+
 @pytest.mark.parametrize("rod, degenerate", [("cu_mo", 0), ("unit", 50), ("stiff", 15)])
 def test_degenerate_modes_share_one_stacked_svd(rod, degenerate, monkeypatch):
     shapes = []
@@ -240,7 +250,7 @@ def _interface_systems(draw):
 def test_stacked_null_vectors_match_the_per_mode_svd(case):
     sys, lam_b = case
     lam_a = sys.kappa_ratio_root() * lam_b
-    cos_b, cos_a, _ = _interface_cosines(sys, lam_b, lam_a)
+    cos_b, cos_a = np.cos(lam_b * sys.b), np.cos(lam_a * sys.a)
     th_b, th_a = _interface_null_vectors(sys, lam_b, lam_a, cos_b, cos_a)
     want = [_loop_null_vector(sys, lb, la) for lb, la in zip(lam_b.tolist(), lam_a.tolist())]
     assert list(zip(th_b.tolist(), th_a.tolist())) == want

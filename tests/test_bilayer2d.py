@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.basis import _interface_amplitudes, build_basis
+from twoslab.basis import build_basis
 import twoslab.bilayer2d
 import twoslab.eigensolver
 from twoslab.bilayer2d import (
-    MAX_MODES_2D,
     EvanescentBranchError,
     Mode2D,
     eigen_f_2d,
@@ -35,7 +34,7 @@ from twoslab.core import (
     ValidationError,
     uniform_grid,
 )
-from twoslab.eigensolver import eigen_f, eigen_phase, find_eigenvalues
+from twoslab.eigensolver import MAX_MODES, eigen_f, eigen_phase, find_eigenvalues
 
 # enumeration thresholds with hand-checked mode inventories
 PAIRS_SMALL = [(0, 0)]
@@ -393,7 +392,7 @@ def test_find_modes_2d_rejects_nan_threshold(sys_2d):
 def test_find_modes_2d_refuses_oversized_spectra_before_allocating(sys_2d, n_eps):
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match=f"at most {MAX_MODES_2D}"):
+        with pytest.raises(ValidationError, match=f"at most {MAX_MODES}"):
             find_modes_2d(sys_2d, n_eps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -36,6 +36,7 @@ from twoslab.cli import (
     write_field_csv,
 )
 from twoslab.core import Material, SampledField, ValidationError, trapezoid_norm, uniform_grid
+from twoslab.eigensolver import MAX_MODES
 from twoslab.evolve import NOISE_BUDGET_RTOL
 from twoslab.spectral import RECOVERY_POLICIES, _validate_recovery
 
@@ -427,6 +428,9 @@ def test_write_example_outputs(ex3, ex2d, tmp_path):
     d2d = write_example_outputs(ex2d, tmp_path)
     assert (d2d / "modes2d.csv").exists()
     assert not (d2d / "bounds.csv").exists()
+    assert json.loads((d2d / "metadata.json").read_text())["config"]["recovery_policy"] == (
+        "least-squares"
+    )
 
 
 def test_check_bounds_record_inventory():
@@ -581,6 +585,35 @@ def test_main_exit1_on_geometry_collapsing_the_brackets(tmp_path, capsys, size):
     assert main(["eigen", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "root brackets" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigen", "--count", str(MAX_MODES + 1)],
+        ["backward", "--eps", "1e-4", "--infile", "final.csv", "--config", "huge.json"],
+    ],
+)
+def test_main_exit1_on_rod_mode_count_past_the_cap(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    grid = uniform_grid(RunConfig().system(), 20)
+    write_field_csv(SampledField(grid, np.zeros(20), np.zeros(20), 0.1), "final.csv")
+    Path("huge.json").write_text(json.dumps({"mode_count": 100_000_000}))
+    assert main(argv + ["--out", "out"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"at most {MAX_MODES}" in err[0]
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("policy", sorted(set(RECOVERY_POLICIES) - {"least-squares"}))
+def test_main_exit1_when_example2d_is_given_another_policy(tmp_path, capsys, policy):
+    cfg = tmp_path / "policy.json"
+    cfg.write_text(json.dumps({"recovery_policy": policy}))
+    out = tmp_path / "out"
+    assert main(["example", "2d", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "recovery_policy" in err[0]
     assert not out.exists()
 
 

@@ -61,6 +61,20 @@ def test_grid_arrays_are_readonly(sys_cm):
         g.nodes_b[0] = 1.0
 
 
+def test_fields_and_grids_own_their_arrays():
+    nodes_b = np.linspace(-5.0, 0.0, 5)
+    grid = Grid(nodes_b, np.linspace(0.0, 3.0, 5))
+    # the field's values are views of one writable array
+    values = np.arange(10.0)
+    field = SampledField(grid, values[:5], values[5:], 0.0)
+    assert values.flags.writeable and nodes_b.flags.writeable
+    values[0] = 7.0
+    nodes_b[0] = -4.5
+    assert field.values_b[0] == 0.0 and grid.nodes_b[0] == -5.0
+    with pytest.raises(ValueError):
+        field.values_b[0] = 1.0
+
+
 def test_grid_rejects_decreasing_or_missigned_nodes():
     with pytest.raises(ValidationError):
         Grid(np.array([-1.0, -2.0]), np.array([0.0, 1.0]))

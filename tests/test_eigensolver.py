@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import oracles
 from twoslab.bilayer2d import eigen_f_2d, find_modes_2d
 from twoslab.core import Material, NumericalError, SlabSystem, ValidationError
 from twoslab.eigensolver import (
+    MAX_MODES,
     _bisect_brackets,
     eigen_f,
     eigen_phase,
@@ -107,6 +109,22 @@ def test_eigen_phase_is_the_slab_phase_wherever_mu_vanishes(fixture, request):
 def test_find_eigenvalues_rejects_negative_count(sys_cm):
     with pytest.raises(NumericalError):
         find_eigenvalues(sys_cm, -1)
+
+
+@pytest.mark.parametrize("N", [MAX_MODES, 10**8, 10**18])
+def test_find_eigenvalues_refuses_more_than_max_modes_before_allocating(sys_cm, N):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"at most {MAX_MODES}"):
+            find_eigenvalues(sys_cm, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+
+
+def test_find_eigenvalues_accepts_max_modes(sys_explicit):
+    assert len(find_eigenvalues(sys_explicit, MAX_MODES - 1)) == MAX_MODES
 
 
 @pytest.mark.parametrize("size, count", [(1e308, 0), (1e308, 5), (1e-308, 1)])
