@@ -24,26 +24,25 @@ together in one call, with no grid.  nu_a, lambda_bar and the amplitudes
 ``np.lexsort`` puts them in (lambda_bar, m, n) order, and the ``Mode2D``
 records are built in one pass over the sorted columns.
 
-Backward reconstruction works on a fixed-y slice: with |Theta(eps)|
-retained modes, the slice is collocated on exactly that many nodes per
-layer (``core.uniform_grid``) and the square systems are solved per
-layer by the recovery and synthesis cores of ``spectral``.  A plate
-basis keeps its layer frequencies and amplitudes as arrays under the
-names of ``basis.EigenBasis``, so a slice matrix is the slab matrix of
-``basis.slab_matrix`` times each mode's transverse factor at the slice.
+Backward reconstruction works on a fixed-y slice: on y = y0 each mode is
+its x-factor times the constant Y_m(y0), so ``slice_basis`` folds Y_m(y0)
+into the amplitudes and the slice runs on the rod's path (the mode
+matrices, recovery and synthesis of ``spectral``).  With |Theta(eps)|
+retained modes it is collocated on exactly that many nodes per layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Grid, RegParams, SampledField, SlabSystem, ValidationError
-from .basis import _interface_amplitudes, slab_matrix
+from .core import RegParams, SampledField, SlabSystem, ValidationError
+from .basis import _interface_amplitudes
 from .eigensolver import MAX_MODES, _phase_roots, eigen_phase
-from .spectral import CoeffVector, _recover, _synthesize
+from .evolve import _reconstruct
+from .spectral import recover_coefficients
 
 
 class EvanescentBranchError(ValidationError):
@@ -215,15 +214,14 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
     )
 
 
-def slice_matrix(basis2d: Basis2D, nodes: np.ndarray, slab: str, y0: float) -> np.ndarray:
-    """Collocation matrix of phi_2d values at fixed y0 for one layer."""
+def slice_basis(basis2d: Basis2D, y0: float) -> Basis2D:
+    """The modes on y = y0: amplitudes times Y_m(y0), in the arrays and the records alike."""
     c = _require_c(basis2d.sys)
     y = np.array([y_mode(md.m, y0, c) for md in basis2d.modes])
-    return slab_matrix(basis2d, nodes, slab, len(basis2d)) * y
-
-
-def _slice_matrices(basis2d: Basis2D, grid: Grid, y0: float) -> tuple[np.ndarray, np.ndarray]:
-    return slice_matrix(basis2d, grid.nodes_b, "b", y0), slice_matrix(basis2d, grid.nodes_a, "a", y0)
+    amp_b, amp_a = basis2d.amp_b * y, basis2d.amp_a * y
+    modes = zip(basis2d.modes, amp_b.tolist(), amp_a.tolist())
+    modes = tuple(replace(md, amp_b=b, amp_a=a) for md, b, a in modes)
+    return replace(basis2d, modes=modes, amp_b=amp_b, amp_a=amp_a)
 
 
 def _validate_slice(basis2d: Basis2D, field: SampledField) -> None:
@@ -240,22 +238,8 @@ def recover_slice_coefficients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Square per-layer solves of the slice collocation systems."""
     _validate_slice(basis2d, field)
-    Pb, Pa = _slice_matrices(basis2d, field.grid, y0)
-    coeffs = _recover(basis2d, field, len(basis2d), "least-squares", Pb, Pa)
+    coeffs = recover_coefficients(slice_basis(basis2d, y0), field, len(basis2d), "least-squares")
     return coeffs.c_b, coeffs.c_a
-
-
-def synthesize_slice(
-    basis2d: Basis2D,
-    c_b: np.ndarray,
-    c_a: np.ndarray,
-    y0: float,
-    t: float,
-    grid: Grid,
-) -> SampledField:
-    """Evaluate the amplified slice series on a grid at time t."""
-    coeffs = CoeffVector(basis=basis2d, c_b=c_b, c_a=c_a)
-    return _synthesize(basis2d, coeffs, t, grid, *_slice_matrices(basis2d, grid, y0))
 
 
 def reconstruct_2d_slice(
@@ -268,18 +252,12 @@ def reconstruct_2d_slice(
     """Cut-off reconstruction of the y0-slice at time t from final data.
 
     The measurement grid must carry exactly |Theta(eps)| nodes per layer
-    (see ``uniform_grid``); the amplified series is returned on that grid,
-    evaluated from the same slice matrices the solves use.
+    (see ``uniform_grid``); the series of every mode ``find_modes_2d`` returns
+    is amplified on that grid, from the same mode matrices the solves use.
     """
     c = _require_c(sys)
     if not (0.0 <= y0 <= c):
         raise ValidationError("y0 must lie in [0, c]")
-    if not (sys.t0 <= t <= sys.tf):
-        raise ValidationError("t must lie in [t0, tf]")
     basis2d = find_modes_2d(sys, reg.n_eps)
-    if len(basis2d) == 0:
-        raise ValidationError("cut-off removed every 2D mode; nothing to reconstruct")
     _validate_slice(basis2d, measured_tf)
-    Pb, Pa = _slice_matrices(basis2d, measured_tf.grid, y0)
-    coeffs = _recover(basis2d, measured_tf, len(basis2d), "least-squares", Pb, Pa)
-    return _synthesize(basis2d, coeffs, t, measured_tf.grid, Pb, Pa)
+    return _reconstruct(slice_basis(basis2d, y0), measured_tf, len(basis2d), t, "least-squares")

@@ -12,8 +12,9 @@ check-bounds  Monte Carlo verification of the three growth/stability bounds
 All randomness flows through counter-based Philox generators keyed by
 (seed, example id, stream index), so concurrency and run order can never
 change results; every artifact is byte-reproducible for a fixed config
-and seed.  Exit codes: 0 ok, 1 invalid config/input, 2 numerical
-failure (rank deficiency, amplification overflow), 3 bound violation.
+and seed.  Exit codes: 0 ok, 1 invalid config/input or an output that
+cannot be written, 2 numerical failure (rank deficiency, amplification
+overflow, a non-finite series), 3 bound violation.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .evolve import (
 from .spectral import (
     RECOVERY_POLICIES,
     CoeffVector,
+    _mode_matrices,
     _recover,
     _synthesize,
     amplification_factors,
@@ -60,12 +62,7 @@ from .spectral import (
 )
 # recover_slice_coefficients stays importable from here: perfbench/repeat_share.py
 # counts its calls under this module's name
-from .bilayer2d import (  # noqa: F401
-    _slice_matrices,
-    find_modes_2d,
-    recover_slice_coefficients,
-    synthesize_slice,
-)
+from .bilayer2d import find_modes_2d, recover_slice_coefficients, slice_basis  # noqa: F401
 
 RNG_NAME = "numpy.Philox/SeedSequence(seed, spawn_key=(example, stream))"
 
@@ -686,7 +683,7 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
     modes_csv_rows: list[str] = []
     for i, eps in enumerate(cfg.eps_list):
         reg = cfg.reg(eps)
-        basis2d = find_modes_2d(s, reg.n_eps)
+        basis2d = slice_basis(find_modes_2d(s, reg.n_eps), y0)
         count = len(basis2d)
         if count == 0:
             raise ValidationError(f"eps={eps:g}: cut-off removed every 2D mode")
@@ -694,15 +691,15 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
         initial = SampledField(
             grid, slice_b(grid.nodes_b), slice_a(grid.nodes_a), s.t0
         )
-        # the initial fit, the final synthesis and the noisy fit share grid's slice matrices
-        Pb, Pa = _slice_matrices(basis2d, grid, y0)
+        # the initial fit, the final synthesis and the noisy fit share grid's mode matrices
+        Pb, Pa = _mode_matrices(basis2d, grid, count)
         c0 = _recover(basis2d, initial, count, "least-squares", Pb, Pa)
         decay = np.exp(-basis2d.lambda_bars() * s.window)
         c_tf = CoeffVector(basis=basis2d, c_b=c0.c_b * decay, c_a=c0.c_a * decay)
         final = _synthesize(basis2d, c_tf, s.tf, grid, Pb, Pa)
         noisy = inject_noise(final, eps, noise_bound, rng_for(cfg.seed, 4, i))
         rec = _recover(basis2d, noisy, count, "least-squares", Pb, Pa)
-        recon = synthesize_slice(basis2d, rec.c_b, rec.c_a, y0, s.t0, display)
+        recon = synthesize(basis2d, rec, s.t0, display)
         vals = np.concatenate([recon.values_b, recon.values_a])
         columns[eps_label(eps)] = vals
         per_eps[eps_label(eps)] = {
@@ -861,6 +858,11 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 2
+    except OSError as exc:
+        # inputs are read through _read_text, which raises ValidationError,
+        # so an OSError here comes from creating or writing an output
+        print(f"error: cannot write output: {exc}", file=_sys.stderr)
+        return 1
 
 
 def _write_and_report(write, payload, path: Path) -> None:

@@ -89,10 +89,16 @@ def cutoff_reconstruct(
     they are then amplified by exp(lambda_bar_n (tf - t)) and evaluated
     on the measurement grid, from the same mode matrices.
     """
+    return _reconstruct(basis, measured_tf, retained_modes(basis, reg.n_eps), t, policy)
+
+
+def _reconstruct(
+    basis: EigenBasis, measured_tf: SampledField, count: int, t: float, policy: str
+) -> SampledField:
+    """The first ``count`` modes recovered from ``measured_tf``, amplified to t on its grid."""
     s = basis.sys
     if not (s.t0 <= t <= s.tf):
         raise ValidationError("t must lie in [t0, tf]")
-    count = retained_modes(basis, reg.n_eps)
     if count == 0:
         raise ValidationError("cut-off removed every mode; nothing to reconstruct")
     coeffs, Pb, Pa = _recover_on_grid(basis, measured_tf, count, policy)

@@ -20,16 +20,17 @@ A factorisation that does not converge is refused as well, with
 condition nan.
 
 Synthesis evaluates T(x, t) = sum C_n exp(lambda_bar_n (tf - t)) phi_n(x),
-the backward-amplified series; exponents above 700 are refused.
+the backward-amplified series; exponents above 700 are refused, and so
+is a series that is not finite at some node (``NumericalError``).
 
 Both steps evaluate the same mode matrices phi_{alpha n}(x_j) when the
 series is synthesized on the data grid.  A reconstruction
 (``evolve.cutoff_reconstruct``, ``evolve.forward_solve``) therefore
 builds each slab's matrix once (``_recover_on_grid`` returns them with
 the coefficients) and hands it to ``_synthesize``; the public wrappers
-build their own.  The cores need only ``len(basis)``, ``basis.sys`` and
-``basis.lambda_bars()``, so the plate slice (``bilayer2d``) runs them on
-its slice matrices too.
+build their own.  A plate slice (``bilayer2d.slice_basis``) keeps its
+frequencies and amplitudes under the rod basis's names, so it runs
+through these same mode matrices, recovery and synthesis.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 from .core import (
     AmplificationOverflowError,
     Grid,
+    NumericalError,
     RankDeficientError,
     SampledField,
     ValidationError,
@@ -238,8 +240,8 @@ def _quadrature_inner(basis: EigenBasis, f_b, f_a, mode_count: int) -> tuple[np.
 def amplification_factors(basis: EigenBasis, mode_count: int, t: float) -> np.ndarray:
     """exp(lambda_bar_n (tf - t)) for the first mode_count modes.
 
-    Refused when an exponent passes EXP_ARG_LIMIT; this is the one
-    amplification guard of the package.
+    Refused when an exponent passes EXP_ARG_LIMIT.  The bound checkers'
+    gain exp(2 N_eps (tf - t)) has its own refusal (``evolve._cutoff_gain``).
     """
     arg = basis.lambda_bars()[:mode_count] * (basis.sys.tf - t)
     peak = float(np.max(arg, initial=0.0))
@@ -253,14 +255,12 @@ def amplification_factors(basis: EigenBasis, mode_count: int, t: float) -> np.nd
 def _synthesize(
     basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid, Pb: np.ndarray, Pa: np.ndarray
 ) -> SampledField:
-    """The amplified series at time t from the mode matrices of ``grid``."""
+    """The amplified series at time t from the mode matrices of ``grid``, refused if not finite."""
     amp = amplification_factors(basis, len(coeffs), t)
-    return SampledField(
-        grid=grid,
-        values_b=Pb @ (coeffs.c_b * amp),
-        values_a=Pa @ (coeffs.c_a * amp),
-        time=t,
-    )
+    values_b, values_a = Pb @ (coeffs.c_b * amp), Pa @ (coeffs.c_a * amp)
+    if not (np.isfinite(values_b).all() and np.isfinite(values_a).all()):
+        raise NumericalError(f"the series at t = {t!r} has a non-finite value")
+    return SampledField(grid=grid, values_b=values_b, values_a=values_a, time=t)
 
 
 def synthesize(basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid) -> SampledField:

@@ -21,8 +21,7 @@ from twoslab.bilayer2d import (
     phi_2d,
     reconstruct_2d_slice,
     recover_slice_coefficients,
-    slice_matrix,
-    synthesize_slice,
+    slice_basis,
     y_mode,
 )
 from twoslab.core import (
@@ -35,6 +34,7 @@ from twoslab.core import (
     uniform_grid,
 )
 from twoslab.eigensolver import MAX_MODES, eigen_f, eigen_phase, find_eigenvalues
+from twoslab.spectral import CoeffVector, _mode_matrices, synthesize
 
 # enumeration thresholds with hand-checked mode inventories
 PAIRS_SMALL = [(0, 0)]
@@ -163,6 +163,12 @@ def test_slice_grid_single_node_midpoints(sys_2d):
     assert g.nodes_a[0] == pytest.approx(0.5)
 
 
+def _slice_series(basis2d, c_b, c_a, y0, t, grid):
+    """The amplified slice series at time t on ``grid``, through the rod's synthesis."""
+    on_slice = slice_basis(basis2d, y0)
+    return synthesize(on_slice, CoeffVector(basis=on_slice, c_b=c_b, c_a=c_a), t, grid)
+
+
 def test_slice_round_trip(sys_2d):
     basis2d = find_modes_2d(sys_2d, 20.0)
     count = len(basis2d)
@@ -172,14 +178,14 @@ def test_slice_round_trip(sys_2d):
     c_a = c_b.copy()
     grid = uniform_grid(sys_2d, count)
     y0 = 0.3
-    final = synthesize_slice(basis2d, c_b, c_a, y0, sys_2d.tf, grid)
+    final = _slice_series(basis2d, c_b, c_a, y0, sys_2d.tf, grid)
     rec_b, rec_a = recover_slice_coefficients(basis2d, final, y0)
     assert np.max(np.abs(rec_b - c_b)) < 1e-7
     assert np.max(np.abs(rec_a - c_a)) < 1e-7
 
     reg = RegParams(epsilon=1e-6, beta=0.05, gamma=0.5, n_eps=20.0)
     recon = reconstruct_2d_slice(sys_2d, final, reg, y0, sys_2d.t0)
-    want = synthesize_slice(basis2d, c_b, c_a, y0, sys_2d.t0, grid)
+    want = _slice_series(basis2d, c_b, c_a, y0, sys_2d.t0, grid)
     assert np.max(np.abs(recon.values_b - want.values_b)) < 1e-6
     assert np.max(np.abs(recon.values_a - want.values_a)) < 1e-6
 
@@ -215,48 +221,67 @@ def test_2d_routines_require_transverse_depth(sys_cm):
 
 
 def _slice_matrix_loop(basis2d, nodes, slab, y0):
-    """Column-by-column reference form of ``slice_matrix``."""
+    """Column-by-column reference form of the slice's mode matrix, from the plate's records."""
     s = basis2d.sys
     nodes = np.asarray(nodes, dtype=float)
     cols = []
     for md in basis2d.modes:
+        y = y_mode(md.m, y0, s.c)
         if slab == "b":
-            xpart = md.amp_b * np.cos(md.nu_b * (nodes + s.b))
+            cols.append((md.amp_b * y) * np.cos(md.nu_b * (nodes + s.b)))
         else:
-            xpart = md.amp_a * np.cos(md.nu_a * (nodes - s.a))
-        cols.append(xpart * y_mode(md.m, y0, s.c))
+            cols.append((md.amp_a * y) * np.cos(md.nu_a * (nodes - s.a)))
     return np.column_stack(cols)
 
 
 @pytest.mark.parametrize("nodes", [1, 6, 1000, 11000])
 @pytest.mark.parametrize("y0", [0.0, 0.3, 1.0])
 def test_slice_matrix_matches_loop_form(sys_2d, nodes, y0):
+    # the rod's mode matrices of the slice basis are X_mn(x) Y_m(y0), column for column
     basis2d = find_modes_2d(sys_2d, 60.0)
     grid = uniform_grid(sys_2d, nodes)
-    for slab, x in (("b", grid.nodes_b), ("a", grid.nodes_a)):
-        got = slice_matrix(basis2d, x, slab, y0)
-        assert got.shape == (nodes, len(basis2d))
-        assert np.array_equal(got, _slice_matrix_loop(basis2d, x, slab, y0))
+    got = _mode_matrices(slice_basis(basis2d, y0), grid, len(basis2d))
+    for P, slab, x in zip(got, "ba", (grid.nodes_b, grid.nodes_a)):
+        assert P.shape == (nodes, len(basis2d))
+        assert np.array_equal(P, _slice_matrix_loop(basis2d, x, slab, y0))
+
+
+@pytest.mark.parametrize("y0", [0.0, 0.3, 1.0])
+def test_slice_basis_records_match_its_arrays(sys_2d, y0):
+    # 15 modes, m = 0, 1 and 2 among them
+    basis2d = find_modes_2d(sys_2d, 60.0)
+    on_slice = slice_basis(basis2d, y0)
+    assert len(on_slice) == len(basis2d) == 15
+    assert on_slice.sys is basis2d.sys
+    for name in ("lambda_b", "lambda_a", "lambda_bar"):
+        assert np.array_equal(getattr(on_slice, name), getattr(basis2d, name))
+    y = np.array([y_mode(md.m, y0, sys_2d.c) for md in basis2d.modes])
+    assert np.array_equal(on_slice.amp_b, basis2d.amp_b * y)
+    assert np.array_equal(on_slice.amp_a, basis2d.amp_a * y)
+    assert np.array_equal([md.amp_b for md in on_slice.modes], on_slice.amp_b)
+    assert np.array_equal([md.amp_a for md in on_slice.modes], on_slice.amp_a)
+    for got, plate in zip(on_slice.modes, basis2d.modes):
+        assert dataclasses.replace(got, amp_b=plate.amp_b, amp_a=plate.amp_a) == plate
 
 
 @pytest.mark.parametrize("y0", [0.0, 0.3, 1.0])
 def test_reconstruct_slice_shares_matrices(sys_2d, y0, monkeypatch):
-    import twoslab.bilayer2d
+    import twoslab.spectral
 
     reg = RegParams(epsilon=1e-6, beta=0.05, gamma=0.5, n_eps=20.0)
     basis2d = find_modes_2d(sys_2d, reg.n_eps)
     count = len(basis2d)
     grid = uniform_grid(sys_2d, count)
     c = np.random.default_rng(5).uniform(-1, 1, count)
-    final = synthesize_slice(basis2d, c, c, y0, sys_2d.tf, grid)
+    final = _slice_series(basis2d, c, c, y0, sys_2d.tf, grid)
     t = 0.5 * (sys_2d.t0 + sys_2d.tf)
     r_b, r_a = recover_slice_coefficients(basis2d, final, y0)
-    want = synthesize_slice(basis2d, r_b, r_a, y0, t, grid)
+    want = _slice_series(basis2d, r_b, r_a, y0, t, grid)
 
     calls = []
-    real = twoslab.bilayer2d.slice_matrix
+    real = twoslab.spectral.slab_matrix
     monkeypatch.setattr(
-        twoslab.bilayer2d, "slice_matrix", lambda *a: calls.append(a[2]) or real(*a)
+        twoslab.spectral, "slab_matrix", lambda *a: calls.append(a[2]) or real(*a)
     )
     got = reconstruct_2d_slice(sys_2d, final, reg, y0, t)
     assert sorted(calls) == ["a", "b"]

@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import twoslab.basis as basis_module
-import twoslab.bilayer2d as bilayer2d_module
 import twoslab.cli as cli
 import twoslab.spectral as spectral_module
 from twoslab.basis import build_basis
@@ -400,7 +399,7 @@ def test_example2d_builds_each_slice_matrix_once_per_eps(monkeypatch):
     # per eps: one matrix per layer on the count-node grid, shared by the
     # initial fit, the final synthesis and the noisy fit, and one on the display grid
     cfg = replace(default_config("2d"), beta=0.2, eps_list=(1e-2, 1e-6))
-    calls = _count_slab_matrices(monkeypatch, bilayer2d_module)
+    calls = _count_slab_matrices(monkeypatch, spectral_module)
     result = run_example("2d", cfg)
     counts = [result.metadata["per_eps"][eps_label(e)]["retained_modes"] for e in cfg.eps_list]
     assert cfg.grid_points not in counts
@@ -739,6 +738,52 @@ def test_main_exit2_on_amplification_overflow(sys_cm, tmp_path):
     rc = main(["backward", "--infile", str(csv), "--eps", "1e-6",
                "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
+
+
+def _write_rows(path, rows):
+    path.write_text("slab,x,value\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("case", ["series-overflow", "data-overflow"])
+def test_main_exit2_when_the_series_is_not_finite(tmp_path, capsys, case):
+    csv = tmp_path / "initial.csv"
+    if case == "series-overflow":
+        # the least-squares fit of 8 modes overflows
+        x = np.concatenate((np.linspace(-5.0, 0.0, 20), np.linspace(0.0, 3.0, 20))).tolist()
+        slabs = "b" * 20 + "a" * 20
+        _write_rows(csv, [f"{s},{v!r},{1e306 * math.cos(0.3 * v)!r}" for s, v in zip(slabs, x)])
+        cfg = tmp_path / "lsq.json"
+        cfg.write_text('{"recovery_policy": "least-squares"}')
+        extra = ["--modes", "8", "--config", str(cfg)]
+    else:
+        # the projection's weighted data overflows, so its coefficients are not finite
+        _write_rows(csv, ["b,-5,1", "b,0,1", "a,0,1", "a,3,1e308"])
+        extra = []
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["forward", "--infile", str(csv), "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ") and "non-finite" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "example", "check-bounds"])
+def test_main_exit1_when_the_output_cannot_be_written(sys_cm, tmp_path, capsys, command):
+    # a file stands where the output directory would be
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    csv = tmp_path / "initial.csv"
+    grid = uniform_grid(sys_cm, 20)
+    write_field_csv(SampledField(grid, np.cos(grid.nodes_b), np.cos(grid.nodes_a), sys_cm.t0), csv)
+    argv = {
+        "forward": ["forward", "--infile", str(csv), "--out", str(blocker)],
+        "example": ["example", "2d", "--out", str(blocker / "sub")],
+        "check-bounds": ["check-bounds", "--trials", "1", "--out", str(blocker)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+    assert blocker.read_text() == ""
 
 
 def test_main_exit3_on_bound_violation(monkeypatch, tmp_path):

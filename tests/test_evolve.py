@@ -12,6 +12,7 @@ import oracles
 from twoslab.basis import build_basis, slab_grams
 from twoslab.core import (
     AmplificationOverflowError,
+    NumericalError,
     RegParams,
     SampledField,
     ValidationError,
@@ -472,6 +473,18 @@ def test_forward_solve_onto_another_grid(basis_cm, sys_cm):
     assert got.grid is target
     assert np.array_equal(got.values_b, want.values_b)
     assert np.array_equal(got.values_a, want.values_a)
+
+
+def test_forward_solve_refuses_a_series_that_overflows(basis_cm, sys_cm):
+    # the fit of 1e306 cos(0.3 x) passes the condition guard, but the values
+    # overflow, so the series holds inf and nan
+    grid = uniform_grid(sys_cm, 20)
+    field = SampledField(
+        grid, 1e306 * np.cos(0.3 * grid.nodes_b), 1e306 * np.cos(0.3 * grid.nodes_a), sys_cm.t0
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite value"):
+            forward_solve(basis_cm, field, grid, 8, policy="least-squares")
 
 
 def test_cutoff_reconstruct_validation_order(basis_cm, sys_cm):

@@ -395,12 +395,12 @@ def test_each_guarded_solve_factors_its_matrix_once(basis_cm, sys_cm, linalg_cal
 
 
 def test_slice_solves_factor_each_matrix_once(sys_2d, linalg_calls):
-    from twoslab.bilayer2d import find_modes_2d, reconstruct_2d_slice, synthesize_slice
+    from twoslab.bilayer2d import find_modes_2d, reconstruct_2d_slice, slice_basis
 
-    basis2d = find_modes_2d(sys_2d, 20.0)
-    c = np.linspace(1.0, 0.5, len(basis2d))
-    grid = uniform_grid(sys_2d, len(basis2d))
-    final = synthesize_slice(basis2d, c, c, 0.3, sys_2d.tf, grid)
+    on_slice = slice_basis(find_modes_2d(sys_2d, 20.0), 0.3)
+    c = np.linspace(1.0, 0.5, len(on_slice))
+    grid = uniform_grid(sys_2d, len(on_slice))
+    final = synthesize(on_slice, CoeffVector(basis=on_slice, c_b=c, c_a=c), sys_2d.tf, grid)
     linalg_calls.clear()
     reg = RegParams(epsilon=1e-6, beta=0.05, gamma=0.5, n_eps=20.0)
     reconstruct_2d_slice(sys_2d, final, reg, 0.3, sys_2d.t0)
