@@ -33,6 +33,7 @@ from .core import (
     Grid,
     Material,
     NumericalError,
+    RankDeficientError,
     RegParams,
     SampledField,
     SlabSystem,
@@ -394,8 +395,7 @@ BOUND_SUITE_MODES = 20  # modes per bound-suite system; its grid has twice as ma
 
 
 def _check(name: str, lhs: float, rhs: float, direction: str) -> BoundRecord:
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise NumericalError(f"bound {name}: non-finite side (lhs {lhs!r}, rhs {rhs!r})")
+    """The verdict on two finite sides: the checkers refuse a side that is not."""
     if direction == "lower":  # theorem says lhs >= rhs
         ok = lhs >= rhs * (1.0 - BOUND_TOL) - 1e-300
     else:  # theorem says lhs <= rhs
@@ -888,7 +888,16 @@ def _dispatch(args) -> int:
         if modes is None:  # as many modes as both slabs' nodes can determine
             modes = min(cfg.mode_count, len(grid.nodes_b), len(grid.nodes_a))
         basis = build_basis(s, modes)
-        final = forward_solve(basis, field0, grid, modes, policy=cfg.recovery_policy)
+        try:
+            final = forward_solve(basis, field0, grid, modes, policy=cfg.recovery_policy)
+        except RankDeficientError as exc:
+            if args.modes is not None:
+                raise
+            raise RankDeficientError(
+                f"{exc}; without --modes the fit takes {modes} modes (the grid capacity, "
+                "at most mode_count), and --modes sets fewer",
+                exc.condition,
+            ) from exc
         _write_and_report(write_field_csv, final, out / "forward.csv")
         return 0
 

@@ -10,11 +10,13 @@ which caps the amplification of every retained mode at eps^{-beta gamma}
 over the full window.  The three bound checkers evaluate both sides of
 the growth/stability estimates numerically; the series norms come from
 the closed-form slab Gram matrices, so neither side carries quadrature
-error.
+error.  A side that overflows is refused (``NumericalError``), with no
+numpy warning first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +25,7 @@ import numpy as np
 from .core import (
     AmplificationOverflowError,
     Grid,
+    NumericalError,
     RegParams,
     SampledField,
     SlabSystem,
@@ -35,6 +38,7 @@ from .spectral import (
     _mode_matrices,
     _quadrature_inner,
     _recover_on_grid,
+    _series_field,
     _synthesize,
     amplification_factors,
     project_coefficients,
@@ -138,6 +142,21 @@ def _cutoff_gain(s: SlabSystem, reg: RegParams, t: float) -> float:
     return 1.0 / min(*s.weights, 1.0) * reg.n_eps * math.exp(arg)
 
 
+def _finite_sides(checker):
+    """``checker``, evaluated with no numpy warning, refusing a side that is not finite."""
+
+    @functools.wraps(checker)
+    def checked(*args, **kwargs) -> tuple[float, float]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs, rhs = checker(*args, **kwargs)
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise NumericalError(f"{checker.__name__}: non-finite side (lhs {lhs!r}, rhs {rhs!r})")
+        return lhs, rhs
+
+    return checked
+
+
+@_finite_sides
 def instability_lower_bound(
     basis: EigenBasis, coeffs: CoeffVector, t: float
 ) -> tuple[float, float]:
@@ -155,6 +174,7 @@ def instability_lower_bound(
     return lhs, rhs
 
 
+@_finite_sides
 def stability_bound(
     basis: EigenBasis,
     final_field: SampledField,
@@ -175,6 +195,7 @@ def stability_bound(
     return lhs, _cutoff_gain(basis.sys, reg, t) * (w_b * db**2 + w_a * da**2)
 
 
+@_finite_sides
 def noise_gap_bound(
     basis: EigenBasis,
     clean_tf: SampledField,
@@ -316,7 +337,8 @@ def nonhomogeneous_solve(
     The integral uses composite Simpson over the stored time nodes that
     fall in [t, tf]; if t lands between nodes, D is linearly interpolated
     to the endpoint.  At least 3 nodes must cover [t, tf], and the last
-    node must be tf itself.
+    node must be tf itself.  A solution that is not finite at some node
+    is refused (``NumericalError``), as ``synthesize`` refuses it.
     """
     count = len(coeffs)
     if sources.d_b.shape[1] != count:
@@ -345,14 +367,12 @@ def nonhomogeneous_solve(
     # the guard first: no growth factor below exceeds exp(lambda_bar_n (tf-t))
     amp = amplification_factors(basis, count, t)
     lam = basis.lambda_bars()[:count]
-    growth = np.exp(lam[None, :] * (ts[:, None] - t))
-    int_b = simpson(db * growth, ts)
-    int_a = simpson(da * growth, ts)
-    eff = CoeffVector(
-        basis=basis,
-        c_b=coeffs.c_b * amp - int_b,
-        c_a=coeffs.c_a * amp - int_a,
-    )
-    # coefficients already carry their time factors; synthesize at tf applies none
     Pb, Pa = _mode_matrices(basis, grid, count)
-    return SampledField(grid=grid, values_b=Pb @ eff.c_b, values_a=Pa @ eff.c_a, time=t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.exp(lam[None, :] * (ts[:, None] - t))
+        int_b = simpson(db * growth, ts)
+        int_a = simpson(da * growth, ts)
+        # the effective coefficients carry their time factors: no amplification follows
+        values_b = Pb @ (coeffs.c_b * amp - int_b)
+        values_a = Pa @ (coeffs.c_a * amp - int_a)
+    return _series_field(grid, values_b, values_a, t)

@@ -21,7 +21,9 @@ condition nan.
 
 Synthesis evaluates T(x, t) = sum C_n exp(lambda_bar_n (tf - t)) phi_n(x),
 the backward-amplified series; exponents above 700 are refused, and so
-is a series that is not finite at some node (``NumericalError``).
+is a series that is not finite at some node (``NumericalError``), as
+is a recovered coefficient that is not finite.  Both refusals come
+with no numpy warning first.
 
 Both steps evaluate the same mode matrices phi_{alpha n}(x_j) when the
 series is synthesized on the data grid.  A reconstruction
@@ -164,21 +166,28 @@ def _recover(
     """Recovery from the mode matrices of the field's own grid, inputs validated.
 
     "strict-paper" solves on the rows of the subsampled nodes.  A
-    factorisation that does not converge is refused with condition nan.
+    factorisation that does not converge is refused with condition nan,
+    and so is a coefficient that overflowed: quietly, with no numpy
+    warning first.
     """
     try:
-        if policy == "projection":
-            return _recover_projection(basis, field, Pb, Pa)
-        out = []
-        for A, values in ((Pb, field.values_b), (Pa, field.values_a)):
-            values = np.asarray(values, float)
-            if policy == "strict-paper":
-                idx = _strict_subsample(len(A), mode_count)
-                A, values = A[idx], values[idx]
-            out.append(_solve_slab(A, values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if policy == "projection":
+                coeffs = _recover_projection(basis, field, Pb, Pa)
+            else:
+                out = []
+                for A, values in ((Pb, field.values_b), (Pa, field.values_a)):
+                    values = np.asarray(values, float)
+                    if policy == "strict-paper":
+                        idx = _strict_subsample(len(A), mode_count)
+                        A, values = A[idx], values[idx]
+                    out.append(_solve_slab(A, values))
+                coeffs = CoeffVector(basis=basis, c_b=out[0], c_a=out[1])
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"coefficient recovery failed: {exc}", math.nan) from exc
-    return CoeffVector(basis=basis, c_b=out[0], c_a=out[1])
+    if not (np.isfinite(coeffs.c_b).all() and np.isfinite(coeffs.c_a).all()):
+        raise NumericalError("the recovered coefficients hold a non-finite value")
+    return coeffs
 
 
 def _recover_on_grid(
@@ -252,15 +261,26 @@ def amplification_factors(basis: EigenBasis, mode_count: int, t: float) -> np.nd
     return np.exp(arg)
 
 
+def _series_field(grid: Grid, values_b: np.ndarray, values_a: np.ndarray, t: float) -> SampledField:
+    """A series' values on ``grid`` at time t as a field, refused if one is not finite.
+
+    Each caller evaluates its series under ``np.errstate(over="ignore",
+    invalid="ignore")``, so an overflow reaches this refusal with no
+    numpy warning first.
+    """
+    if not (np.isfinite(values_b).all() and np.isfinite(values_a).all()):
+        raise NumericalError(f"the series at t = {t!r} has a non-finite value")
+    return SampledField(grid=grid, values_b=values_b, values_a=values_a, time=t)
+
+
 def _synthesize(
     basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid, Pb: np.ndarray, Pa: np.ndarray
 ) -> SampledField:
     """The amplified series at time t from the mode matrices of ``grid``, refused if not finite."""
     amp = amplification_factors(basis, len(coeffs), t)
-    values_b, values_a = Pb @ (coeffs.c_b * amp), Pa @ (coeffs.c_a * amp)
-    if not (np.isfinite(values_b).all() and np.isfinite(values_a).all()):
-        raise NumericalError(f"the series at t = {t!r} has a non-finite value")
-    return SampledField(grid=grid, values_b=values_b, values_a=values_a, time=t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values_b, values_a = Pb @ (coeffs.c_b * amp), Pa @ (coeffs.c_a * amp)
+    return _series_field(grid, values_b, values_a, t)
 
 
 def synthesize(basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid) -> SampledField:

@@ -39,6 +39,9 @@ from twoslab.eigensolver import MAX_MODES
 from twoslab.evolve import NOISE_BUDGET_RTOL
 from twoslab.spectral import RECOVERY_POLICIES, _validate_recovery
 
+# a refusal reports its own numerical failure: no numpy warning comes first
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def ex1():
@@ -631,7 +634,8 @@ def test_main_exit2_on_non_finite_bound_side(tmp_path, capsys):
     cfg.write_text('{"tf": 10}')
     out = tmp_path / "out"
     assert main(["check-bounds", "--trials", "3", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "non-finite side" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical failure: ") and "non-finite side" in line
     assert not (out / "bounds.csv").exists()
 
 
@@ -744,30 +748,51 @@ def _write_rows(path, rows):
     path.write_text("slab,x,value\n" + "\n".join(rows) + "\n")
 
 
-@pytest.mark.parametrize("case", ["series-overflow", "data-overflow"])
+def _write_cosine_csv(path, nodes, scale):
+    """scale * cos(0.3 x) on ``nodes`` evenly spaced nodes per slab of the Cu/Mo rod."""
+    x = np.concatenate((np.linspace(-5.0, 0.0, nodes), np.linspace(0.0, 3.0, nodes))).tolist()
+    slabs = "b" * nodes + "a" * nodes
+    _write_rows(path, [f"{s},{v!r},{scale * math.cos(0.3 * v)!r}" for s, v in zip(slabs, x)])
+
+
+_LSQ = '{"recovery_policy": "least-squares"}'
+_RECOVERY_OVERFLOW = "the recovered coefficients hold a non-finite value"
+
+# case -> (config, command, the start of its refusal line)
+_EXIT2_CASES = {
+    # the least-squares fit of 8 modes overflows
+    "series-overflow": (_LSQ, ["forward", "--modes", "8"], _RECOVERY_OVERFLOW),
+    # the projection's weighted data overflows, so its coefficients are not finite
+    "data-overflow": ("{}", ["forward"], _RECOVERY_OVERFLOW),
+    # finite coefficients, but amplification by up to 1e4 overflows the series
+    "amplified-overflow": (
+        '{"tf": 10, "beta": 1, "gamma": 1}',
+        ["backward", "--eps", "1e-4"],
+        "the series at t = 0.0 has a non-finite value",
+    ),
+    # 20 modes on 20 nodes per slab: the square design matrices are numerically singular
+    "refused-fit": (_LSQ, ["forward", "--modes", "20"], "design matrix numerically rank deficient"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXIT2_CASES))
 def test_main_exit2_when_the_series_is_not_finite(tmp_path, capsys, case):
+    config, argv, message = _EXIT2_CASES[case]
     csv = tmp_path / "initial.csv"
-    if case == "series-overflow":
-        # the least-squares fit of 8 modes overflows
-        x = np.concatenate((np.linspace(-5.0, 0.0, 20), np.linspace(0.0, 3.0, 20))).tolist()
-        slabs = "b" * 20 + "a" * 20
-        _write_rows(csv, [f"{s},{v!r},{1e306 * math.cos(0.3 * v)!r}" for s, v in zip(slabs, x)])
-        cfg = tmp_path / "lsq.json"
-        cfg.write_text('{"recovery_policy": "least-squares"}')
-        extra = ["--modes", "8", "--config", str(cfg)]
-    else:
-        # the projection's weighted data overflows, so its coefficients are not finite
+    if case == "data-overflow":
         _write_rows(csv, ["b,-5,1", "b,0,1", "a,0,1", "a,3,1e308"])
-        extra = []
+    else:
+        _write_cosine_csv(csv, 20, 1.0 if case == "refused-fit" else 1e306)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config)
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["forward", "--infile", str(csv), "--out", str(out)] + extra) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("numerical failure: ") and "non-finite" in err[0]
+    assert main(argv + ["--infile", str(csv), "--config", str(cfg), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"numerical failure: {message}")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["forward", "example", "check-bounds"])
+@pytest.mark.parametrize("command", ["eigen", "forward", "example", "check-bounds"])
 def test_main_exit1_when_the_output_cannot_be_written(sys_cm, tmp_path, capsys, command):
     # a file stands where the output directory would be
     blocker = tmp_path / "file"
@@ -776,6 +801,7 @@ def test_main_exit1_when_the_output_cannot_be_written(sys_cm, tmp_path, capsys, 
     grid = uniform_grid(sys_cm, 20)
     write_field_csv(SampledField(grid, np.cos(grid.nodes_b), np.cos(grid.nodes_a), sys_cm.t0), csv)
     argv = {
+        "eigen": ["eigen", "--out", str(blocker)],
         "forward": ["forward", "--infile", str(csv), "--out", str(blocker)],
         "example": ["example", "2d", "--out", str(blocker / "sub")],
         "check-bounds": ["check-bounds", "--trials", "1", "--out", str(blocker)],
@@ -784,6 +810,55 @@ def test_main_exit1_when_the_output_cannot_be_written(sys_cm, tmp_path, capsys, 
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
     assert blocker.read_text() == ""
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    """A smooth field on 10^4 nodes per slab, and the configs the runs below name."""
+    d = tmp_path_factory.mktemp("inputs")
+    _write_cosine_csv(d / "smooth.csv", 10_000, 1.0)
+    (d / "lsq.json").write_text(_LSQ)
+    unit = {"K": 1.0, "kappa": 1.0}
+    (d / "unit.json").write_text(json.dumps({"material_b": unit, "material_a": unit}))
+    return d
+
+
+def test_main_forward_names_modes_when_its_default_count_is_refused(
+    inputs_dir, tmp_path, capsys, monkeypatch
+):
+    # 51 least-squares modes on 10^4 smooth nodes per slab exceed the condition limit
+    monkeypatch.chdir(inputs_dir)
+    out = tmp_path / "out"
+    argv = ["forward", "--infile", "smooth.csv", "--config", "lsq.json", "--out", str(out)]
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical failure: design matrix numerically rank deficient")
+    assert line.endswith("without --modes the fit takes 51 modes (the grid capacity, "
+                         "at most mode_count), and --modes sets fewer")
+    assert not out.exists()
+    assert main(argv + ["--modes", "13"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 250 of these unit-material modes have a vanishing interface cosine
+        ["eigen", "--count", "2000", "--config", "unit.json"],
+        ["example", "2d"],
+        ["forward", "--infile", "smooth.csv"],
+        ["forward", "--infile", "smooth.csv", "--modes", "12", "--config", "lsq.json"],
+        ["backward", "--infile", "smooth.csv", "--eps", "1e-4"],
+    ],
+    ids=["eigen-2000-unit", "example-2d", "forward-1e4", "forward-1e4-lsq", "backward-1e4"],
+)
+def test_main_writes_the_same_bytes_twice(inputs_dir, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(inputs_dir)
+    trees = []
+    for run in ("first", "second"):
+        assert main(argv + ["--out", str(tmp_path / run)]) == 0
+        root = tmp_path / run
+        trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+    assert trees[0] and trees[0] == trees[1]
 
 
 def test_main_exit3_on_bound_violation(monkeypatch, tmp_path):

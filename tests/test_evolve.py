@@ -154,6 +154,20 @@ def test_noise_gap_rejects_grid_mismatch(basis_cm, sys_cm, grid_cm):
         noise_gap_bound(basis_cm, clean, noisy, reg, sys_cm.t0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_bound_checkers_refuse_a_non_finite_side(basis_cm, sys_cm):
+    # squares of 1e200 overflow; the checkers say so themselves, with no numpy warning first
+    c = np.full(8, 1e200)
+    cv = CoeffVector(basis=basis_cm, c_b=c, c_a=c.copy())
+    with pytest.raises(NumericalError, match="instability_lower_bound: non-finite side"):
+        instability_lower_bound(basis_cm, cv, sys_cm.t0)
+    grid = uniform_grid(sys_cm, 20)
+    huge = SampledField(grid, np.full(20, 1e200), np.full(20, 1e200), sys_cm.tf)
+    reg = RegParams.from_rule(1e-4, 0.05, 0.5, sys_cm.tf)
+    with pytest.raises(NumericalError, match="stability_bound: non-finite side"):
+        stability_bound(basis_cm, huge, reg, sys_cm.t0)
+
+
 def test_stability_and_noise_gap_right_hand_sides_follow_their_formulas(basis_cm, sys_cm, grid_cm):
     # both right-hand sides written out from the docstrings:
     # gain = min{w_b, w_a, 1}^-1 * N_eps * exp(2 N_eps (tf-t)), times
@@ -259,6 +273,17 @@ def test_nonhomogeneous_zero_source_reduces_to_synthesis(basis_cm, sys_cm, grid_
     want = synthesize(basis_cm, cv, t, grid_cm)
     assert np.allclose(got.values_b, want.values_b, atol=1e-14)
     assert np.allclose(got.values_a, want.values_a, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_nonhomogeneous_refuses_a_series_that_overflows(basis_cm, sys_cm):
+    # coefficients of 1e308 and no source: the amplified series is past the double range
+    times = np.linspace(sys_cm.t0, sys_cm.tf, 5)
+    src = SourceCoefficients(times=times, d_b=np.zeros((5, 8)), d_a=np.zeros((5, 8)))
+    c = np.full(8, 1e308)
+    cv = CoeffVector(basis=basis_cm, c_b=c, c_a=c.copy())
+    with pytest.raises(NumericalError, match="the series at t = 0.0 has a non-finite value"):
+        nonhomogeneous_solve(basis_cm, cv, src, sys_cm.t0, uniform_grid(sys_cm, 20))
 
 
 def test_nonhomogeneous_off_node_time(basis_cm, sys_cm, grid_cm):
@@ -475,16 +500,16 @@ def test_forward_solve_onto_another_grid(basis_cm, sys_cm):
     assert np.array_equal(got.values_a, want.values_a)
 
 
+@pytest.mark.filterwarnings("error")
 def test_forward_solve_refuses_a_series_that_overflows(basis_cm, sys_cm):
-    # the fit of 1e306 cos(0.3 x) passes the condition guard, but the values
-    # overflow, so the series holds inf and nan
+    # the fit of 1e306 cos(0.3 x) passes the condition guard, but its
+    # coefficients overflow: refused before any series is formed, with no warning
     grid = uniform_grid(sys_cm, 20)
     field = SampledField(
         grid, 1e306 * np.cos(0.3 * grid.nodes_b), 1e306 * np.cos(0.3 * grid.nodes_a), sys_cm.t0
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="non-finite value"):
-            forward_solve(basis_cm, field, grid, 8, policy="least-squares")
+    with pytest.raises(NumericalError, match="non-finite value"):
+        forward_solve(basis_cm, field, grid, 8, policy="least-squares")
 
 
 def test_cutoff_reconstruct_validation_order(basis_cm, sys_cm):

@@ -1,8 +1,10 @@
-"""The command line runs on numpy alone and builds no Gauss-Legendre rule.
+"""The command line runs on numpy alone, warns about nothing and builds no Gauss-Legendre rule.
 
-A fresh interpreter blocks ``import scipy`` before importing the package,
-then runs every subcommand in process.  It reports each exit code and
-the miss count of the basis' Gauss-Legendre cache after the command.
+A fresh interpreter, with RuntimeWarning as an error, blocks ``import
+scipy`` before importing the package, then runs every subcommand in
+process.  It reports each exit code, the miss count of the basis'
+Gauss-Legendre cache after the command, and which modules of the test
+harness or the test-only dependencies the commands loaded.
 """
 
 import json
@@ -20,6 +22,7 @@ CHILD = textwrap.dedent(
     from pathlib import Path
 
     sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+    DENIED = {"scipy", "mpmath", "pytest", "_pytest", "hypothesis"}
 
     import numpy as np
     import twoslab.basis
@@ -32,6 +35,8 @@ CHILD = textwrap.dedent(
     grid = uniform_grid(s, 40)
     initial = SampledField(grid, 1.0 + 0.1 * grid.nodes_b, 1.0 - 0.1 * grid.nodes_a, s.t0)
     cli.write_field_csv(initial, out / "initial.csv")
+    # the paper's plate reaches only m = 0; this cut-off keeps 8 modes, m = 1 among them
+    (out / "plate-m1.json").write_text('{"beta": 0.2, "gamma": 1.0, "eps_list": [1e-6]}')
 
     commands = {
         "eigen": ["eigen"],
@@ -39,6 +44,7 @@ CHILD = textwrap.dedent(
         "example2": ["example", "2"],
         "example3": ["example", "3"],
         "example2d": ["example", "2d"],
+        "example2d-m1": ["example", "2d", "--config", str(out / "plate-m1.json")],
         "table1": ["table", "1"],
         "forward": ["forward", "--infile", str(out / "initial.csv")],
         "backward": ["backward", "--infile", str(out / "forward" / "forward.csv"),
@@ -49,8 +55,8 @@ CHILD = textwrap.dedent(
     for name, argv in commands.items():
         code = cli.main(argv + ["--out", str(out / name)])
         report[name] = [code, twoslab.basis._leggauss.cache_info().misses]
-    report["scipy_loaded"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                                    and sys.modules[m] is not None)
+    report["denied_loaded"] = sorted(m for m in sys.modules if m.split(".")[0] in DENIED
+                                     and sys.modules[m] is not None)
     print(json.dumps(report))
     """
 )
@@ -59,13 +65,13 @@ CHILD = textwrap.dedent(
 def test_cli_runs_without_scipy_and_without_gauss_legendre(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", CHILD, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report.pop("scipy_loaded") == []
+    assert report.pop("denied_loaded") == []
     for name, (code, misses) in report.items():
         assert code == 0, f"{name} exited {code}: {proc.stderr}"
         assert misses == 0, f"{name} built a Gauss-Legendre rule"
-    assert len(report) == 9
+    assert len(report) == 10

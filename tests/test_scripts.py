@@ -1,8 +1,8 @@
 """The scripts under scripts/ run in a fresh interpreter and fail closed.
 
-Each script is started with ``PYTHONPATH=src``.  A refused run exits with
-the CLI's code (1 bad input, 2 numerical failure), prints one line on
-stderr and no traceback, and writes nothing.
+Each script is started with ``PYTHONPATH=src`` and RuntimeWarning as an
+error.  A refused run exits with the CLI's code (1 bad input, 2 numerical
+failure), prints one line on stderr and no traceback, and writes nothing.
 """
 
 import os
@@ -14,11 +14,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _run(script, *args, cwd):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path), timeout=300,
     )
 

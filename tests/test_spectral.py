@@ -12,6 +12,7 @@ from twoslab.basis import build_basis, slab_matrix
 from twoslab.core import (
     AmplificationOverflowError,
     Grid,
+    NumericalError,
     RankDeficientError,
     RegParams,
     SampledField,
@@ -210,6 +211,32 @@ def test_projection_round_trips_random_series(basis_cm, sys_cm, cs):
     field = _in_span_field(basis_cm, np.pad(c, (0, 1)), grid, sys_cm.tf)
     got = recover_coefficients(basis_cm, field, 7, policy="projection")
     assert np.max(np.abs(got.c_b - c)) < 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("policy", RECOVERY_POLICIES)
+def test_recovery_refuses_non_finite_coefficients(basis_cm, sys_cm, policy):
+    # 1e306 cos(0.3 x) passes the condition guard; the per-slab fits of 8 modes
+    # overflow quietly and are refused, the projection stays finite
+    grid = uniform_grid(sys_cm, 20)
+    field = SampledField(
+        grid, 1e306 * np.cos(0.3 * grid.nodes_b), 1e306 * np.cos(0.3 * grid.nodes_a), sys_cm.tf
+    )
+    if policy == "projection":
+        c = recover_coefficients(basis_cm, field, 8, policy=policy)
+        assert np.isfinite(c.c_b).all() and np.isfinite(c.c_a).all()
+    else:
+        with pytest.raises(NumericalError, match="recovered coefficients hold a non-finite value"):
+            recover_coefficients(basis_cm, field, 8, policy=policy)
+
+
+@pytest.mark.filterwarnings("error")
+def test_synthesize_refuses_a_series_that_overflows(basis_cm, sys_cm):
+    # finite coefficients of 1e308, amplified at t0 past the double range
+    c = np.full(8, 1e308)
+    cv = CoeffVector(basis=basis_cm, c_b=c, c_a=c.copy())
+    with pytest.raises(NumericalError, match="the series at t = 0.0 has a non-finite value"):
+        synthesize(basis_cm, cv, sys_cm.t0, uniform_grid(sys_cm, 20))
 
 
 def test_recovery_validates_policy_then_nodes_then_condition(basis_cm, basis_cm_20, sys_cm):
