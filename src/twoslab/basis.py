@@ -8,18 +8,16 @@ Each eigen-element n is a pair of cosines,
 normalized so both slabs take the value 1 at the interface whenever
 cos(lambda_b b) and cos(lambda_a a) stay away from zero.  When either
 cosine (numerically) vanishes the interface value cannot be pinned to 1;
-those modes fall back to the unit-norm null vector of the 2x2 interface
-system.  Norms and Gram matrices are closed forms; a basis builds its
-Gauss-Legendre rule only when a callable has to be integrated against
-the modes.
+those modes take the unit normal of the interface flux row.  Norms and
+Gram matrices are closed forms; a basis builds its Gauss-Legendre rule
+only when a callable has to be integrated against the modes.
 
 ``build_basis`` evaluates each closed form once for all modes, as array
 expressions over the frequencies: the amplitudes with their degenerate
 flags, then N_n and M_n.  Every mode's norms, the constant and the
 degenerate ones included, are each layer's amp^2 (L/2) (1 +- sinc(2 lambda
 L/pi)) summed over the layers, so N_n is the weighted diagonal of
-``slab_grams``.  The degenerate-interface modes share one stacked SVD of
-their 2x2 systems.  The ``EigenMode`` records are then built in one pass
+``slab_grams``.  The ``EigenMode`` records are then built in one pass
 over the columns, and the basis keeps the columns as arrays too.
 Squares of frequencies use ``np.float_power(x, 2.0)``, which rounds as
 Python's ``x**2`` does, so every record equals its per-mode scalar form
@@ -92,41 +90,25 @@ def phi(mode: EigenMode, x, sys: SlabSystem):
     return out
 
 
-def _interface_null_vectors(sys: SlabSystem, lam_b, lam_a, cos_b, cos_a):
-    """Unit-norm (theta_b, theta_a) solving each mode's homogeneous interface system.
-
-    The 2x2 systems [[cos_b, -cos_a], [K_b lam_b sin(lam_b b), K_a lam_a sin(lam_a a)]]
-    of all modes go through one stacked SVD.
-    """
-    A = np.empty((len(lam_b), 2, 2))
-    A[:, 0, 0] = cos_b
-    A[:, 0, 1] = -cos_a
-    A[:, 1, 0] = sys.mat_b.K * lam_b * np.sin(lam_b * sys.b)
-    A[:, 1, 1] = sys.mat_a.K * lam_a * np.sin(lam_a * sys.a)
-    theta = np.linalg.svd(A)[2][:, -1]
-    # deterministic sign: the component that cannot vanish is positive.  That
-    # is theta_b when cos(lambda_b b) vanishes, and theta_a otherwise.
-    lead = np.where(np.abs(cos_b) < DEGENERATE_COS_TOL, theta[:, 0], theta[:, 1])
-    theta = np.where(lead[:, None] < 0, -theta, theta)
-    return theta[:, 0], theta[:, 1]
-
-
 def _interface_amplitudes(sys: SlabSystem, lam_b, lam_a):
     """Slab amplitudes (amp_b, amp_a) and degenerate flags of the modes with these frequencies.
 
-    1/cos pins both slabs to 1 at the interface; where cos(lambda_b b) or
-    cos(lambda_a a) (numerically) vanishes, the mode is flagged degenerate
-    and the unit-norm interface null vector is used instead.  Elementwise.
+    1/cos pins both slabs to 1 at the interface.  Where cos(lambda_b b) or
+    cos(lambda_a a) (numerically) vanishes, the mode is degenerate; that
+    cosine's sine is +-1, so the unit normal of the nonzero flux row
+    (K_b lambda_b sin(lambda_b b), K_a lambda_a sin(lambda_a a)) is used.
     """
     cos_b, cos_a = np.cos(lam_b * sys.b), np.cos(lam_a * sys.a)
     degenerate = (np.abs(cos_b) < DEGENERATE_COS_TOL) | (np.abs(cos_a) < DEGENERATE_COS_TOL)
-    amp_b, amp_a = np.empty_like(cos_b), np.empty_like(cos_a)
-    np.divide(1.0, cos_b, out=amp_b, where=~degenerate)
-    np.divide(1.0, cos_a, out=amp_a, where=~degenerate)
+    amp_b, amp_a = 1.0 / cos_b, 1.0 / cos_a  # the cosine of a double is never 0
     if degenerate.any():
-        amp_b[degenerate], amp_a[degenerate] = _interface_null_vectors(
-            sys, lam_b[degenerate], lam_a[degenerate], cos_b[degenerate], cos_a[degenerate]
-        )
+        lb, la = lam_b[degenerate], lam_a[degenerate]
+        theta_b = sys.mat_a.K * la * np.sin(la * sys.a)
+        theta_a = -sys.mat_b.K * lb * np.sin(lb * sys.b)
+        # the component that cannot vanish is positive: theta_b if cos(lambda_b b) vanishes
+        lead = np.where(np.abs(cos_b[degenerate]) < DEGENERATE_COS_TOL, theta_b, theta_a)
+        norm = np.copysign(np.hypot(theta_b, theta_a), lead)
+        amp_b[degenerate], amp_a[degenerate] = theta_b / norm, theta_a / norm
     return amp_b, amp_a, degenerate
 
 
@@ -218,8 +200,8 @@ def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
     """Compute the first mode_count eigen-elements with norms attached.
 
     Amplitudes and norms of all modes are array expressions over the
-    frequencies; the degenerate-interface modes take their amplitudes from
-    one stacked null-vector solve, and the records are built in one pass.
+    frequencies, the degenerate-interface modes' closed form included, and
+    the records are built in one pass.
     """
     if mode_count < 1:
         raise ValidationError("mode_count must be at least 1")

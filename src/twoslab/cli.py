@@ -42,6 +42,7 @@ from .core import (
     uniform_grid,
 )
 from .basis import EigenBasis, build_basis, slab_matrix
+from .eigensolver import MAX_MODES
 from .evolve import (
     NOISE_BUDGET_RTOL,
     cutoff_reconstruct,
@@ -69,7 +70,8 @@ RNG_NAME = "numpy.Philox/SeedSequence(seed, spawn_key=(example, stream))"
 
 # Example 1's raw inversion solves a square mode_count x mode_count system
 # per slab (32 MB per matrix at this size, before the SVDs); larger
-# mode counts are refused before anything is allocated.
+# mode counts are refused before anything is allocated.  The same budget
+# caps a config's grid_points x mode_count mode matrix per slab.
 MAX_RAW_INVERSION_MODES = 2000
 
 # Example-3 pulse: energy Q deposited over depth sigma in the left slab.
@@ -197,6 +199,12 @@ def config_from_dict(obj: dict, base: RunConfig | None = None) -> RunConfig:
     if kwargs.get("seed", 0) < 0:
         raise ValidationError("seed must be non-negative")
     cfg = replace(base if base is not None else RunConfig(), **kwargs)
+    # a mode_count past MAX_MODES is refused with its own message before any matrix
+    if cfg.grid_points * min(cfg.mode_count, MAX_MODES) > MAX_RAW_INVERSION_MODES**2:
+        raise ValidationError(
+            f"grid_points x mode_count = {cfg.grid_points} x {cfg.mode_count}: "
+            f"at most {MAX_RAW_INVERSION_MODES**2} mode-matrix entries per slab"
+        )
     cfg.system()  # validate geometry/time window now
     return cfg
 

@@ -13,10 +13,11 @@ decay rate lambda_bar = kappa_b lambda_b^2 = kappa_a lambda_a^2.
 Roots are indexed by a Pruefer-type phase.  Dividing the equation by
 both cosines turns it into
 
-    lambda b + h(r lambda a) = n pi,   h(psi) = k pi + atan(rho tan(psi - k pi)),
+    lambda b + h(r lambda a) = n pi,   h(psi) = psi + atan((rho - 1) t / (1 + rho t^2)),
 
-with r = sqrt(kappa_b/kappa_a), rho = (K_a/sqrt(kappa_a)) / (K_b/sqrt(kappa_b))
-and k = round(psi/pi).  The left-hand side is continuous, strictly
+with t = tan psi, r = sqrt(kappa_b/kappa_a) and rho = (K_a/sqrt(kappa_a)) /
+(K_b/sqrt(kappa_b)): h is the continuous branch of atan(rho tan psi), with
+no branch index and no pole.  The left-hand side is continuous, strictly
 increasing and within pi/2 of lambda (b + r a), so root n is the only
 one in the closed-form bracket (n -+ 1/2) pi / (b + r a).  All brackets
 are bisected at once.
@@ -39,8 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, SlabSystem, ValidationError
-
-_DBL_MAX = np.finfo(float).max
 
 # Most modes a rod (find_eigenvalues) or plate (bilayer2d.find_modes_2d)
 # spectrum may hold; larger requests are refused before anything is
@@ -73,34 +72,27 @@ def _phase(sys: SlabSystem, mu=0.0):
         nu = np.asarray(nu_b, dtype=float)
         s = np.sqrt(np.maximum(nu * nu + shift, 0.0)) if shifted else nu
         psi = ratio * s * sys.a
-        k_pi = np.rint(psi / math.pi) * math.pi
-        turn = rho * np.tan(psi - k_pi)
-        if shifted:
-            # times s/nu_b, exactly 1 where there is no shift; as nu_b -> 0 with
-            # s > 0 it is infinite, and DBL_MAX stands in so that a zero turn stays 0
-            limit = np.where(s > 0.0, _DBL_MAX, 1.0)
-            with np.errstate(over="ignore"):
-                turn = turn * np.divide(s, nu, out=limit, where=nu > 0.0)
-        return nu * sys.b + k_pi + np.arctan(turn)
+        t = np.tan(psi)
+        return nu * sys.b + psi + np.arctan2((rho * s - nu) * t, nu + rho * s * t * t)
 
     return phase
 
 
 def eigen_phase(nu_b, sys: SlabSystem, mu=0.0) -> np.ndarray:
-    """Interface phase nu_b b + h(psi); vectorized over nu_b and mu.
+    """Interface phase nu_b b + h; vectorized over nu_b and mu.
 
-    With s = sqrt(max(nu_b^2 + (1 - kappa_a/kappa_b) mu^2, 0)) the right
-    layer's angle is psi = r s a and its flux ratio rho0 s/nu_b, so
+    With s = sqrt(max(nu_b^2 + (1 - kappa_a/kappa_b) mu^2, 0)), the right
+    layer's angle psi = r s a and t = tan psi, the module docstring's h with
+    the flux ratio rho0 s/nu_b for rho, times nu_b >= 0 above and below, is
 
-        h = k pi + atan(rho0 (s/nu_b) tan(psi - k pi)),   k = round(psi/pi).
+        h = psi + arctan2((rho0 s - nu_b) t, nu_b + rho0 s t^2).
 
-    At mu = 0, s = nu_b and this is the slab phase of the module docstring.
-    Root n of the determinant (``eigen_f`` at mu = 0, the plate's at mu)
-    is where the phase equals n pi; at nu_b = 0 with s > 0 the phase takes
-    its limit, s/nu_b being infinite.  With a shift the phase need not
-    increase, but phase - n pi has the sign of the increasing Pruefer angle
-    at a fixed scale (rescaling an angle fixes the multiples of pi/2), so
-    it changes sign once, at root n.
+    Its second argument is positive except at nu_b = 0 with s t = 0, where
+    arctan2(0, 0) = 0 is the limit.  Root n of the determinant (``eigen_f``
+    at mu = 0, the plate's at mu) is where the phase equals n pi.  With a
+    shift the phase need not increase, but phase - n pi has the sign of the
+    increasing Pruefer angle at a fixed scale (rescaling an angle fixes the
+    multiples of pi/2), so it changes sign once, at root n.
     """
     return _phase(sys, mu)(nu_b)
 

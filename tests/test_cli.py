@@ -453,6 +453,18 @@ def test_main_eigen_writes_csv(tmp_path):
     assert len(lines) == 6
 
 
+def test_main_eigen_writes_the_exact_roots_of_a_homogeneous_rod(tmp_path):
+    # one material on [-1, 4]: lambda_n = n pi/5, which the phase must not skip past
+    cfg = tmp_path / "unit.json"
+    cfg.write_text(
+        '{"a": 4.0, "b": 1.0, "material_b": {"K": 1, "kappa": 1}, '
+        '"material_a": {"K": 1, "kappa": 1}}'
+    )
+    assert main(["eigen", "--count", "51", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "eigenvalues.csv").read_text().strip().splitlines()[1:]
+    assert rows[13].split(",")[:2] == ["13", f"{13 * math.pi / 5:.12e}"]
+
+
 def test_main_forward_backward_round_trip(sys_cm, tmp_path):
     basis = build_basis(sys_cm, 2)
     grid = uniform_grid(sys_cm, 200)
@@ -539,6 +551,8 @@ def test_main_exit1_on_zero_mode_count(tmp_path):
         '{"tf": null}',
         '{"beta": null}',
         '{"gamma": null}',
+        # a mode matrix of 10^12 x 51 doubles per slab, refused before it is built
+        '{"grid_points": 1000000000000}',
     ],
 )
 def test_main_exit1_on_wrong_type_or_non_finite_config(tmp_path, capsys, command, text):

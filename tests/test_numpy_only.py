@@ -3,8 +3,12 @@
 A fresh interpreter, with RuntimeWarning as an error, blocks ``import
 scipy`` before importing the package, then runs every subcommand in
 process.  It reports each exit code, the miss count of the basis'
-Gauss-Legendre cache after the command, and which modules of the test
-harness or the test-only dependencies the commands loaded.
+Gauss-Legendre cache after the command, which modules of the test
+harness or the test-only dependencies the commands loaded, and the file
+it imported ``twoslab`` from.  The child's ``PYTHONPATH`` is the
+directory this test process imported the package from, so it runs the
+package under test (the installed one, where one is tested), and the
+two files must be the same.
 """
 
 import json
@@ -14,7 +18,9 @@ import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import twoslab
+
+PACKAGE_DIR = Path(twoslab.__file__).resolve().parents[1]
 
 CHILD = textwrap.dedent(
     """
@@ -25,6 +31,7 @@ CHILD = textwrap.dedent(
     DENIED = {"scipy", "mpmath", "pytest", "_pytest", "hypothesis"}
 
     import numpy as np
+    import twoslab
     import twoslab.basis
     import twoslab.cli as cli
     from twoslab.core import SampledField, uniform_grid
@@ -55,6 +62,7 @@ CHILD = textwrap.dedent(
     for name, argv in commands.items():
         code = cli.main(argv + ["--out", str(out / name)])
         report[name] = [code, twoslab.basis._leggauss.cache_info().misses]
+    report["twoslab_file"] = twoslab.__file__
     report["denied_loaded"] = sorted(m for m in sys.modules if m.split(".")[0] in DENIED
                                      and sys.modules[m] is not None)
     print(json.dumps(report))
@@ -63,7 +71,7 @@ CHILD = textwrap.dedent(
 
 
 def test_cli_runs_without_scipy_and_without_gauss_legendre(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR))
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", CHILD, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300,
@@ -71,6 +79,7 @@ def test_cli_runs_without_scipy_and_without_gauss_legendre(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report.pop("denied_loaded") == []
+    assert Path(report.pop("twoslab_file")).resolve() == Path(twoslab.__file__).resolve()
     for name, (code, misses) in report.items():
         assert code == 0, f"{name} exited {code}: {proc.stderr}"
         assert misses == 0, f"{name} built a Gauss-Legendre rule"

@@ -3,11 +3,18 @@
 Each property compares find_eigenvalues with itself on a transformed rod
 (a mirror, a rescaling, equal layers, a perturbed conductivity), over a
 sweep of admissible materials and geometries: K and kappa in [1e-3, 1e3],
-b and a in [1e-2, 1e2], up to 200 modes.  The tolerances are relative.
+b and a in [1e-2, 1e2], up to 200 modes.  Float draws of the lengths
+almost never make (b + r a)/(r a) a fraction with a power-of-two
+denominator, so rods with small integer lengths, where the bisection
+meets exact multiples of its bracket width, are added by hand.  The
+tolerances are relative.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoslab.core import Material, SlabSystem
@@ -65,10 +72,29 @@ def test_both_conductivities_times_seven_leave_the_spectrum(sys, N):
 
 @ROD_SETTINGS
 @given(material, length, length, top_index)
+@example(Material(1.0, 1.0), 1.0, 4.0, 199)
+@example(Material(1.0, 1.0), 5.0, 4.0, 199)
+@example(Material(2.0, 0.5), 3.0, 2.0, 199)
+@example(Material(0.3, 7.0), 7.0, 2.0, 199)
 def test_equal_layers_have_the_homogeneous_rod_spectrum(mat, b, a, N):
     # one material on [-b, a]: lambda_bar_n = kappa (n pi / (a + b))^2, n = 0, 1, ...
     want = mat.kappa * (np.arange(N + 1) * np.pi / (a + b)) ** 2
     _assert_close(_lambda_bars(SlabSystem(b=b, a=a, mat_b=mat, mat_a=mat), N), want)
+
+
+@pytest.mark.parametrize("kappa_ratio", [1.0, 4.0, 0.25, 9.0])
+def test_matched_impedance_rod_has_roots_n_pi_over_its_optical_length(kappa_ratio):
+    # K_b/sqrt(kappa_b) = K_a/sqrt(kappa_a) makes the interface transparent, so
+    # lambda_b,n = n pi/(b + r a); r a : b runs over {1..8}^2, 2000 modes each
+    r = math.sqrt(kappa_ratio)
+    mat_b, mat_a = Material(K=r, kappa=kappa_ratio), Material(K=1.0, kappa=1.0)
+    for ra in range(1, 9):
+        for b in range(1, 9):
+            sys = SlabSystem(b=float(b), a=ra / r, mat_b=mat_b, mat_a=mat_a)
+            want = kappa_ratio * (np.arange(2000) * np.pi / (sys.b + r * sys.a)) ** 2
+            gap = np.abs(_lambda_bars(sys, 1999) - want)
+            worst = int(np.argmax(gap / np.maximum(want, 1.0)))
+            assert np.all(gap <= RTOL * want), f"r a = {ra}, b = {b}, mode {worst}"
 
 
 @ROD_SETTINGS

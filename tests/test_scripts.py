@@ -1,8 +1,11 @@
 """The scripts under scripts/ run in a fresh interpreter and fail closed.
 
-Each script is started with ``PYTHONPATH=src`` and RuntimeWarning as an
-error.  A refused run exits with the CLI's code (1 bad input, 2 numerical
-failure), prints one line on stderr and no traceback, and writes nothing.
+Each script is started with RuntimeWarning as an error, and with the
+directory this test process imported ``twoslab`` from first on its
+``PYTHONPATH``, so the scripts run the package under test: the checkout's
+``src`` in a source tree, the installed package where one is tested.  A
+refused run exits with the CLI's code (1 bad input, 2 numerical failure),
+prints one line on stderr and no traceback, and writes nothing.
 """
 
 import os
@@ -12,13 +15,16 @@ from pathlib import Path
 
 import pytest
 
+import twoslab
+
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = Path(twoslab.__file__).resolve().parents[1]
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _run(script, *args, cwd):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    path = os.pathsep.join(p for p in (str(PACKAGE_DIR), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path), timeout=300,

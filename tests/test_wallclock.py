@@ -11,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import twoslab
+
+# the directory this process imported the package from, so the child times the same code
+PACKAGE_DIR = Path(twoslab.__file__).resolve().parents[1]
 
 PROBE = """
 import json, time
@@ -31,7 +34,7 @@ print(json.dumps({"basis_s": t1 - t0, "basis_modes": len(basis),
 
 
 def test_cold_process_build_basis_and_plate_modes():
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    path = os.pathsep.join(p for p in (str(PACKAGE_DIR), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", PROBE],
         env=dict(os.environ, PYTHONPATH=path),
