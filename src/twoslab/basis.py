@@ -23,6 +23,14 @@ Squares of frequencies use ``np.float_power(x, 2.0)``, which rounds as
 Python's ``x**2`` does, so every record equals its per-mode scalar form
 bit for bit.
 
+Mode matrices amp_n cos(lambda_n s_j) all come from ``slab_matrix``.  On
+nodes that are exactly ``np.linspace(nodes[0], nodes[-1], N)``, with N at
+least BLOCKED_MIN_NODES, rows j = qB + r (B = ceil(sqrt(N))) are formed by
+angle addition from a table of block starts lambda_n s_qB and one of
+offsets lambda_n r h: about 2 (N/B + B) transcendentals per mode instead
+of N.  Every block starts from its own node, so no error accumulates.
+Any other node set takes the direct form, evaluated in place.
+
 The family is orthogonal in the weighted inner product
 
     (K_b/kappa_b) <f, g>_{L2(-b,0)} + (K_a/kappa_a) <f, g>_{L2(0,a)},
@@ -164,15 +172,54 @@ class EigenBasis:
         return self._quadrature[3]
 
 
+# Equispaced node sets of at least this many nodes take the blocked
+# evaluation.  Measured against the direct form at 4 to 51 modes (2 shared
+# x86-64 CPUs): at 256 nodes the blocked form is 1.2-2.1x faster from 12
+# modes up; at 4 modes it stays slower up to about 1000 nodes, by at most
+# 0.011 ms a call; at 64 nodes it is slower up to 40 modes.
+BLOCKED_MIN_NODES = 256
+
+
+def _blocked_cos_matrix(s: np.ndarray, lam: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """amp_n cos(lam_n s_j) on equispaced s, by angle addition over blocks of rows.
+
+    Row j = qB + r with B = ceil(sqrt(len)): cos(lam (s_qB + r h)) is
+    cos(lam s_qB) cos(lam r h) - sin(lam s_qB) sin(lam r h), so only the
+    block starts' and the in-block offsets' tables take transcendentals.
+    Each block starts from its own node, so no error accumulates along j.
+    """
+    n = s.size
+    B = math.isqrt(n - 1) + 1
+    h = (s[-1] - s[0]) / (n - 1)
+    start = np.multiply.outer(s[::B], lam)
+    offset = np.multiply.outer(np.arange(B) * h, lam)
+    out = np.multiply((amp * np.cos(start))[:, None, :], np.cos(offset))
+    out -= (amp * np.sin(start))[:, None, :] * np.sin(offset)
+    return out.reshape(len(start) * B, -1)[:n]
+
+
 def slab_matrix(basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int) -> np.ndarray:
-    """Matrix of phi_{alpha n}(x_j), rows nodes, columns modes 0..mode_count-1."""
-    nodes = np.asarray(nodes, dtype=float)
+    """Matrix of phi_{alpha n}(x_j), rows nodes, columns modes 0..mode_count-1.
+
+    Nodes that are exactly ``np.linspace(nodes[0], nodes[-1], len)``, with
+    at least BLOCKED_MIN_NODES of them, take ``_blocked_cos_matrix``; any
+    other node set takes the direct form amp_n cos(lam_n s_j), in place.
+    """
+    nodes = np.asarray(nodes, dtype=float).ravel()
     k = slice(mode_count)
     if slab == "b":
-        return basis.amp_b[k] * np.cos(np.outer(nodes + basis.sys.b, basis.lambda_b[k]))
-    if slab == "a":
-        return basis.amp_a[k] * np.cos(np.outer(nodes - basis.sys.a, basis.lambda_a[k]))
-    raise ValueError("slab must be 'b' or 'a'")
+        s, lam, amp = nodes + basis.sys.b, basis.lambda_b[k], basis.amp_b[k]
+    elif slab == "a":
+        s, lam, amp = nodes - basis.sys.a, basis.lambda_a[k], basis.amp_a[k]
+    else:
+        raise ValueError("slab must be 'b' or 'a'")
+    n = nodes.size
+    if n >= BLOCKED_MIN_NODES and np.array_equal(nodes, np.linspace(nodes[0], nodes[-1], n)):
+        return _blocked_cos_matrix(s, lam, amp)
+    out = np.multiply.outer(s, lam)
+    np.cos(out, out=out)
+    out *= amp
+    return out
 
 
 def _mode_norms(sys: SlabSystem, lam_b, lam_a, amp_b, amp_a):

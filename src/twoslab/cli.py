@@ -383,7 +383,8 @@ class BoundRecord:
 
 
 def write_bounds_csv(records: list[BoundRecord], path: Path) -> None:
-    rows = [f"{r.name},{r.lhs:.12e},{r.rhs:.12e},{int(r.ok)}" for r in records]
+    # a name lists its case with commas, so the field is quoted
+    rows = [f'"{r.name}",{r.lhs:.12e},{r.rhs:.12e},{int(r.ok)}' for r in records]
     _write_csv(path, "name,lhs,rhs,pass", rows)
 
 

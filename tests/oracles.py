@@ -304,6 +304,30 @@ def legendre_matched_source(basis, count, g_left):
     return f_b, f_a
 
 
+def cos_matrix_longdouble(nodes, shift, lam, amp):
+    """amp_n cos(lam_n (x_j + shift)) in long double at the given double nodes, rows j, columns n.
+
+    The amplitudes, frequencies, shift and nodes are taken exactly as the
+    doubles they are; only the arithmetic is extended.
+    """
+    ld = np.longdouble
+    assert np.finfo(ld).eps < 1e-18, "long double is no wider than double on this platform"
+    s = np.asarray(nodes, dtype=float).astype(ld) + ld(shift)
+    arg = np.multiply.outer(s, np.asarray(lam, dtype=float).astype(ld))
+    return np.asarray(amp, dtype=float).astype(ld) * np.cos(arg)
+
+
+def cos_matrix_bound(nodes, shift, lam, amp):
+    """Per-column round-off allowance 8 eps (1 + |lam_n| max_j |x_j + shift|) |amp_n|.
+
+    A double evaluation of amp_n cos(lam_n s_j) errs by a few ulps of amp_n
+    in the cosine and the product, and by a few ulps of lam_n s_j in the
+    argument; 8 eps covers both with room for the angle-addition terms.
+    """
+    s_max = float(np.max(np.abs(np.asarray(nodes, dtype=float) + shift)))
+    return 8 * np.finfo(float).eps * (1.0 + np.abs(lam) * s_max) * np.abs(amp)
+
+
 # ---------------------------------------------------------------------------
 # Helpers that tests need and no library path runs.  weighted_gram sums the
 # package's own closed-form slab Grams, so it is no independent oracle; the

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.basis import build_basis, slab_grams, slab_matrix
+from twoslab.basis import BLOCKED_MIN_NODES, build_basis, slab_grams, slab_matrix
+from twoslab.core import uniform_grid
 
 
 def test_reference_norms_closed_form(basis_cm):
@@ -116,6 +117,91 @@ def test_slab_matrix_columns_are_modes(basis_cm):
     assert P.shape == (6, 5)
     for j in range(5):
         assert np.allclose(P[:, j], basis_cm.phi(j, nodes), rtol=1e-14)
+
+
+@pytest.fixture(scope="module")
+def rods_2000(sys_cm, sys_stiff, sys_explicit):
+    return {
+        "cu_mo": build_basis(sys_cm, 2000),
+        "stiff": build_basis(sys_stiff, 2000),
+        "unit": build_basis(sys_explicit, 2000),  # degenerate interface at n = 4, 12, 20, ...
+    }
+
+
+def _slab_arrays(basis, slab, count):
+    """(shift, lambda, amp) of one slab's first count modes: phi = amp cos(lambda (x + shift))."""
+    shift = basis.sys.b if slab == "b" else -basis.sys.a
+    return shift, getattr(basis, f"lambda_{slab}")[:count], getattr(basis, f"amp_{slab}")[:count]
+
+
+@pytest.mark.parametrize("nodes", [BLOCKED_MIN_NODES, BLOCKED_MIN_NODES + 1, 1000, 11000])
+@pytest.mark.parametrize("count", [51, 403, 2000])
+@pytest.mark.parametrize("rod", ["cu_mo", "stiff", "unit"])
+def test_blocked_mode_matrix_is_within_roundoff_of_long_double(rods_2000, rod, count, nodes):
+    # equispaced grids from the crossover up; 257 is prime, and 257, 1000 and
+    # 11000 end in a partial block.  From 1000 nodes every 11th row and the last
+    # are checked: 11 is prime to their block lengths 32 and 105, so every
+    # block start and every in-block offset is among them.
+    basis = rods_2000[rod]
+    if rod == "unit":
+        assert any(md.degenerate_interface for md in basis.modes[:count])
+    grid = uniform_grid(basis.sys, nodes)
+    rows = np.r_[0:nodes:11, nodes - 1] if nodes >= 1000 else np.arange(nodes)
+    for slab, x in (("b", grid.nodes_b), ("a", grid.nodes_a)):
+        shift, lam, amp = _slab_arrays(basis, slab, count)
+        P = slab_matrix(basis, x, slab, count)
+        assert P.shape == (nodes, count)
+        err = np.abs(P[rows] - oracles.cos_matrix_longdouble(x[rows], shift, lam, amp))
+        assert np.all(err <= oracles.cos_matrix_bound(x, shift, lam, amp)), (slab, float(err.max()))
+
+
+def _direct_form(basis, nodes, slab, count):
+    shift, lam, amp = _slab_arrays(basis, slab, count)
+    return amp * np.cos(np.outer(nodes + shift, lam))
+
+
+def _off_linspace(nodes):
+    assert not np.array_equal(nodes, np.linspace(nodes[0], nodes[-1], nodes.size))
+    return nodes
+
+
+@pytest.mark.parametrize("slab", ["b", "a"])
+def test_other_nodes_take_the_direct_form_bit_for_bit(rods_2000, slab):
+    # equispaced grids below the crossover, and node sets of any size that are
+    # not exactly np.linspace: the Gauss rule, a linspace with one node an ulp
+    # off, and a linspace as a field CSV stores it (11 significant digits)
+    basis = rods_2000["cu_mo"]
+
+    def nodes_of(n):
+        return getattr(uniform_grid(basis.sys, n), f"nodes_{slab}")
+
+    even = nodes_of(11000)
+    nudged = even[:1000].copy()
+    nudged[500] = np.nextafter(nudged[500], np.inf)
+    node_sets = [nodes_of(n) for n in (1, 2, 20, 51, BLOCKED_MIN_NODES - 1)] + [
+        _off_linspace(getattr(basis, f"quad_x_{slab}")),
+        _off_linspace(nudged),
+        _off_linspace(np.array([float(f"{v:.10e}") for v in even])),
+    ]
+    for nodes in node_sets:
+        for count in (12, 403):
+            got = slab_matrix(basis, nodes, slab, count)
+            assert np.array_equal(got, _direct_form(basis, nodes, slab, count)), nodes.size
+
+
+def test_equispaced_grid_takes_no_cosine_per_entry(sys_cm, monkeypatch):
+    # the blocked form's tables: at most ceil(sqrt(n)) rows of cosines per table, two tables a slab
+    basis = build_basis(sys_cm, 40)
+    grid = uniform_grid(sys_cm, 11000)
+    real = np.cos
+    sizes = []
+    monkeypatch.setattr(np, "cos", lambda x, *a, **kw: sizes.append(np.size(x)) or real(x, *a, **kw))
+    for slab, x in (("b", grid.nodes_b), ("a", grid.nodes_a)):
+        assert slab_matrix(basis, x, slab, 40).shape == (11000, 40)
+    block = math.isqrt(11000 - 1) + 1
+    assert len(sizes) == 4
+    assert max(sizes) <= block * 40
+    assert sum(sizes) <= 4 * block * 40
 
 
 def test_degenerate_interface_modes_explicit(sys_explicit):

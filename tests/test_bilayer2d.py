@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.basis import build_basis
+from twoslab.basis import BLOCKED_MIN_NODES, build_basis
 import twoslab.bilayer2d
 import twoslab.eigensolver
 from twoslab.bilayer2d import (
@@ -220,30 +220,43 @@ def test_2d_routines_require_transverse_depth(sys_cm):
         find_modes_2d(sys_cm, 1.0)
 
 
-def _slice_matrix_loop(basis2d, nodes, slab, y0):
-    """Column-by-column reference form of the slice's mode matrix, from the plate's records."""
+def _slice_matrix_loop(basis2d, nodes, slab, y0, dtype=float):
+    """Column-by-column reference form of the slice's mode matrix, from the plate's records.
+
+    The amplitude amp Y_m(y0) is the double the slice carries; ``dtype``
+    sets the precision of the cosines and the products.
+    """
     s = basis2d.sys
-    nodes = np.asarray(nodes, dtype=float)
+    nodes = np.asarray(nodes, dtype=float).astype(dtype)
     cols = []
     for md in basis2d.modes:
         y = y_mode(md.m, y0, s.c)
         if slab == "b":
-            cols.append((md.amp_b * y) * np.cos(md.nu_b * (nodes + s.b)))
+            cols.append(dtype(md.amp_b * y) * np.cos(dtype(md.nu_b) * (nodes + dtype(s.b))))
         else:
-            cols.append((md.amp_a * y) * np.cos(md.nu_a * (nodes - s.a)))
+            cols.append(dtype(md.amp_a * y) * np.cos(dtype(md.nu_a) * (nodes - dtype(s.a))))
     return np.column_stack(cols)
 
 
 @pytest.mark.parametrize("nodes", [1, 6, 1000, 11000])
 @pytest.mark.parametrize("y0", [0.0, 0.3, 1.0])
 def test_slice_matrix_matches_loop_form(sys_2d, nodes, y0):
-    # the rod's mode matrices of the slice basis are X_mn(x) Y_m(y0), column for column
+    # the rod's mode matrices of the slice basis are X_mn(x) Y_m(y0), column
+    # for column: bit for bit below the blocked evaluation's crossover, and
+    # within its round-off bound of the long-double loop form above it
     basis2d = find_modes_2d(sys_2d, 60.0)
+    on_slice = slice_basis(basis2d, y0)
     grid = uniform_grid(sys_2d, nodes)
-    got = _mode_matrices(slice_basis(basis2d, y0), grid, len(basis2d))
+    got = _mode_matrices(on_slice, grid, len(basis2d))
     for P, slab, x in zip(got, "ba", (grid.nodes_b, grid.nodes_a)):
         assert P.shape == (nodes, len(basis2d))
-        assert np.array_equal(P, _slice_matrix_loop(basis2d, x, slab, y0))
+        if nodes < BLOCKED_MIN_NODES:
+            assert np.array_equal(P, _slice_matrix_loop(basis2d, x, slab, y0))
+            continue
+        shift = sys_2d.b if slab == "b" else -sys_2d.a
+        lam, amp = getattr(on_slice, f"lambda_{slab}"), getattr(on_slice, f"amp_{slab}")
+        err = np.abs(P - _slice_matrix_loop(basis2d, x, slab, y0, np.longdouble))
+        assert np.all(err <= oracles.cos_matrix_bound(x, shift, lam, amp)), float(err.max())
 
 
 @pytest.mark.parametrize("y0", [0.0, 0.3, 1.0])

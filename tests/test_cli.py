@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import math
@@ -440,6 +441,25 @@ def test_check_bounds_record_inventory():
     # 2 systems x 5 trials x 2 times x (1 instability + 3 eps x 2 bounds)
     assert len(records) == 140
     assert all(r.ok for r in records)
+
+
+def test_bounds_csv_reads_as_four_columns(ex1, ex2, ex3, tmp_path):
+    # a bound's name lists its case with commas; quoted, it stays one field
+    assert main(["check-bounds", "--trials", "2", "--out", str(tmp_path / "suite")]) == 0
+    paths = [tmp_path / "suite" / "bounds.csv"] + [
+        write_example_outputs(ex, tmp_path) / "bounds.csv" for ex in (ex1, ex2, ex3)
+    ]
+    for path in paths:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["name", "lhs", "rhs", "pass"] and rows, path
+        for row in rows:
+            assert set(row) == {"name", "lhs", "rhs", "pass"}, row
+            assert row["pass"] in {"0", "1"}
+            assert math.isfinite(float(row["lhs"])) and math.isfinite(float(row["rhs"]))
+    with open(paths[0], newline="") as fh:
+        assert next(csv.DictReader(fh))["name"] == "instability[config,t0,trial=0]"
 
 
 # ---------------------------------------------------------------------------
