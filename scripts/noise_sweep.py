@@ -9,7 +9,8 @@ threshold, the retained mode count and the L2 reconstruction error
 against the known initial state.  Useful for eyeballing how the error
 tracks the eps -> 0 limit on a denser ladder than the canned runs.
 Exit codes are those of the twoslab CLI: 1 for an invalid ladder (an eps
-outside (0, 1), or two with one label), 2 for a numerical failure.
+outside (0, 1), two with one label, or one whose cut-off keeps every mode
+of mode_count), 2 for a numerical failure.
 """
 
 import argparse
@@ -43,8 +44,9 @@ def main() -> int:
     rows = ["epsilon,n_eps,retained_modes,l2_error_vs_initial"]
     for eps in cfg.eps_list:
         per = result.metadata["per_eps"][eps_label(eps)]
-        err = per.get("l2_error_vs_initial", float("nan"))
-        rows.append(f"{eps:g},{per['n_eps']:.6f},{per['retained_modes']},{err:.6e}")
+        rows.append(
+            f"{eps:g},{per['n_eps']:.6f},{per['retained_modes']},{per['l2_error_vs_initial']:.6e}"
+        )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -87,17 +87,6 @@ class EigenMode:
     degenerate_interface: bool = False
 
 
-def phi(mode: EigenMode, x, sys: SlabSystem):
-    """Eigenfunction values; the x >= 0 branch uses the right slab."""
-    xs = np.asarray(x, dtype=float)
-    left = mode.amp_b * np.cos(mode.pair.lambda_b * (xs + sys.b))
-    right = mode.amp_a * np.cos(mode.pair.lambda_a * (xs - sys.a))
-    out = np.where(xs < 0.0, left, right)
-    if np.isscalar(x):
-        return float(out)
-    return out
-
-
 def _interface_amplitudes(sys: SlabSystem, lam_b, lam_a):
     """Slab amplitudes (amp_b, amp_a) and degenerate flags of the modes with these frequencies.
 
@@ -125,7 +114,9 @@ class EigenBasis:
     """Ordered eigen-elements of one system.
 
     Frequencies, decay rates, amplitudes and the norms N_n are also kept
-    as arrays, one entry per mode.  The composite Gauss-Legendre rule for
+    as arrays, one entry per mode.  Everything the package computes reads
+    these columns; the ``EigenMode`` records are built for the public API
+    only.  The composite Gauss-Legendre rule for
     callables (``quad_x_b``, ``quad_w_b``, ``quad_x_a``, ``quad_w_a``) is
     built on first access and cached.
     """
@@ -146,7 +137,12 @@ class EigenBasis:
         return self.lambda_bar
 
     def phi(self, n: int, x):
-        return phi(self.modes[n], x, self.sys)
+        """Eigenfunction n's values; the x >= 0 branch uses the right slab."""
+        xs = np.asarray(x, dtype=float)
+        left = self.amp_b[n] * np.cos(self.lambda_b[n] * (xs + self.sys.b))
+        right = self.amp_a[n] * np.cos(self.lambda_a[n] * (xs - self.sys.a))
+        out = np.where(xs < 0.0, left, right)
+        return float(out) if np.isscalar(x) else out
 
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -389,10 +389,8 @@ def write_bounds_csv(records: list[BoundRecord], path: Path) -> None:
 
 
 def write_eigenvalues_csv(basis: EigenBasis, path: Path) -> None:
-    rows = [
-        f"{m.pair.n},{m.pair.lambda_b:.12e},{m.pair.lambda_a:.12e},{m.pair.lambda_bar:.12e}"
-        for m in basis.modes
-    ]
+    columns = zip(basis.lambda_b.tolist(), basis.lambda_a.tolist(), basis.lambda_bar.tolist())
+    rows = [f"{n},{lb:.12e},{la:.12e},{lbar:.12e}" for n, (lb, la, lbar) in enumerate(columns)]
     _write_csv(path, "n,lambda_b,lambda_a,lambda_bar", rows)
 
 
@@ -445,16 +443,65 @@ def _cutoff_checks(
     return rec + [_check(f"noise_gap[{tag}]", lhs, rhs, "upper")]
 
 
-def _example_bounds(
-    basis: EigenBasis, clean: SampledField, noisy: SampledField, reg: RegParams, t: float, tag: str
-) -> list[BoundRecord]:
-    rec = _cutoff_checks(basis, clean, noisy, reg, t, tag)
-    # the growth estimate concerns the solution's own Fourier
-    # coefficients; the projection gives a consistent vector (per-slab
-    # least squares may not)
-    coeffs = project_coefficients(basis, noisy, retained_modes(basis, reg.n_eps))
-    lhs, rhs = instability_lower_bound(basis, coeffs, t)
-    return rec + [_check(f"instability[{tag}]", lhs, rhs, "lower")]
+def _cutoff_example(
+    cfg: RunConfig,
+    example_id: int,
+    basis: EigenBasis,
+    initial: SampledField,
+    noise_bound: float,
+    final: SampledField | None = None,
+) -> tuple[ExampleResult, list[SampledField]]:
+    """The cut-off run of Examples 1-3: one reconstruction at t0 per eps.
+
+    Per eps, the final data for the retained modes (``final`` when given,
+    else ``initial`` evolved forward over them) takes noise from stream
+    (seed, example_id, i), is reconstructed at t0 on ``initial``'s grid
+    and checked against the three estimates.  A cut-off that keeps every
+    mode built is refused: more modes could change the reconstruction.
+    Returns the result and each eps's noisy final data.
+    """
+    s = basis.sys
+    grid = initial.grid
+    exact = np.concatenate([initial.values_b, initial.values_a])
+    columns: dict[str, np.ndarray] = {}
+    bounds: list[BoundRecord] = []
+    per_eps: dict = {}
+    noisy_data: list[SampledField] = []
+    for i, eps in enumerate(cfg.eps_list):
+        reg = cfg.reg(eps)
+        m = retained_modes(basis, reg.n_eps)
+        if m == len(basis):
+            raise ValidationError(
+                f"eps={eps:g}: the cut-off N_eps = {reg.n_eps:.6g} keeps all mode_count = "
+                f"{cfg.mode_count} modes, and more modes may pass it; raise mode_count"
+            )
+        clean = final if final is not None else forward_solve(
+            basis, initial, grid, m, policy=cfg.recovery_policy
+        )
+        noisy = inject_noise(clean, eps, noise_bound, rng_for(cfg.seed, example_id, i))
+        recon = cutoff_reconstruct(basis, noisy, reg, s.t0, policy=cfg.recovery_policy)
+        vals = np.concatenate([recon.values_b, recon.values_a])
+        columns[eps_label(eps)] = vals
+        tag = f"eps={eps:g}"
+        bounds += _cutoff_checks(basis, clean, noisy, reg, s.t0, tag)
+        # the growth estimate concerns the solution's own Fourier
+        # coefficients; the projection gives a consistent vector (per-slab
+        # least squares may not)
+        lhs, rhs = instability_lower_bound(basis, project_coefficients(basis, noisy, m), s.t0)
+        bounds.append(_check(f"instability[{tag}]", lhs, rhs, "lower"))
+        per_eps[eps_label(eps)] = {
+            "epsilon": eps,
+            "n_eps": reg.n_eps,
+            "retained_modes": m,
+            "l2_error_vs_initial": _l2_error(grid, vals, exact),
+            "right_slab_max_abs": float(np.max(np.abs(recon.values_a))),
+            "value_at_interface_right": float(recon.values_a[0]),
+        }
+        noisy_data.append(noisy)
+    columns["exact"] = exact
+    table = ResultTable(np.concatenate([grid.nodes_b, grid.nodes_a]), columns)
+    meta = {"example": example_id, "noise_bound": noise_bound, "per_eps": per_eps}
+    return ExampleResult(f"example{example_id}", cfg, table, meta, bounds, {}, basis), noisy_data
 
 
 def run_example1(cfg: RunConfig) -> ExampleResult:
@@ -476,60 +523,40 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
     s = cfg.system()
     basis = build_basis(s, cfg.mode_count)
     grid = uniform_grid(s, cfg.grid_points)
-    lam1 = basis.modes[1].pair
+    lam_bar1 = float(basis.lambda_bar[1])
     amplification_factors(basis, 2, s.t0)  # refuses lambda_bar_1 (tf - t0) past the limit
-    amp1 = math.exp(lam1.lambda_bar * s.window)
+    amp1 = math.exp(lam_bar1 * s.window)
     scale = math.exp(-s.tf / 2.0) / (s.a + s.b)
 
-    def data_b(x):
-        return scale * basis.modes[1].amp_b * np.cos(lam1.lambda_b * (x + s.b))
+    def mode1_data(g: Grid) -> SampledField:
+        # scale * amp rounds before the cosine multiplies it: not scale * phi
+        return SampledField(
+            g,
+            scale * basis.amp_b[1] * np.cos(basis.lambda_b[1] * (g.nodes_b + s.b)),
+            scale * basis.amp_a[1] * np.cos(basis.lambda_a[1] * (g.nodes_a - s.a)),
+            s.tf,
+        )
 
-    def data_a(x):
-        return scale * basis.modes[1].amp_a * np.cos(lam1.lambda_a * (x - s.a))
-
-    clean = SampledField(grid, data_b(grid.nodes_b), data_a(grid.nodes_a), s.tf)
+    exact0 = scale * amp1
+    initial = SampledField(
+        grid, exact0 * basis.phi(1, grid.nodes_b), exact0 * basis.phi(1, grid.nodes_a), s.t0
+    )
     bound = math.sqrt(2.0 * max(s.a, s.b))
-    xs = np.concatenate([grid.nodes_b, grid.nodes_a])
-
-    columns: dict[str, np.ndarray] = {}
-    bounds: list[BoundRecord] = []
-    meta: dict = {
-        "example": 1,
-        "noise_bound": bound,
-        "lambda_bar_1": lam1.lambda_bar,
-        # data amplitude uses the literal e^{-tf/2}; reconstruction applies
-        # the computed rate, recorded here
-        "amplitude_factor_data": math.exp(-s.tf / 2.0),
-        "amplification_factor_mode1": amp1,
-        "per_eps": {},
-    }
+    result, noisy = _cutoff_example(cfg, 1, basis, initial, bound, final=mode1_data(grid))
 
     surface_rows: list[str] = []
-    for i, eps in enumerate(cfg.eps_list):
-        reg = cfg.reg(eps)
-        noisy = inject_noise(clean, eps, bound, rng_for(cfg.seed, 1, i))
-        recon = cutoff_reconstruct(basis, noisy, reg, s.t0, policy=cfg.recovery_policy)
-        columns[eps_label(eps)] = np.concatenate([recon.values_b, recon.values_a])
-        bounds += _example_bounds(basis, clean, noisy, reg, s.t0, f"eps={eps:g}")
-        meta["per_eps"][eps_label(eps)] = {
-            "epsilon": eps,
-            "n_eps": reg.n_eps,
-            "retained_modes": retained_modes(basis, reg.n_eps),
-            "value_at_interface_right": float(recon.values_a[0]),
-        }
-        if i == 0:
-            for t in np.linspace(s.t0, s.tf, 11):
-                snap = cutoff_reconstruct(basis, noisy, reg, float(t), policy=cfg.recovery_policy)
-                values = np.concatenate([snap.values_b, snap.values_a])
-                surface_rows += [f"{x:.5f},{t:.5f},{v:.6e}" for x, v in zip(xs, values)]
+    reg = cfg.reg(cfg.eps_list[0])
+    for t in np.linspace(s.t0, s.tf, 11):
+        snap = cutoff_reconstruct(basis, noisy[0], reg, float(t), policy=cfg.recovery_policy)
+        values = np.concatenate([snap.values_b, snap.values_a])
+        surface_rows += [f"{x:.5f},{t:.5f},{v:.6e}" for x, v in zip(result.table.xs, values)]
 
     # raw inversion: square system with every mode, no cut-off.  The
     # design matrices are numerically rank deficient (restricted cosines
     # lose independence), which recover_coefficients rightly refuses, so
     # the demo solves them directly; the point is the blow-up.
     grid_sq = uniform_grid(s, cfg.mode_count)
-    clean_sq = SampledField(grid_sq, data_b(grid_sq.nodes_b), data_a(grid_sq.nodes_a), s.tf)
-    noisy_sq = inject_noise(clean_sq, cfg.eps_list[0], bound, rng_for(cfg.seed, 1, 50))
+    noisy_sq = inject_noise(mode1_data(grid_sq), cfg.eps_list[0], bound, rng_for(cfg.seed, 1, 50))
     A_b = slab_matrix(basis, grid_sq.nodes_b, "b", cfg.mode_count)
     A_a = slab_matrix(basis, grid_sq.nodes_a, "a", cfg.mode_count)
     raw_coeffs = CoeffVector(
@@ -537,95 +564,44 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
         c_b=np.linalg.lstsq(A_b, noisy_sq.values_b, rcond=None)[0],
         c_a=np.linalg.lstsq(A_a, noisy_sq.values_a, rcond=None)[0],
     )
-    meta["raw_design_condition"] = max(float(np.linalg.cond(A_b)), float(np.linalg.cond(A_a)))
     raw = _synthesize(basis, raw_coeffs, s.t0, grid_sq, A_b, A_a)
-    raw_max = float(max(np.max(np.abs(raw.values_b)), np.max(np.abs(raw.values_a))))
-    reg_col = columns[eps_label(cfg.eps_list[0])]
-    meta["unregularized_max_abs"] = raw_max
-    meta["regularized_max_abs"] = float(np.max(np.abs(reg_col)))
+    raw_values = np.concatenate([raw.values_b, raw.values_a])
+    result.metadata.update(
+        lambda_bar_1=lam_bar1,
+        # data amplitude uses the literal e^{-tf/2}; reconstruction applies
+        # the computed rate, recorded here
+        amplitude_factor_data=math.exp(-s.tf / 2.0),
+        amplification_factor_mode1=amp1,
+        raw_design_condition=max(float(np.linalg.cond(A_b)), float(np.linalg.cond(A_a))),
+        unregularized_max_abs=float(np.max(np.abs(raw_values))),
+        regularized_max_abs=float(np.max(np.abs(result.table.columns[eps_label(cfg.eps_list[0])]))),
+    )
     raw_rows = [
         f"{x:.5f},{v:.6e}"
-        for x, v in zip(
-            np.concatenate([grid_sq.nodes_b, grid_sq.nodes_a]),
-            np.concatenate([raw.values_b, raw.values_a]),
-        )
+        for x, v in zip(np.concatenate([grid_sq.nodes_b, grid_sq.nodes_a]), raw_values)
     ]
-
-    exact0 = scale * amp1
-    columns["exact"] = exact0 * np.concatenate(
-        [basis.phi(1, grid.nodes_b), basis.phi(1, grid.nodes_a)]
+    result.extra_csv.update(
+        {"surface.csv": ("x,t,value", surface_rows), "unregularized.csv": ("x,value", raw_rows)}
     )
-    return ExampleResult(
-        name="example1",
-        config=cfg,
-        table=ResultTable(xs=xs, columns=columns),
-        metadata=meta,
-        bounds=bounds,
-        extra_csv={
-            "surface.csv": ("x,t,value", surface_rows),
-            "unregularized.csv": ("x,value", raw_rows),
-        },
-        eigen_basis=basis,
-    )
-
-
-def _piecewise_initial(s: SlabSystem):
-    def f_b(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > -s.b / 2, x, -s.b / 2)
-
-    def f_a(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < s.a / 2, -x, -s.a / 2)
-
-    return f_b, f_a
+    return result
 
 
 def _forward_backward_example(cfg: RunConfig, example_id: int, f_b, f_a) -> ExampleResult:
-    """Shared forward-then-reconstruct run of Examples 2 and 3."""
+    """Examples 2 and 3: the cut-off run on the final data of the initial state (f_b, f_a)."""
     s = cfg.system()
-    basis = build_basis(s, cfg.mode_count)
-    noise_bound = (2.0 * s.b) ** -0.25
     grid = uniform_grid(s, cfg.grid_points)
-    initial = SampledField(
-        grid, np.asarray(f_b(grid.nodes_b), float), np.asarray(f_a(grid.nodes_a), float), s.t0
-    )
-    exact = np.concatenate([initial.values_b, initial.values_a])
-    columns: dict[str, np.ndarray] = {}
-    bounds: list[BoundRecord] = []
-    per_eps: dict = {}
-    for i, eps in enumerate(cfg.eps_list):
-        reg = cfg.reg(eps)
-        m = retained_modes(basis, reg.n_eps)
-        final = forward_solve(basis, initial, grid, m, policy=cfg.recovery_policy)
-        noisy = inject_noise(final, eps, noise_bound, rng_for(cfg.seed, example_id, i))
-        recon = cutoff_reconstruct(basis, noisy, reg, s.t0, policy=cfg.recovery_policy)
-        vals = np.concatenate([recon.values_b, recon.values_a])
-        columns[eps_label(eps)] = vals
-        bounds += _example_bounds(basis, final, noisy, reg, s.t0, f"eps={eps:g}")
-        per_eps[eps_label(eps)] = {
-            "epsilon": eps,
-            "n_eps": reg.n_eps,
-            "retained_modes": m,
-            "l2_error_vs_initial": _l2_error(grid, vals, exact),
-            "right_slab_max_abs": float(np.max(np.abs(recon.values_a))),
-        }
-    columns["exact"] = exact
-    table = ResultTable(np.concatenate([grid.nodes_b, grid.nodes_a]), columns)
-    meta = {
-        "example": example_id,
-        "noise_bound": noise_bound,
-        "per_eps": per_eps,
-    }
-    return ExampleResult(
-        name=f"example{example_id}", config=cfg, table=table, metadata=meta, bounds=bounds,
-        extra_csv={}, eigen_basis=basis,
-    )
+    initial = SampledField(grid, f_b(grid.nodes_b), f_a(grid.nodes_a), s.t0)
+    basis = build_basis(s, cfg.mode_count)
+    return _cutoff_example(cfg, example_id, basis, initial, (2.0 * s.b) ** -0.25)[0]
 
 
 def run_example2(cfg: RunConfig) -> ExampleResult:
     """Piecewise-linear initial state: forward evolve, then reconstruct."""
-    return _forward_backward_example(cfg, 2, *_piecewise_initial(cfg.system()))
+    return _forward_backward_example(
+        cfg, 2,
+        lambda x: np.where(x > -cfg.b / 2, x, -cfg.b / 2),
+        lambda x: np.where(x < cfg.a / 2, -x, -cfg.a / 2),
+    )
 
 
 def run_example3(cfg: RunConfig) -> ExampleResult:
@@ -637,14 +613,7 @@ def run_example3(cfg: RunConfig) -> ExampleResult:
     """
     rho_c_b = cfg.system().mat_b.rho_c
     plateau = EX3_Q / (rho_c_b * EX3_SIGMA)
-
-    def f_b(x):
-        return np.full_like(np.asarray(x, dtype=float), plateau)
-
-    def f_a(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    result = _forward_backward_example(cfg, 3, f_b, f_a)
+    result = _forward_backward_example(cfg, 3, lambda x: np.full_like(x, plateau), np.zeros_like)
     result.metadata.update(plateau=plateau, rho_c_b=rho_c_b, pulse={"Q": EX3_Q, "sigma": EX3_SIGMA})
 
     # log-scale companion: per-eps reconstructions with |value| columns

@@ -376,6 +376,19 @@ def test_example2d_mode_retention(ex2d):
     assert errs[2] < errs[0]
 
 
+def test_examples_1_to_3_write_one_per_eps_record(ex1, ex2, ex3):
+    keys = [
+        "epsilon", "l2_error_vs_initial", "n_eps", "retained_modes", "right_slab_max_abs",
+        "value_at_interface_right",
+    ]
+    for ex in (ex1, ex2, ex3):
+        per = ex.metadata["per_eps"]
+        assert list(per) == [eps_label(e) for e in ex.config.eps_list]
+        for record in per.values():
+            assert sorted(record) == keys
+            assert all(math.isfinite(v) for v in record.values())
+
+
 def _count_slab_matrices(monkeypatch, *modules):
     """Record (slab, node count) of every slab_matrix call made through ``modules``."""
     calls = []
@@ -507,13 +520,23 @@ def test_main_forward_backward_round_trip(sys_cm, tmp_path):
     assert np.max(np.abs(back.values_a - va)) < 0.02 * scale
 
 
-def test_main_exit1_on_bad_config(tmp_path):
+def test_main_exit1_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nope": 1}')
     assert main(["example", "2", "--config", str(bad), "--out", str(tmp_path)]) == 1
     broken = tmp_path / "broken.json"
     broken.write_text("{")
     assert main(["eigen", "--config", str(broken), "--out", str(tmp_path)]) == 1
+    # N_eps = 460.5 passes lambda_bar_50 = 220.0: the cut-off would keep more modes than built
+    short = tmp_path / "short.json"
+    short.write_text('{"beta": 20, "grid_points": 120, "eps_list": [0.01]}')
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["example", "2", "--config", str(short), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: eps=0.01: the cut-off N_eps = 460.517 ")
+    assert "mode_count = 51" in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["forward", "backward"])

@@ -8,6 +8,9 @@ refused run exits with the CLI's code (1 bad input, 2 numerical failure),
 prints one line on stderr and no traceback, and writes nothing.
 """
 
+import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -71,11 +74,34 @@ def test_run_all_writes_every_artifact(tmp_path):
     assert {p.split("/")[0] for p in written} == {
         "bounds.csv", "example1", "example2", "example3", "example2d",
     }
+    # no run exits 0 with NaN or inf in an artifact
+    for name in written:
+        path = tmp_path / "out" / name
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+            continue
+        with open(path, newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # slab letters and bound names
+                    assert math.isfinite(value), (name, row)
 
 
-def test_noise_sweep_writes_one_row_per_eps(tmp_path):
-    proc = _run("noise_sweep.py", "--eps", "1e-2", "1e-4", "--out", "out", cwd=tmp_path)
+def _refuse_constant(name):
+    raise AssertionError(f"JSON holds {name}")
+
+
+@pytest.mark.parametrize("example", ["1", "2", "3", "2d"])
+def test_noise_sweep_writes_one_row_per_eps(tmp_path, example):
+    proc = _run(
+        "noise_sweep.py", "--example", example, "--eps", "1e-2", "1e-4", "--out", "out",
+        cwd=tmp_path,
+    )
     assert proc.returncode == 0, proc.stderr
-    rows = (tmp_path / "out" / "sweep_example2.csv").read_text().splitlines()
+    rows = (tmp_path / "out" / f"sweep_example{example}.csv").read_text().splitlines()
     assert rows[0] == "epsilon,n_eps,retained_modes,l2_error_vs_initial"
     assert [r.split(",")[0] for r in rows[1:]] == ["0.01", "0.0001"]
+    assert all(math.isfinite(float(r.split(",")[3])) for r in rows[1:]), rows
