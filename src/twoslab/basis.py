@@ -23,13 +23,17 @@ Squares of frequencies use ``np.float_power(x, 2.0)``, which rounds as
 Python's ``x**2`` does, so every record equals its per-mode scalar form
 bit for bit.
 
-Mode matrices amp_n cos(lambda_n s_j) all come from ``slab_matrix``.  On
-nodes that are exactly ``np.linspace(nodes[0], nodes[-1], N)``, with N at
-least BLOCKED_MIN_NODES, rows j = qB + r (B = ceil(sqrt(N))) are formed by
-angle addition from a table of block starts lambda_n s_qB and one of
-offsets lambda_n r h: about 2 (N/B + B) transcendentals per mode instead
-of N.  Every block starts from its own node, so no error accumulates.
-Any other node set takes the direct form, evaluated in place.
+Mode matrices amp_n cos(lambda_n s_j) all come from ``mode_operator``.
+On nodes that are exactly ``np.linspace(nodes[0], nodes[-1], N)``, with N
+at least BLOCKED_MIN_NODES, it returns a ``BlockedModes``: row j = qB + r
+(B = ceil(sqrt(N))) is, by angle addition, a row-wise Kronecker product of
+a table of block starts lambda_n s_qB and one of offsets lambda_n r h,
+about 2 (N/B + B) transcendentals per mode instead of N.  Every block
+starts from its own node, so no error accumulates.  The operator gives
+the synthesis P g, the products P^T y and the trapezoid Gram (with the
+exact uniform spacing) from its tables, in O((N/B + B) k^2) for the Gram,
+without the N x k matrix.  Any other node set takes the direct form, an
+array evaluated in place.  ``slab_matrix`` is the dense form of either.
 
 The family is orthogonal in the weighted inner product
 
@@ -176,30 +180,107 @@ class EigenBasis:
 BLOCKED_MIN_NODES = 256
 
 
-def _blocked_cos_matrix(s: np.ndarray, lam: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """amp_n cos(lam_n s_j) on equispaced s, by angle addition over blocks of rows.
+class BlockedModes:
+    """amp_n cos(lam_n s_j) on equispaced s, held as two small tables.
 
-    Row j = qB + r with B = ceil(sqrt(len)): cos(lam (s_qB + r h)) is
-    cos(lam s_qB) cos(lam r h) - sin(lam s_qB) sin(lam r h), so only the
-    block starts' and the in-block offsets' tables take transcendentals.
-    Each block starts from its own node, so no error accumulates along j.
+    Row j = qB + r with B = ceil(sqrt(len(s))): cos(lam (s_qB + r h)) is
+    cos(lam s_qB) cos(lam r h) - sin(lam s_qB) sin(lam r h).  So row j is
+    ``starts[0, q] * offsets[0, r] + starts[1, q] * offsets[1, r]``, with
+    ``starts`` = (amp cos, -amp sin)(lam s_qB), 2 x N/B x k, and
+    ``offsets`` = (cos, sin)(lam r h), 2 x B x k: a row-wise Kronecker
+    product.  Each block starts from its own node, so no error
+    accumulates along j.  Synthesis, the products with data and the
+    trapezoid Gram are read from the tables; only ``dense`` forms the
+    N x k matrix.
     """
-    n = s.size
-    B = math.isqrt(n - 1) + 1
-    h = (s[-1] - s[0]) / (n - 1)
-    start = np.multiply.outer(s[::B], lam)
-    offset = np.multiply.outer(np.arange(B) * h, lam)
-    out = np.multiply((amp * np.cos(start))[:, None, :], np.cos(offset))
-    out -= (amp * np.sin(start))[:, None, :] * np.sin(offset)
-    return out.reshape(len(start) * B, -1)[:n]
+
+    def __init__(self, s: np.ndarray, lam: np.ndarray, amp: np.ndarray) -> None:
+        n, k = s.size, lam.size
+        B = math.isqrt(n - 1) + 1
+        self.shape = (n, k)
+        self.h = (s[-1] - s[0]) / (n - 1)
+        start = np.multiply.outer(s[::B], lam)
+        offset = np.multiply.outer(np.arange(B) * self.h, lam)
+        self.starts = np.empty((2,) + start.shape)
+        self.offsets = np.empty((2,) + offset.shape)
+        np.cos(start, out=self.starts[0])
+        np.sin(start, out=self.starts[1])
+        self.starts[0] *= amp
+        self.starts[1] *= -amp
+        np.cos(offset, out=self.offsets[0])
+        np.sin(offset, out=self.offsets[1])
+
+    def dense(self) -> np.ndarray:
+        """The N x k matrix itself."""
+        n, k = self.shape
+        out = np.multiply(self.starts[0, :, None, :], self.offsets[0])
+        out += self.starts[1, :, None, :] * self.offsets[1]
+        return out.reshape(-1, k)[:n]
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows idx of the matrix, each rounded as ``dense`` rounds it."""
+        q, r = np.divmod(idx, self.offsets.shape[1])
+        both = self.starts[:, q] * self.offsets[:, r]
+        return both[0] + both[1]
+
+    def __matmul__(self, g: np.ndarray) -> np.ndarray:
+        """The synthesis P g: block q of it is the sum of (starts[:, q] g) offsets^T."""
+        both = (self.starts * g) @ self.offsets.transpose(0, 2, 1)
+        return (both[0] + both[1]).ravel()[: self.shape[0]]
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """P^T y: the sum over blocks of starts[:, q] (Y offsets)[:, q], Y = y in rows of B."""
+        Q, B = self.starts.shape[1], self.offsets.shape[1]
+        Y = np.zeros(Q * B)
+        Y[: self.shape[0]] = y
+        return (self.starts * (Y.reshape(Q, B) @ self.offsets)).sum(axis=(0, 1))
+
+    def trapezoid_weights(self) -> np.ndarray:
+        """The trapezoid rule of the exact uniform spacing: h, and h/2 at the ends."""
+        w = np.full(self.shape[0], self.h)
+        w[0] = w[-1] = 0.5 * self.h
+        return w
+
+    def trapezoid_gram(self) -> np.ndarray:
+        """P^T diag(trapezoid_weights) P from the tables, in O((N/B + B) k^2).
+
+        Over the blocks before the last, entry (m, n) is the sum over a, b
+        of (starts[a]^T starts[b])_mn (offsets[a]^T offsets[b])_mn, with
+        a, b = 0, 1: elementwise products of k x k Grams of the tables.
+        The last block's rows are added directly, and half of each end
+        row is taken off; row 0 is starts[0, 0], as its offset is 0.  The
+        result is exactly symmetric.
+        """
+        n = self.shape[0]
+        B = self.offsets.shape[1]
+        last = (n - 1) // B
+        S0, S1 = self.starts[:, :last]
+        O0, O1 = self.offsets
+        G = S0.T @ S0
+        G *= O0.T @ O0
+        part = S1.T @ S1
+        part *= O1.T @ O1
+        G += part
+        part = S0.T @ S1
+        part *= O0.T @ O1
+        G += part + part.T
+        tail = self.rows(np.arange(last * B, n))
+        ends = np.array((self.starts[0, 0], tail[-1]))
+        G += tail.T @ tail
+        G -= 0.5 * (ends.T @ ends)
+        G *= self.h
+        return G
 
 
-def slab_matrix(basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int) -> np.ndarray:
-    """Matrix of phi_{alpha n}(x_j), rows nodes, columns modes 0..mode_count-1.
+def mode_operator(
+    basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int
+) -> np.ndarray | BlockedModes:
+    """phi_{alpha n}(x_j), rows nodes, columns modes 0..mode_count-1, by the node set's route.
 
     Nodes that are exactly ``np.linspace(nodes[0], nodes[-1], len)``, with
-    at least BLOCKED_MIN_NODES of them, take ``_blocked_cos_matrix``; any
-    other node set takes the direct form amp_n cos(lam_n s_j), in place.
+    at least BLOCKED_MIN_NODES of them, give a ``BlockedModes``; any other
+    node set gives the direct form amp_n cos(lam_n s_j) as an array,
+    evaluated in place.
     """
     nodes = np.asarray(nodes, dtype=float).ravel()
     k = slice(mode_count)
@@ -211,11 +292,21 @@ def slab_matrix(basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int
         raise ValueError("slab must be 'b' or 'a'")
     n = nodes.size
     if n >= BLOCKED_MIN_NODES and np.array_equal(nodes, np.linspace(nodes[0], nodes[-1], n)):
-        return _blocked_cos_matrix(s, lam, amp)
+        return BlockedModes(s, lam, amp)
     out = np.multiply.outer(s, lam)
     np.cos(out, out=out)
     out *= amp
     return out
+
+
+def slab_matrix(basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int) -> np.ndarray:
+    """Matrix of phi_{alpha n}(x_j), rows nodes, columns modes 0..mode_count-1.
+
+    The dense form of ``mode_operator``: the blocked tables' product on
+    equispaced grids from BLOCKED_MIN_NODES up, the direct form elsewhere.
+    """
+    P = mode_operator(basis, nodes, slab, mode_count)
+    return P.dense() if isinstance(P, BlockedModes) else P
 
 
 def _mode_norms(sys: SlabSystem, lam_b, lam_a, amp_b, amp_a):

@@ -57,6 +57,7 @@ from .spectral import (
     CoeffVector,
     _mode_matrices,
     _recover,
+    _recover_on_grid,
     _synthesize,
     amplification_factors,
     project_coefficients,
@@ -544,10 +545,12 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
     bound = math.sqrt(2.0 * max(s.a, s.b))
     result, noisy = _cutoff_example(cfg, 1, basis, initial, bound, final=mode1_data(grid))
 
+    # the first eps's cut-off, recovered once and amplified to each t from the same matrices
+    m = retained_modes(basis, cfg.reg(cfg.eps_list[0]).n_eps)
+    coeffs, Pb, Pa = _recover_on_grid(basis, noisy[0], m, cfg.recovery_policy)
     surface_rows: list[str] = []
-    reg = cfg.reg(cfg.eps_list[0])
     for t in np.linspace(s.t0, s.tf, 11):
-        snap = cutoff_reconstruct(basis, noisy[0], reg, float(t), policy=cfg.recovery_policy)
+        snap = _synthesize(basis, coeffs, float(t), noisy[0].grid, Pb, Pa)
         values = np.concatenate([snap.values_b, snap.values_a])
         surface_rows += [f"{x:.5f},{t:.5f},{v:.6e}" for x, v in zip(result.table.xs, values)]
 

@@ -14,10 +14,13 @@ eigenfunction columns phi_{alpha n}(x_j).  Two recovery routes exist:
 Every guarded solve factors its matrix once.  The condition guard
 (``_require_conditioned``) reads the condition from a spectrum already
 computed: the singular values that ``lstsq`` returns with a per-slab
-solution, or the eigenvalue magnitudes (``eigvalsh``) of the symmetric
-Gram matrix of the "projection" policy, which ``solve`` then factors.
-A factorisation that does not converge is refused as well, with
-condition nan.
+solution.  The symmetric Gram matrix of the "projection" policy, which
+``solve`` factors, is first bounded in O(k^2) (``_certified_condition``:
+Weyl's inequality on its Jacobi-scaled form, with round-off margins).
+Only a Gram that this certificate cannot pass goes to ``eigvalsh``, whose
+eigenvalue magnitudes the guard then reads, so every verdict and message
+is the one ``eigvalsh`` gives.  A factorisation that does not converge is
+refused as well, with condition nan.
 
 Synthesis evaluates T(x, t) = sum C_n exp(lambda_bar_n (tf - t)) phi_n(x),
 the backward-amplified series; exponents above 700 are refused, and so
@@ -33,6 +36,14 @@ the coefficients) and hands it to ``_synthesize``; the public wrappers
 build their own.  A plate slice (``bilayer2d.slice_basis``) keeps its
 frequencies and amplitudes under the rod basis's names, so it runs
 through these same mode matrices, recovery and synthesis.
+
+On a grid that takes the blocked route (``basis.mode_operator``) a mode
+matrix is a ``BlockedModes``: the trapezoid Gram, the products P^T W y
+and the synthesis P g come from its tables, with no N x k array, and the
+trapezoid weights are the exact uniform h (h/2 at the ends) rather than
+the differences of the rounded nodes.  "strict-paper" takes its k rows
+from the tables; "least-squares" solves on the dense form.  Every other
+node set keeps the direct form's array and its bits.
 """
 
 from __future__ import annotations
@@ -50,13 +61,19 @@ from .core import (
     SampledField,
     ValidationError,
 )
-from .basis import EigenBasis, slab_matrix
+from .basis import BlockedModes, EigenBasis, mode_operator, slab_matrix
 
 # Condition estimate beyond which a solve is refused.
 CONDITION_LIMIT = 1e12
 
+# machine epsilon of the doubles the guards read
+_EPS = float(np.finfo(float).eps)
+
 # exp() argument ceiling; past this double precision is gone anyway.
 EXP_ARG_LIMIT = 700.0
+
+# One slab's mode matrix as ``mode_operator`` gives it: tables on a blocked grid.
+ModeMatrix = np.ndarray | BlockedModes
 
 # The coefficient recovery routes of ``recover_coefficients``.
 RECOVERY_POLICIES = ("least-squares", "strict-paper", "projection")
@@ -113,18 +130,71 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def _trapezoid_inner(
+    P: ModeMatrix, nodes: np.ndarray, values: np.ndarray, w: float = 1.0
+) -> np.ndarray:
+    """P^T (w t values), t the trapezoid weights of one slab's nodes.
+
+    A ``BlockedModes`` takes the exact uniform spacing for t and forms
+    P^T y from its tables; an array takes t from the nodes' differences.
+    """
+    if isinstance(P, BlockedModes):
+        return P.rmatvec(w * P.trapezoid_weights() * values)
+    return P.T @ (w * _trapezoid_weights(nodes) * values)
+
+
+def _trapezoid_gram(P: ModeMatrix, nodes: np.ndarray, w: float) -> np.ndarray:
+    """w P^T diag(t) P, with t as in ``_trapezoid_inner``."""
+    if isinstance(P, BlockedModes):
+        G = P.trapezoid_gram()
+        G *= w
+        return G
+    W = w * _trapezoid_weights(nodes)
+    return P.T @ (W[:, None] * P)
+
+
+def _certified_condition(G: np.ndarray) -> float:
+    """An upper bound on the condition ``eigvalsh`` finds for symmetric G; inf when none is found.
+
+    With d = sqrt(diag G), S = G/(d d^T) and delta >= ||S - I||_F, Weyl's
+    inequality puts the eigenvalues of S in [1 - delta, 1 + delta], so
+    cond(G) <= (max d/min d)^2 (1 + delta)/(1 - delta) when delta < 1.
+    delta carries 4 k eps for the rounding of S and of its norm, and the
+    bound a factor for eigvalsh's own backward error, taken as k eps ||G||.
+    O(k^2).  A zero, negative or non-finite diagonal returns inf before any
+    arithmetic, so it raises no numpy warning.
+    """
+    k = len(G)
+    diag = G.diagonal()
+    lo, hi = float(diag.min()), float(diag.max())
+    if not 0.0 < lo <= hi < math.inf:
+        return math.inf
+    d = np.sqrt(diag)
+    S = G / np.multiply.outer(d, d)
+    S.flat[:: k + 1] = 0.0
+    delta = math.sqrt(float(np.vdot(S, S))) + 4 * k * _EPS
+    if not delta < 1.0:
+        return math.inf
+    bound = hi / lo * (1.0 + delta) / (1.0 - delta)
+    slack = k * _EPS * bound
+    return bound * (1.0 + k * _EPS) / (1.0 - slack) if slack < 1.0 else math.inf
+
+
 def _recover_projection(
-    basis: EigenBasis, field: SampledField, Pb: np.ndarray, Pa: np.ndarray
+    basis: EigenBasis, field: SampledField, Pb: ModeMatrix, Pa: ModeMatrix
 ) -> CoeffVector:
     # weighted least squares across both slabs jointly: solve the
     # discrete Gram system of the material-weighted trapezoid inner
     # product; exact on data lying in the modes of Pb, Pa
     w_b, w_a = basis.sys.weights
-    Wb = w_b * _trapezoid_weights(field.grid.nodes_b)
-    Wa = w_a * _trapezoid_weights(field.grid.nodes_a)
-    G = Pb.T @ (Wb[:, None] * Pb) + Pa.T @ (Wa[:, None] * Pa)
-    r = Pb.T @ (Wb * field.values_b) + Pa.T @ (Wa * field.values_a)
-    _require_conditioned(np.abs(np.linalg.eigvalsh(G)), "projection Gram matrix")
+    nodes_b, nodes_a = field.grid.nodes_b, field.grid.nodes_a
+    G = _trapezoid_gram(Pb, nodes_b, w_b)
+    G += _trapezoid_gram(Pa, nodes_a, w_a)
+    r = _trapezoid_inner(Pb, nodes_b, field.values_b, w_b) + _trapezoid_inner(
+        Pa, nodes_a, field.values_a, w_a
+    )
+    if not _certified_condition(G) <= CONDITION_LIMIT:
+        _require_conditioned(np.abs(np.linalg.eigvalsh(G)), "projection Gram matrix")
     c = np.linalg.solve(G, r)
     return CoeffVector(basis=basis, c_b=c, c_a=c.copy())
 
@@ -147,11 +217,11 @@ def _validate_recovery(
         raise ValidationError("mode_count must be in 1..len(basis)")
 
 
-def _mode_matrices(basis: EigenBasis, grid: Grid, mode_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(phi_bn(x_j), phi_an(x_j)) on each slab's nodes of ``grid``."""
+def _mode_matrices(basis: EigenBasis, grid: Grid, mode_count: int) -> tuple[ModeMatrix, ModeMatrix]:
+    """(phi_bn(x_j), phi_an(x_j)) on each slab's nodes of ``grid``, from ``mode_operator``."""
     return (
-        slab_matrix(basis, grid.nodes_b, "b", mode_count),
-        slab_matrix(basis, grid.nodes_a, "a", mode_count),
+        mode_operator(basis, grid.nodes_b, "b", mode_count),
+        mode_operator(basis, grid.nodes_a, "a", mode_count),
     )
 
 
@@ -160,12 +230,14 @@ def _recover(
     field: SampledField,
     mode_count: int,
     policy: str,
-    Pb: np.ndarray,
-    Pa: np.ndarray,
+    Pb: ModeMatrix,
+    Pa: ModeMatrix,
 ) -> CoeffVector:
     """Recovery from the mode matrices of the field's own grid, inputs validated.
 
-    "strict-paper" solves on the rows of the subsampled nodes.  A
+    "strict-paper" solves on the rows of the subsampled nodes, which a
+    ``BlockedModes`` forms from its tables; "least-squares" solves on the
+    dense matrix.  A
     factorisation that does not converge is refused with condition nan,
     and so is a coefficient that overflowed: quietly, with no numpy
     warning first.
@@ -179,8 +251,11 @@ def _recover(
                 for A, values in ((Pb, field.values_b), (Pa, field.values_a)):
                     values = np.asarray(values, float)
                     if policy == "strict-paper":
-                        idx = _strict_subsample(len(A), mode_count)
-                        A, values = A[idx], values[idx]
+                        idx = _strict_subsample(A.shape[0], mode_count)
+                        rows = A.rows(idx) if isinstance(A, BlockedModes) else A[idx]
+                        A, values = rows, values[idx]
+                    elif isinstance(A, BlockedModes):
+                        A = A.dense()
                     out.append(_solve_slab(A, values))
                 coeffs = CoeffVector(basis=basis, c_b=out[0], c_a=out[1])
     except np.linalg.LinAlgError as exc:
@@ -192,7 +267,7 @@ def _recover(
 
 def _recover_on_grid(
     basis: EigenBasis, field: SampledField, mode_count: int, policy: str
-) -> tuple[CoeffVector, np.ndarray, np.ndarray]:
+) -> tuple[CoeffVector, ModeMatrix, ModeMatrix]:
     """Validated recovery, returned with the mode matrices of the field's grid."""
     _validate_recovery(basis, field, mode_count, policy)
     Pb, Pa = _mode_matrices(basis, field.grid, mode_count)
@@ -229,8 +304,8 @@ def project_coefficients(basis: EigenBasis, field, mode_count: int) -> CoeffVect
     w_b, w_a = basis.sys.weights
     if isinstance(field, SampledField):
         Pb, Pa = _mode_matrices(basis, field.grid, mode_count)
-        inner_b = Pb.T @ (_trapezoid_weights(field.grid.nodes_b) * field.values_b)
-        inner_a = Pa.T @ (_trapezoid_weights(field.grid.nodes_a) * field.values_a)
+        inner_b = _trapezoid_inner(Pb, field.grid.nodes_b, field.values_b)
+        inner_a = _trapezoid_inner(Pa, field.grid.nodes_a, field.values_a)
     else:
         inner_b, inner_a = _quadrature_inner(basis, *field, mode_count)
     c = (w_b * inner_b + w_a * inner_a) / basis.norm_N[:mode_count]
@@ -274,7 +349,7 @@ def _series_field(grid: Grid, values_b: np.ndarray, values_a: np.ndarray, t: flo
 
 
 def _synthesize(
-    basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid, Pb: np.ndarray, Pa: np.ndarray
+    basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid, Pb: ModeMatrix, Pa: ModeMatrix
 ) -> SampledField:
     """The amplified series at time t from the mode matrices of ``grid``, refused if not finite."""
     amp = amplification_factors(basis, len(coeffs), t)

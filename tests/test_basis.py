@@ -7,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.basis import BLOCKED_MIN_NODES, build_basis, slab_grams, slab_matrix
+from twoslab.basis import (
+    BLOCKED_MIN_NODES,
+    BlockedModes,
+    build_basis,
+    mode_operator,
+    slab_grams,
+    slab_matrix,
+)
 from twoslab.core import uniform_grid
 
 
@@ -202,6 +209,83 @@ def test_equispaced_grid_takes_no_cosine_per_entry(sys_cm, monkeypatch):
     assert len(sizes) == 4
     assert max(sizes) <= block * 40
     assert sum(sizes) <= 4 * block * 40
+
+
+@pytest.mark.parametrize("nodes", [BLOCKED_MIN_NODES, BLOCKED_MIN_NODES + 1, 1000, 11000])
+@pytest.mark.parametrize("count", [51, 403])
+@pytest.mark.parametrize("rod", ["cu_mo", "stiff", "unit"])
+def test_blocked_operator_products_are_within_roundoff_of_long_double(rods_2000, rod, count, nodes):
+    # the trapezoid Gram, P^T y and P g from the tables against the long-double
+    # matrix, with bounds fixed from the double evaluation: each entry of P errs
+    # by at most b_n = cos_matrix_bound, and the table sums by a few (N/B + B + k)
+    # eps of their terms.  The Gram and P^T y are checked on every 20th column and
+    # the last (the unit rod's degenerate columns 20, 100, ... among them), P g on
+    # every 13th row and the last: 13 is prime to the block lengths 16, 17, 32
+    # and 105, so every in-block offset is among them.
+    basis = rods_2000[rod]
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(nodes + count)
+    grid = uniform_grid(basis.sys, nodes)
+    cols = np.r_[0:count:20, count - 1]
+    rows = np.r_[0:nodes:13, nodes - 1]
+    for slab, x in (("b", grid.nodes_b), ("a", grid.nodes_a)):
+        shift, lam, amp = _slab_arrays(basis, slab, count)
+        P = mode_operator(basis, x, slab, count)
+        assert isinstance(P, BlockedModes) and P.shape == (nodes, count)
+        terms = P.starts.shape[1] + P.offsets.shape[1] + 2
+        bound = oracles.cos_matrix_bound(x, shift, lam, amp)
+        mag = np.abs(amp)
+        w = P.trapezoid_weights()
+        assert w[0] == w[-1] == 0.5 * P.h and np.all(w[1:-1] == P.h)
+        length = float(np.sum(w))
+
+        L = oracles.cos_matrix_longdouble(x, shift, lam[cols], amp[cols])
+        want = L.T @ (w.astype(np.longdouble)[:, None] * L)
+        tol = length * (
+            np.outer(bound[cols], mag[cols]) + np.outer(mag[cols], bound[cols])
+            + 8 * terms * eps * np.outer(mag[cols], mag[cols])
+        )
+        got = P.trapezoid_gram()
+        assert np.array_equal(got, got.T)
+        assert np.all(np.abs(got[np.ix_(cols, cols)] - want) <= tol), slab
+
+        y = rng.standard_normal(nodes)
+        want = L.T @ y.astype(np.longdouble)
+        tol = np.sum(np.abs(y)) * (bound[cols] + 2 * terms * eps * mag[cols])
+        assert np.all(np.abs(P.rmatvec(y)[cols] - want) <= tol), slab
+
+        g = rng.standard_normal(count)
+        want = oracles.cos_matrix_longdouble(x[rows], shift, lam, amp) @ g.astype(np.longdouble)
+        tol = bound @ np.abs(g) + 2 * (count + 2) * eps * (mag @ np.abs(g))
+        assert np.all(np.abs((P @ g)[rows] - want) <= tol), slab
+
+
+@pytest.mark.parametrize("policy", ["projection", "strict-paper"])
+def test_blocked_recovery_forms_no_mode_matrix(sys_cm, policy, monkeypatch):
+    # projection and strict-paper read the tables only: no dense(), and the
+    # traced peak stays below the bytes of one 11000 x 40 matrix
+    import tracemalloc
+
+    from twoslab.core import SampledField
+    from twoslab.evolve import forward_solve
+
+    basis = build_basis(sys_cm, 40)
+    grid = uniform_grid(sys_cm, 11000)
+    field = SampledField(grid, np.cos(0.3 * grid.nodes_b), np.cos(0.3 * grid.nodes_a), sys_cm.t0)
+    count = 40 if policy == "projection" else 7
+
+    def refuse(self):
+        raise AssertionError("the N x k matrix was formed")
+
+    monkeypatch.setattr(BlockedModes, "dense", refuse)
+    forward_solve(basis, field, grid, count, policy)
+    tracemalloc.start()
+    try:
+        forward_solve(basis, field, grid, count, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11000 * count * 8, peak
 
 
 def test_degenerate_interface_modes_explicit(sys_explicit):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.basis import BLOCKED_MIN_NODES, build_basis
+from twoslab.basis import BLOCKED_MIN_NODES, build_basis, slab_matrix
 import twoslab.bilayer2d
 import twoslab.eigensolver
 from twoslab.bilayer2d import (
@@ -34,7 +34,7 @@ from twoslab.core import (
     uniform_grid,
 )
 from twoslab.eigensolver import MAX_MODES, eigen_f, eigen_phase, find_eigenvalues
-from twoslab.spectral import CoeffVector, _mode_matrices, synthesize
+from twoslab.spectral import CoeffVector, synthesize
 
 # enumeration thresholds with hand-checked mode inventories
 PAIRS_SMALL = [(0, 0)]
@@ -247,8 +247,8 @@ def test_slice_matrix_matches_loop_form(sys_2d, nodes, y0):
     basis2d = find_modes_2d(sys_2d, 60.0)
     on_slice = slice_basis(basis2d, y0)
     grid = uniform_grid(sys_2d, nodes)
-    got = _mode_matrices(on_slice, grid, len(basis2d))
-    for P, slab, x in zip(got, "ba", (grid.nodes_b, grid.nodes_a)):
+    for slab, x in (("b", grid.nodes_b), ("a", grid.nodes_a)):
+        P = slab_matrix(on_slice, x, slab, len(basis2d))
         assert P.shape == (nodes, len(basis2d))
         if nodes < BLOCKED_MIN_NODES:
             assert np.array_equal(P, _slice_matrix_loop(basis2d, x, slab, y0))
@@ -292,9 +292,9 @@ def test_reconstruct_slice_shares_matrices(sys_2d, y0, monkeypatch):
     want = _slice_series(basis2d, r_b, r_a, y0, t, grid)
 
     calls = []
-    real = twoslab.spectral.slab_matrix
+    real = twoslab.spectral.mode_operator
     monkeypatch.setattr(
-        twoslab.spectral, "slab_matrix", lambda *a: calls.append(a[2]) or real(*a)
+        twoslab.spectral, "mode_operator", lambda *a: calls.append(a[2]) or real(*a)
     )
     got = reconstruct_2d_slice(sys_2d, final, reg, y0, t)
     assert sorted(calls) == ["a", "b"]

@@ -390,16 +390,20 @@ def test_examples_1_to_3_write_one_per_eps_record(ex1, ex2, ex3):
 
 
 def _count_slab_matrices(monkeypatch, *modules):
-    """Record (slab, node count) of every slab_matrix call made through ``modules``."""
+    """Record (slab, node count) of every slab_matrix or mode_operator call made through ``modules``."""
     calls = []
-    real = basis_module.slab_matrix
 
-    def spy(basis, nodes, slab, mode_count):
-        calls.append((slab, len(nodes)))
-        return real(basis, nodes, slab, mode_count)
+    def spy_on(real):
+        def spy(basis, nodes, slab, mode_count):
+            calls.append((slab, len(nodes)))
+            return real(basis, nodes, slab, mode_count)
+
+        return spy
 
     for module in modules:
-        monkeypatch.setattr(module, "slab_matrix", spy)
+        for name in ("slab_matrix", "mode_operator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy_on(getattr(basis_module, name)))
     return calls
 
 
@@ -410,6 +414,17 @@ def test_example1_raw_inversion_builds_each_square_matrix_once(monkeypatch):
     square = [slab for slab, nodes in calls if nodes == cfg.mode_count]
     assert sorted(square) == ["a", "b"]
     assert result.metadata["unregularized_max_abs"] > 0.0
+
+
+def test_example1_surface_recovers_its_coefficients_once(monkeypatch):
+    # one recovery per eps for the table, and one shared by the surface's 11 times
+    calls = []
+    real = spectral_module._recover
+    monkeypatch.setattr(spectral_module, "_recover", lambda *a: calls.append(a[2]) or real(*a))
+    cfg = default_config("1")
+    result = run_example("1", cfg)
+    assert len(calls) == len(cfg.eps_list) + 1
+    assert len(result.extra_csv["surface.csv"][1]) == 11 * 2 * cfg.grid_points
 
 
 def test_example2d_builds_each_slice_matrix_once_per_eps(monkeypatch):
@@ -696,7 +711,7 @@ def test_main_exit2_on_non_finite_bound_side(tmp_path, capsys):
     assert not (out / "bounds.csv").exists()
 
 
-@pytest.mark.parametrize("policy,broken", [("least-squares", "lstsq"), ("projection", "eigvalsh")])
+@pytest.mark.parametrize("policy,broken", [("least-squares", "lstsq"), ("projection", "solve")])
 def test_main_exit2_when_a_factorisation_does_not_converge(
     sys_cm, tmp_path, capsys, monkeypatch, policy, broken
 ):

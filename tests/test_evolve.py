@@ -410,17 +410,17 @@ POLICIES = ("least-squares", "strict-paper", "projection")
 
 
 def _count_slab_matrix(monkeypatch):
-    """Count slab_matrix calls per slab; spectral is the one module evolve builds them through."""
+    """Count mode_operator calls per slab; spectral is the one module evolve builds them through."""
     import twoslab.spectral
 
     calls = {"b": 0, "a": 0}
-    real = twoslab.spectral.slab_matrix
+    real = twoslab.spectral.mode_operator
 
     def counting(basis, nodes, slab, mode_count):
         calls[slab] += 1
         return real(basis, nodes, slab, mode_count)
 
-    monkeypatch.setattr(twoslab.spectral, "slab_matrix", counting)
+    monkeypatch.setattr(twoslab.spectral, "mode_operator", counting)
     return calls
 
 

@@ -4,11 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.basis import build_basis, slab_matrix
+from twoslab.basis import BLOCKED_MIN_NODES, build_basis, slab_matrix
 from twoslab.core import (
     AmplificationOverflowError,
     Grid,
@@ -16,6 +16,7 @@ from twoslab.core import (
     RankDeficientError,
     RegParams,
     SampledField,
+    SlabSystem,
     ValidationError,
     uniform_grid,
 )
@@ -402,10 +403,11 @@ def linalg_calls(monkeypatch):
     return calls
 
 
+# the projection Gram's condition is certified without a factorisation here
 _ONE_FACTORISATION = {
     "least-squares": {"lstsq": 2},
     "strict-paper": {"lstsq": 2},
-    "projection": {"eigvalsh": 1, "solve": 1},
+    "projection": {"solve": 1},
 }
 
 
@@ -437,7 +439,7 @@ def test_slice_solves_factor_each_matrix_once(sys_2d, linalg_calls):
 @pytest.mark.parametrize("policy,broken", [
     ("least-squares", "lstsq"),
     ("strict-paper", "lstsq"),
-    ("projection", "eigvalsh"),
+    ("projection", "solve"),
 ])
 def test_unconverged_factorisation_fails_closed(basis_cm, span_data, monkeypatch, policy, broken):
     def fail(*args, **kwargs):
@@ -448,3 +450,103 @@ def test_unconverged_factorisation_fails_closed(basis_cm, span_data, monkeypatch
     with pytest.raises(RankDeficientError, match="coefficient recovery failed") as exc:
         recover_coefficients(basis_cm, field, 6, policy=policy)
     assert math.isnan(exc.value.condition)
+
+
+# ---------------------------------------------------------------------------
+# the projection Gram's condition, certified in O(k^2) before any eigvalsh
+
+A0 = 3.180151750330678  # a Cu/Mo rod with b = 5 and a = A0 has cos(lambda_a a) = 0 at mode 5
+
+
+@pytest.fixture(scope="module")
+def certificate_rods(sys_cm, sys_explicit, sys_stiff):
+    item7 = SlabSystem(b=5.0, a=A0 + 2e-6, mat_b=sys_cm.mat_b, mat_a=sys_cm.mat_a)
+    return {
+        "cu_mo": build_basis(sys_cm, 60),
+        "unit": build_basis(sys_explicit, 60),  # degenerate interface at n = 4, 12, 20, ...
+        "stiff": build_basis(sys_stiff, 60),
+        "item7": build_basis(item7, 60),
+    }
+
+
+def _projection_gram(basis, nodes, modes):
+    from twoslab.spectral import _mode_matrices, _trapezoid_gram
+
+    grid = uniform_grid(basis.sys, nodes)
+    Pb, Pa = _mode_matrices(basis, grid, modes)
+    w_b, w_a = basis.sys.weights
+    return _trapezoid_gram(Pb, grid.nodes_b, w_b) + _trapezoid_gram(Pa, grid.nodes_a, w_a)
+
+
+@given(
+    rod=st.sampled_from(["cu_mo", "unit", "stiff", "item7"]),
+    nodes=st.integers(min_value=2, max_value=1100),
+    modes=st.integers(min_value=1, max_value=60),
+)
+@example(rod="item7", nodes=20, modes=10)
+@example(rod="unit", nodes=BLOCKED_MIN_NODES + 1, modes=60)
+def test_certified_condition_is_never_below_eigvalsh(certificate_rods, rod, nodes, modes):
+    from twoslab.spectral import _certified_condition
+
+    assume(modes <= 2 * nodes)
+    G = _projection_gram(certificate_rods[rod], nodes, modes)
+    spectrum = np.abs(np.linalg.eigvalsh(G))
+    cond = spectrum.max() / spectrum.min() if spectrum.min() > 0.0 else math.inf
+    assert _certified_condition(G) >= cond
+
+
+@pytest.mark.parametrize("rod,nodes,modes", [
+    ("cu_mo", 20, 20), ("cu_mo", 51, 51), ("unit", 1000, 60),
+    ("item7", 20, 10),  # condition 4.768e11: just under the limit, and certified
+])
+def test_well_conditioned_projection_runs_no_eigvalsh(certificate_rods, linalg_calls, rod, nodes, modes):
+    from twoslab.spectral import _certified_condition
+
+    basis = certificate_rods[rod]
+    assert _certified_condition(_projection_gram(basis, nodes, modes)) <= CONDITION_LIMIT
+    grid = uniform_grid(basis.sys, nodes)
+    field = SampledField(grid, np.cos(0.3 * grid.nodes_b), np.cos(0.3 * grid.nodes_a), basis.sys.tf)
+    linalg_calls.clear()
+    recover_coefficients(basis, field, modes, "projection")
+    assert dict(linalg_calls) == {"solve": 1}
+
+
+def test_an_uncertified_gram_falls_back_to_one_eigvalsh(basis_cm, sys_cm, linalg_calls, monkeypatch):
+    # condition 1e11 with dense eigenvectors: far from diagonal, so delta passes 1
+    # and eigvalsh decides, once; an eigvalsh that does not converge fails closed
+    from twoslab.spectral import _recover, _trapezoid_weights
+
+    rng = np.random.default_rng(3)
+    n, m = 12, 6
+    grid = uniform_grid(sys_cm, n)
+    field = SampledField(grid, rng.standard_normal(n), rng.standard_normal(n), sys_cm.tf)
+    D = basis_cm.sys.weights[0] * _trapezoid_weights(grid.nodes_b)
+    Pb = _prescribed(rng, n, np.sqrt(np.geomspace(1.0, 1e-11, m)), "dense") / np.sqrt(D)[:, None]
+    Pa = np.zeros((n, m))
+    _recover(basis_cm, field, m, "projection", Pb, Pa)
+    assert dict(linalg_calls) == {"eigvalsh": 1, "solve": 1}
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(RankDeficientError, match="coefficient recovery failed") as exc:
+        _recover(basis_cm, field, m, "projection", Pb, Pa)
+    assert math.isnan(exc.value.condition)
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_declines_degenerate_grams_quietly():
+    from twoslab.spectral import _certified_condition
+
+    good = np.diag([1.0, 4.0, 9.0])
+    assert 9.0 <= _certified_condition(good) < 9.0 * (1 + 1e-12)
+    for diag in ([0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0]):
+        G = good.copy()
+        np.fill_diagonal(G, diag)
+        assert _certified_condition(G) == math.inf
+    for off in (np.inf, np.nan, 0.9, 1e300):
+        G = np.eye(3)
+        G[0, 1] = G[1, 0] = off
+        assert _certified_condition(G) == math.inf
+    assert _certified_condition(np.zeros((3, 3))) == math.inf
