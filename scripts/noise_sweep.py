@@ -9,8 +9,8 @@ threshold, the retained mode count and the L2 reconstruction error
 against the known initial state.  Useful for eyeballing how the error
 tracks the eps -> 0 limit on a denser ladder than the canned runs.
 Exit codes are those of the twoslab CLI: 1 for an invalid ladder (an eps
-outside (0, 1), two with one label, or one whose cut-off keeps every mode
-of mode_count), 2 for a numerical failure.
+outside (0, 1), two with one label, or one whose cut-off needs a mode
+matrix past the budget), 2 for a numerical failure.
 """
 
 import argparse

@@ -19,7 +19,7 @@ from .core import (
     trapezoid_norm,
     uniform_grid,
 )
-from .eigensolver import EigenValuePair, eigen_f, find_eigenvalues
+from .eigensolver import EigenValuePair, find_eigenvalues
 from .basis import EigenBasis, EigenMode, build_basis
 from .spectral import (
     CoeffVector,
@@ -41,7 +41,6 @@ from .evolve import (
 from .bilayer2d import (
     Basis2D,
     Mode2D,
-    eigen_f_2d,
     find_modes_2d,
     nu_a_of,
     reconstruct_2d_slice,
@@ -69,8 +68,6 @@ __all__ = [
     "build_basis",
     "cutoff_reconstruct",
     "cutoff_threshold",
-    "eigen_f",
-    "eigen_f_2d",
     "find_eigenvalues",
     "find_modes_2d",
     "forward_solve",

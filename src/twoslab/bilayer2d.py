@@ -73,18 +73,6 @@ def nu_a_of(nu_b, mu, sys: SlabSystem):
     return out
 
 
-def eigen_f_2d(nu_b, mu, sys: SlabSystem):
-    """2D interface determinant, vectorized over nu_b and mu."""
-    nb = np.asarray(nu_b, dtype=float)
-    na = nu_a_of(nb, mu, sys)
-    out = sys.mat_b.K * nb * np.sin(nb * sys.b) * np.cos(na * sys.a) + sys.mat_a.K * (
-        na
-    ) * np.sin(na * sys.a) * np.cos(nb * sys.b)
-    if np.isscalar(nu_b):
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
 class Mode2D:
     """One plate mode: transverse index m, layer frequencies, decay rate."""
@@ -131,18 +119,6 @@ def y_mode(m: int, y, c: float):
     else:
         out = math.sqrt(2.0 / c) * np.cos(m * math.pi * ys / c)
     if np.isscalar(y):
-        return float(out)
-    return out
-
-
-def phi_2d(mode: Mode2D, x, y, sys: SlabSystem):
-    """Mode values X_alpha(x) * Y_m(y); x >= 0 uses the right layer."""
-    c = _require_c(sys)
-    xs = np.asarray(x, dtype=float)
-    left = mode.amp_b * np.cos(mode.nu_b * (xs + sys.b))
-    right = mode.amp_a * np.cos(mode.nu_a * (xs - sys.a))
-    out = np.where(xs < 0.0, left, right) * y_mode(mode.m, y, c)
-    if np.isscalar(x) and np.isscalar(y):
         return float(out)
     return out
 

@@ -42,7 +42,7 @@ from .core import (
     uniform_grid,
 )
 from .basis import EigenBasis, build_basis, slab_matrix
-from .eigensolver import MAX_MODES
+from .eigensolver import cutoff_mode_count
 from .evolve import (
     NOISE_BUDGET_RTOL,
     cutoff_reconstruct,
@@ -70,9 +70,9 @@ from .bilayer2d import find_modes_2d, recover_slice_coefficients, slice_basis  #
 RNG_NAME = "numpy.Philox/SeedSequence(seed, spawn_key=(example, stream))"
 
 # Example 1's raw inversion solves a square mode_count x mode_count system
-# per slab (32 MB per matrix at this size, before the SVDs); larger
-# mode counts are refused before anything is allocated.  The same budget
-# caps a config's grid_points x mode_count mode matrix per slab.
+# per slab, 32 MB per matrix at this size before the SVDs.  Its square is
+# the budget of every mode matrix a run builds per slab (``_require_budget``),
+# checked before the matrix or anything else of its size is allocated.
 MAX_RAW_INVERSION_MODES = 2000
 
 # Example-3 pulse: energy Q deposited over depth sigma in the left slab.
@@ -200,14 +200,19 @@ def config_from_dict(obj: dict, base: RunConfig | None = None) -> RunConfig:
     if kwargs.get("seed", 0) < 0:
         raise ValidationError("seed must be non-negative")
     cfg = replace(base if base is not None else RunConfig(), **kwargs)
-    # a mode_count past MAX_MODES is refused with its own message before any matrix
-    if cfg.grid_points * min(cfg.mode_count, MAX_MODES) > MAX_RAW_INVERSION_MODES**2:
-        raise ValidationError(
-            f"grid_points x mode_count = {cfg.grid_points} x {cfg.mode_count}: "
-            f"at most {MAX_RAW_INVERSION_MODES**2} mode-matrix entries per slab"
-        )
+    # grid_points rows of one mode: the smallest mode matrix a run on the config's grid builds
+    _require_budget(cfg.grid_points, 1, "grid_points")
     cfg.system()  # validate geometry/time window now
     return cfg
+
+
+def _require_budget(rows: int, modes: int, what: str) -> None:
+    """Refuse a per-slab mode matrix of rows x modes past the budget, before it is built."""
+    if rows * modes > MAX_RAW_INVERSION_MODES**2:
+        raise ValidationError(
+            f"{what}: a {rows} x {modes} mode matrix per slab passes the budget of "
+            f"{MAX_RAW_INVERSION_MODES**2} entries"
+        )
 
 
 def _read_text(path: str | Path) -> str:
@@ -444,6 +449,17 @@ def _cutoff_checks(
     return rec + [_check(f"noise_gap[{tag}]", lhs, rhs, "upper")]
 
 
+def _cutoff_basis(s: SlabSystem, reg: RegParams, nodes: int, least: int = 1) -> EigenBasis:
+    """A rod basis of at least ``least`` modes for the cut-off of ``reg`` on ``nodes`` per slab.
+
+    It holds every mode the cut-off keeps plus one (``cutoff_mode_count``), and
+    is refused before it is built when a nodes x count matrix passes the budget.
+    """
+    count = cutoff_mode_count(s, reg.n_eps)
+    _require_budget(nodes, count, f"eps={reg.epsilon:g}, N_eps = {reg.n_eps:.6g}")
+    return build_basis(s, max(least, count))
+
+
 def _cutoff_example(
     cfg: RunConfig,
     example_id: int,
@@ -457,9 +473,9 @@ def _cutoff_example(
     Per eps, the final data for the retained modes (``final`` when given,
     else ``initial`` evolved forward over them) takes noise from stream
     (seed, example_id, i), is reconstructed at t0 on ``initial``'s grid
-    and checked against the three estimates.  A cut-off that keeps every
-    mode built is refused: more modes could change the reconstruction.
-    Returns the result and each eps's noisy final data.
+    and checked against the three estimates.  ``basis`` comes from
+    ``_cutoff_basis`` at the smallest eps, so it holds every mode each
+    cut-off keeps.  Returns the result and each eps's noisy final data.
     """
     s = basis.sys
     grid = initial.grid
@@ -471,11 +487,6 @@ def _cutoff_example(
     for i, eps in enumerate(cfg.eps_list):
         reg = cfg.reg(eps)
         m = retained_modes(basis, reg.n_eps)
-        if m == len(basis):
-            raise ValidationError(
-                f"eps={eps:g}: the cut-off N_eps = {reg.n_eps:.6g} keeps all mode_count = "
-                f"{cfg.mode_count} modes, and more modes may pass it; raise mode_count"
-            )
         clean = final if final is not None else forward_solve(
             basis, initial, grid, m, policy=cfg.recovery_policy
         )
@@ -516,13 +527,9 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
         raise ValidationError(
             f"example 1 needs mode 1: mode_count must be at least 2, got {cfg.mode_count}"
         )
-    if cfg.mode_count > MAX_RAW_INVERSION_MODES:
-        raise ValidationError(
-            f"example 1 inverts a square grid of mode_count nodes per slab: mode_count "
-            f"must be at most {MAX_RAW_INVERSION_MODES}, got {cfg.mode_count}"
-        )
+    _require_budget(cfg.mode_count, cfg.mode_count, "example 1's raw inversion on mode_count nodes")
     s = cfg.system()
-    basis = build_basis(s, cfg.mode_count)
+    basis = _cutoff_basis(s, cfg.reg(min(cfg.eps_list)), cfg.grid_points, cfg.mode_count)
     grid = uniform_grid(s, cfg.grid_points)
     lam_bar1 = float(basis.lambda_bar[1])
     amplification_factors(basis, 2, s.t0)  # refuses lambda_bar_1 (tf - t0) past the limit
@@ -592,9 +599,9 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
 def _forward_backward_example(cfg: RunConfig, example_id: int, f_b, f_a) -> ExampleResult:
     """Examples 2 and 3: the cut-off run on the final data of the initial state (f_b, f_a)."""
     s = cfg.system()
+    basis = _cutoff_basis(s, cfg.reg(min(cfg.eps_list)), cfg.grid_points, cfg.mode_count)
     grid = uniform_grid(s, cfg.grid_points)
     initial = SampledField(grid, f_b(grid.nodes_b), f_a(grid.nodes_a), s.t0)
-    basis = build_basis(s, cfg.mode_count)
     return _cutoff_example(cfg, example_id, basis, initial, (2.0 * s.b) ** -0.25)[0]
 
 
@@ -664,10 +671,11 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
     modes_csv_rows: list[str] = []
     for i, eps in enumerate(cfg.eps_list):
         reg = cfg.reg(eps)
-        basis2d = slice_basis(find_modes_2d(s, reg.n_eps), y0)
-        count = len(basis2d)
-        if count == 0:
-            raise ValidationError(f"eps={eps:g}: cut-off removed every 2D mode")
+        modes = find_modes_2d(s, reg.n_eps)
+        count = len(modes)  # at least the constant mode, as n_eps >= 0
+        # the slice grid and the display grid each take a matrix of count modes
+        _require_budget(max(count, cfg.grid_points), count, f"eps={eps:g}, N_eps = {reg.n_eps:.6g}")
+        basis2d = slice_basis(modes, y0)
         grid = uniform_grid(s, count)
         initial = SampledField(
             grid, slice_b(grid.nodes_b), slice_a(grid.nodes_a), s.t0
@@ -886,7 +894,8 @@ def _dispatch(args) -> int:
         s = cfg.system()
         field_tf = read_field_csv(args.infile, s.tf)
         reg = cfg.reg(args.eps)
-        basis = build_basis(s, cfg.mode_count)
+        nodes = max(len(field_tf.grid.nodes_b), len(field_tf.grid.nodes_a))
+        basis = _cutoff_basis(s, reg, nodes)
         t = args.t if args.t is not None else s.t0
         recon = cutoff_reconstruct(basis, field_tf, reg, t, policy=cfg.recovery_policy)
         _write_and_report(write_field_csv, recon, out / "backward.csv")

@@ -20,7 +20,9 @@ with t = tan psi, r = sqrt(kappa_b/kappa_a) and rho = (K_a/sqrt(kappa_a)) /
 no branch index and no pole.  The left-hand side is continuous, strictly
 increasing and within pi/2 of lambda (b + r a), so root n is the only
 one in the closed-form bracket (n -+ 1/2) pi / (b + r a).  All brackets
-are bisected at once.
+are bisected at once.  The lower bracket ends also bound the index of the
+last mode a cut-off keeps, so a cut-off's basis is sized from N_eps
+alone (``cutoff_mode_count``).
 
 The plate's transverse index m shifts the right layer's frequency; the
 same phase with that shift indexes its roots (``eigen_phase``), and rod
@@ -45,20 +47,6 @@ from .core import NumericalError, SlabSystem, ValidationError
 # spectrum may hold; larger requests are refused before anything is
 # allocated, so the modes and their brackets stay within tens of MB.
 MAX_MODES = 100_000
-
-
-def eigen_f(lambda_b, sys: SlabSystem):
-    """Transcendental eigenvalue function; vectorized over lambda_b."""
-    lam_b = np.asarray(lambda_b, dtype=float)
-    lam_a = sys.kappa_ratio_root() * lam_b
-    cb = sys.mat_b.K / math.sqrt(sys.mat_b.kappa)
-    ca = sys.mat_a.K / math.sqrt(sys.mat_a.kappa)
-    out = cb * np.sin(lam_b * sys.b) * np.cos(lam_a * sys.a) + ca * np.sin(
-        lam_a * sys.a
-    ) * np.cos(lam_b * sys.b)
-    if np.isscalar(lambda_b):
-        return float(out)
-    return out
 
 
 def _phase(sys: SlabSystem, mu=0.0):
@@ -88,8 +76,8 @@ def eigen_phase(nu_b, sys: SlabSystem, mu=0.0) -> np.ndarray:
         h = psi + arctan2((rho0 s - nu_b) t, nu_b + rho0 s t^2).
 
     Its second argument is positive except at nu_b = 0 with s t = 0, where
-    arctan2(0, 0) = 0 is the limit.  Root n of the determinant (``eigen_f``
-    at mu = 0, the plate's at mu) is where the phase equals n pi.  With a
+    arctan2(0, 0) = 0 is the limit.  Root n of the determinant (the module
+    docstring's at mu = 0, the plate's at mu) is where the phase equals n pi.  With a
     shift the phase need not increase, but phase - n pi has the sign of the
     increasing Pruefer angle at a fixed scale (rescaling an angle fixes the
     multiples of pi/2), so it changes sign once, at root n.
@@ -170,3 +158,20 @@ def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:
     return list(
         map(EigenValuePair, range(N + 1), lam_b.tolist(), lam_a.tolist(), lam_bar.tolist())
     )
+
+
+def cutoff_mode_count(sys: SlabSystem, n_eps: float) -> int:
+    """Modes a rod basis needs to hold every mode with lambda_bar <= n_eps, plus at least one.
+
+    Root n >= 1 lies above its bracket's lower end (n - 1/2) pi / (b + r a),
+    so with nu = sqrt(n_eps / kappa_b) no retained root has an index above
+    nu (b + r a) / pi + 1/2; the count adds mode 0 and one more.  An n_eps
+    that is not finite, or a count past MAX_MODES, is refused before
+    anything is allocated.
+    """
+    top = math.sqrt(n_eps / sys.mat_b.kappa) * (sys.b + sys.kappa_ratio_root() * sys.a) / math.pi
+    if not top + 0.5 < MAX_MODES - 1:
+        raise ValidationError(
+            f"N_eps = {n_eps!r} admits about {top:.3g} rod modes; at most {MAX_MODES} are supported"
+        )
+    return math.floor(top + 0.5) + 2

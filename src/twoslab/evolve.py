@@ -91,7 +91,10 @@ def cutoff_reconstruct(
 
     Only the admissible modes are recovered (the cut-off projection);
     they are then amplified by exp(lambda_bar_n (tf - t)) and evaluated
-    on the measurement grid, from the same mode matrices.
+    on the measurement grid, from the same mode matrices.  ``basis`` must
+    hold every mode the cut-off keeps plus one, as a basis of
+    ``eigensolver.cutoff_mode_count(sys, reg.n_eps)`` modes does: a
+    basis the cut-off keeps whole may be missing admissible modes.
     """
     return _reconstruct(basis, measured_tf, retained_modes(basis, reg.n_eps), t, policy)
 
@@ -105,8 +108,10 @@ def _reconstruct(
         raise ValidationError("t must lie in [t0, tf]")
     if count == 0:
         raise ValidationError("cut-off removed every mode; nothing to reconstruct")
+    # the guard before the recovery: an exponent past the limit is refused whatever the grid
+    amp = amplification_factors(basis, count, t)
     coeffs, Pb, Pa = _recover_on_grid(basis, measured_tf, count, policy)
-    return _synthesize(basis, coeffs, t, measured_tf.grid, Pb, Pa)
+    return _synthesize(basis, coeffs, t, measured_tf.grid, Pb, Pa, amp)
 
 
 def _amplified_norm_sq(basis: EigenBasis, coeffs: CoeffVector, t: float) -> tuple[np.ndarray, float]:

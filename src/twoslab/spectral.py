@@ -349,10 +349,14 @@ def _series_field(grid: Grid, values_b: np.ndarray, values_a: np.ndarray, t: flo
 
 
 def _synthesize(
-    basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid, Pb: ModeMatrix, Pa: ModeMatrix
+    basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid, Pb: ModeMatrix, Pa: ModeMatrix,
+    amp: np.ndarray | None = None,
 ) -> SampledField:
-    """The amplified series at time t from the mode matrices of ``grid``, refused if not finite."""
-    amp = amplification_factors(basis, len(coeffs), t)
+    """The amplified series at time t from the mode matrices of ``grid``, refused if not finite.
+
+    ``amp``, when given, is the caller's ``amplification_factors(basis, len(coeffs), t)``.
+    """
+    amp = amplification_factors(basis, len(coeffs), t) if amp is None else amp
     with np.errstate(over="ignore", invalid="ignore"):
         values_b, values_a = Pb @ (coeffs.c_b * amp), Pa @ (coeffs.c_a * amp)
     return _series_field(grid, values_b, values_a, t)

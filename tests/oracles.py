@@ -130,6 +130,18 @@ def dispersion_2d(nu_b, mu, sys):
     )
 
 
+def phi_2d(mode, x, y, sys):
+    """Plate mode value X_alpha(x) Y_m(y) from its record; x >= 0 takes the right layer.
+
+    Y_m is the cosine orthonormal on [0, c] (the constant sqrt(1/c) at m = 0).
+    """
+    xs = np.asarray(x, dtype=float)
+    left = mode.amp_b * np.cos(mode.nu_b * (xs + sys.b))
+    right = mode.amp_a * np.cos(mode.nu_a * (xs - sys.a))
+    y_factor = np.sqrt((1.0 if mode.m == 0 else 2.0) / sys.c) * np.cos(mode.m * np.pi * y / sys.c)
+    return np.where(xs < 0.0, left, right) * y_factor
+
+
 def brute_modes_2d(sys, n_eps, step=2e-4):
     """All (m, n) plate modes with decay rate <= n_eps, by double loop.
 

@@ -15,10 +15,8 @@ import twoslab.eigensolver
 from twoslab.bilayer2d import (
     EvanescentBranchError,
     Mode2D,
-    eigen_f_2d,
     find_modes_2d,
     nu_a_of,
-    phi_2d,
     reconstruct_2d_slice,
     recover_slice_coefficients,
     slice_basis,
@@ -33,7 +31,7 @@ from twoslab.core import (
     ValidationError,
     uniform_grid,
 )
-from twoslab.eigensolver import MAX_MODES, eigen_f, eigen_phase, find_eigenvalues
+from twoslab.eigensolver import MAX_MODES, eigen_phase, find_eigenvalues
 from twoslab.spectral import CoeffVector, synthesize
 
 # enumeration thresholds with hand-checked mode inventories
@@ -47,8 +45,8 @@ PAIRS_60 = [
 
 def test_determinant_reduces_to_slab_problem_at_mu_zero(sys_2d):
     nu = np.linspace(0.05, 3.0, 57)
-    got = eigen_f_2d(nu, 0.0, sys_2d)
-    want = nu * math.sqrt(sys_2d.mat_b.kappa) * eigen_f(nu, sys_2d)
+    got = oracles.dispersion_2d(nu, 0.0, sys_2d)
+    want = nu * math.sqrt(sys_2d.mat_b.kappa) * oracles.dispersion(nu, sys_2d)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
@@ -148,8 +146,8 @@ def test_phi_2d_interface_continuity_and_flux(sys_2d):
     basis2d = find_modes_2d(sys_2d, 60.0)
     y0 = 0.3
     for md in basis2d.modes:
-        left = phi_2d(md, -1e-12, y0, sys_2d)
-        right = phi_2d(md, 0.0, y0, sys_2d)
+        left = float(oracles.phi_2d(md, -1e-12, y0, sys_2d))
+        right = float(oracles.phi_2d(md, 0.0, y0, sys_2d))
         assert left == pytest.approx(right, abs=1e-8 * max(1.0, abs(right)))
         flux_b = -sys_2d.mat_b.K * md.amp_b * md.nu_b * math.sin(md.nu_b * sys_2d.b)
         flux_a = sys_2d.mat_a.K * md.amp_a * md.nu_a * math.sin(md.nu_a * sys_2d.a)

@@ -37,7 +37,7 @@ from twoslab.cli import (
 )
 from twoslab.core import Material, SampledField, ValidationError, trapezoid_norm, uniform_grid
 from twoslab.eigensolver import MAX_MODES
-from twoslab.evolve import NOISE_BUDGET_RTOL
+from twoslab.evolve import NOISE_BUDGET_RTOL, retained_modes
 from twoslab.spectral import RECOVERY_POLICIES, _validate_recovery
 
 # a refusal reports its own numerical failure: no numpy warning comes first
@@ -542,16 +542,14 @@ def test_main_exit1_on_bad_config(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{")
     assert main(["eigen", "--config", str(broken), "--out", str(tmp_path)]) == 1
-    # N_eps = 460.5 passes lambda_bar_50 = 220.0: the cut-off would keep more modes than built
-    short = tmp_path / "short.json"
-    short.write_text('{"beta": 20, "grid_points": 120, "eps_list": [0.01]}')
-    capsys.readouterr()
+    # N_eps = 460.5 passes lambda_bar_50 = 220.0: not a bad config, since the cut-off
+    # sizes its own basis and keeps the 73 modes a 2000-mode basis keeps
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"beta": 20, "grid_points": 120, "eps_list": [0.01]}')
     out = tmp_path / "out"
-    assert main(["example", "2", "--config", str(short), "--out", str(out)]) == 1
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: eps=0.01: the cut-off N_eps = 460.517 ")
-    assert "mode_count = 51" in line
-    assert not out.exists()
+    assert main(["example", "2", "--config", str(wide), "--out", str(out)]) == 0
+    meta = json.loads((out / "example2" / "metadata.json").read_text())
+    assert meta["per_eps"]["eps_1e-2"]["retained_modes"] == 73
 
 
 @pytest.mark.parametrize("command", ["forward", "backward"])
@@ -666,13 +664,12 @@ def test_main_exit1_on_geometry_collapsing_the_brackets(tmp_path, capsys, size):
     "argv",
     [
         ["eigen", "--count", str(MAX_MODES + 1)],
-        ["backward", "--eps", "1e-4", "--infile", "final.csv", "--config", "huge.json"],
+        ["example", "2", "--config", "huge.json"],
     ],
 )
 def test_main_exit1_on_rod_mode_count_past_the_cap(tmp_path, capsys, monkeypatch, argv):
+    # example 2's basis holds mode_count modes when its cut-off needs fewer
     monkeypatch.chdir(tmp_path)
-    grid = uniform_grid(RunConfig().system(), 20)
-    write_field_csv(SampledField(grid, np.zeros(20), np.zeros(20), 0.1), "final.csv")
     Path("huge.json").write_text(json.dumps({"mode_count": 100_000_000}))
     assert main(argv + ["--out", "out"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -784,6 +781,86 @@ def test_main_exit1_when_the_plate_spectrum_is_too_large(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "plate modes" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["example", "1"], ["example", "2"], ["example", "3"],
+     ["backward", "--eps", "1e-2", "--infile", "final.csv"]],
+    ids=["example1", "example2", "example3", "backward"],
+)
+def test_main_exit1_when_the_rod_cutoff_is_not_finite(tmp_path, capsys, monkeypatch, command):
+    # gamma = 1e308 makes N_eps infinite: the rod's count refuses it before any basis
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis was built for an infinite cut-off")
+
+    monkeypatch.chdir(tmp_path)
+    grid = uniform_grid(RunConfig().system(), 20)
+    write_field_csv(SampledField(grid, np.zeros(20), np.zeros(20), 0.1), "final.csv")
+    Path("huge_gamma.json").write_text('{"gamma": 1e308}')
+    monkeypatch.setattr(cli, "build_basis", refuse)
+    assert main(command + ["--config", "huge_gamma.json", "--out", "out"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: N_eps = inf ") and "rod modes" in line
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize(
+    "which, config",
+    [
+        # 27 522 plate modes: a square slice system of 27 522 rows per layer
+        ("2d", {"beta": 1000, "gamma": 1.0, "eps_list": [1e-6]}),
+        # 3 000 000 display nodes per layer times the plate's 2 modes
+        ("2d", {"grid_points": 3000000, "eps_list": [1e-6]}),
+        # 60 000 nodes per slab times the 75 modes N_eps = 460.5 of the smaller eps needs
+        ("2", {"beta": 20, "grid_points": 60000, "eps_list": [0.5, 0.01]}),
+    ],
+    ids=["plate", "plate-display", "rod"],
+)
+def test_main_exit1_when_a_cutoff_mode_matrix_passes_the_budget(
+    tmp_path, capsys, monkeypatch, which, config
+):
+    build = spectral_module.mode_operator
+
+    def small_only(basis, nodes, *args):
+        assert len(nodes) <= 2000, f"a mode matrix of {len(nodes)} rows was built"
+        return build(basis, nodes, *args)
+
+    monkeypatch.setattr(spectral_module, "mode_operator", small_only)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["example", which, "--config", str(cfg), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: eps={min(config['eps_list']):g}, N_eps = ") and "budget" in line
+    assert not out.exists()
+
+
+def test_main_backward_keeps_every_mode_its_cutoff_admits(tmp_path, monkeypatch):
+    # N_eps = 460.5 admits 73 modes, more than the 51 of mode_count
+    final = tmp_path / "final.csv"
+    _write_cosine_csv(final, 5000, 0.2)
+    cfg = RunConfig(beta=20.0)
+    (tmp_path / "wide.json").write_text(json.dumps({"beta": cfg.beta}))
+    kept = []
+    reconstruct = cli.cutoff_reconstruct
+
+    def spy(basis, field, reg, t, policy):
+        kept.append((retained_modes(basis, reg.n_eps), len(basis)))
+        return reconstruct(basis, field, reg, t, policy=policy)
+
+    monkeypatch.setattr(cli, "cutoff_reconstruct", spy)
+    out = tmp_path / "out"
+    assert main(["backward", "--infile", str(final), "--eps", "1e-2",
+                 "--config", str(tmp_path / "wide.json"), "--out", str(out)]) == 0
+    [(m, built)] = kept
+    assert m == 73 and built > m
+    # the same bytes as the cut-off of a basis far larger than the cut-off keeps
+    s = cfg.system()
+    want = reconstruct(build_basis(s, 400), read_field_csv(final, s.tf), cfg.reg(1e-2), s.t0,
+                       policy=cfg.recovery_policy)
+    write_field_csv(want, tmp_path / "want.csv")
+    assert (out / "backward.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_main_exit2_when_the_cutoff_gain_overflows(tmp_path, capsys):

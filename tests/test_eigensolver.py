@@ -3,19 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.bilayer2d import eigen_f_2d, find_modes_2d
+from twoslab.basis import build_basis
+from twoslab.bilayer2d import find_modes_2d
 from twoslab.core import Material, NumericalError, SlabSystem, ValidationError
 from twoslab.eigensolver import (
     MAX_MODES,
     _bisect_brackets,
-    eigen_f,
+    cutoff_mode_count,
     eigen_phase,
     find_eigenvalues,
 )
+from twoslab.evolve import retained_modes
 
 UNIT = Material(K=1.0, kappa=1.0)
 
@@ -141,25 +143,67 @@ def test_find_eigenvalues_accepts_extreme_but_representable_geometry():
     assert np.all(np.diff(lam) > 0)
 
 
-def test_eigen_f_vectorization_consistency(sys_cm):
-    xs = np.linspace(0.1, 2.0, 7)
-    vec = eigen_f(xs, sys_cm)
-    assert vec.shape == xs.shape
-    for x, v in zip(xs, vec):
-        assert float(eigen_f(x, sys_cm)) == pytest.approx(v, rel=1e-15)
+_DECADES = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+_MATERIAL = st.builds(Material, K=_DECADES, kappa=_DECADES)
+
+
+@st.composite
+def _count_rods(draw):
+    """Rods with K, kappa in [1e-3, 1e3]: float lengths in [1e-2, 1e2], or integer b and r a.
+
+    With integer optical lengths, and with equal materials, the root brackets
+    meet exact multiples of their width, and modes can be degenerate.
+    """
+    mat_b = draw(_MATERIAL)
+    mat_a = mat_b if draw(st.booleans()) else draw(_MATERIAL)
+    if draw(st.booleans()):
+        length = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0**e)
+        return SlabSystem(b=draw(length), a=draw(length), mat_b=mat_b, mat_a=mat_a)
+    r = math.sqrt(mat_b.kappa / mat_a.kappa)
+    optical = st.integers(min_value=1, max_value=8)
+    return SlabSystem(b=float(draw(optical)), a=draw(optical) / r, mat_b=mat_b, mat_a=mat_a)
+
+
+@settings(max_examples=120, derandomize=True)
+@given(
+    _count_rods(),
+    st.integers(min_value=0, max_value=300),
+    st.sampled_from(["random", "tie", "bracket end"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=-3, max_value=3),
+)
+def test_cutoff_mode_count_holds_every_retained_mode_plus_one(sys, n, kind, u, ulps):
+    # a 400-mode basis holds every mode below the N_eps drawn here, with room to spare
+    ref = build_basis(sys, 400)
+    if kind == "random":
+        n_eps = u * float(ref.lambda_bar[301])
+    elif kind == "tie":
+        n_eps = float(ref.lambda_bar[n])
+    else:  # N_eps within ulps of where nu = sqrt(N_eps / kappa_b) meets root n + 1's lower bracket end
+        end = (n + 0.5) * (math.pi / (sys.b + sys.kappa_ratio_root() * sys.a))
+        n_eps = sys.mat_b.kappa * end**2
+        for _ in range(abs(ulps)):
+            n_eps = float(np.nextafter(n_eps, math.copysign(math.inf, ulps)))
+    count = cutoff_mode_count(sys, n_eps)
+    basis = build_basis(sys, count)
+    kept = retained_modes(basis, n_eps)
+    assert kept < count
+    assert kept == retained_modes(ref, n_eps)
+    for column in ("lambda_b", "lambda_a", "lambda_bar", "amp_b", "amp_a", "norm_N"):
+        assert np.array_equal(getattr(basis, column)[:kept], getattr(ref, column)[:kept]), column
+
+
+@pytest.mark.parametrize("n_eps", [math.inf, math.nan, 1e30])
+def test_cutoff_mode_count_refuses_a_count_past_the_cap(sys_cm, n_eps):
+    with pytest.raises(ValidationError, match=f"rod modes; at most {MAX_MODES}"):
+        cutoff_mode_count(sys_cm, n_eps)
 
 
 def test_eigen_f_changes_sign_across_simple_roots(sys_cm):
     for p in find_eigenvalues(sys_cm, 5)[1:]:
-        left = float(eigen_f(p.lambda_b - 1e-4, sys_cm))
-        right = float(eigen_f(p.lambda_b + 1e-4, sys_cm))
+        left = float(oracles.dispersion(p.lambda_b - 1e-4, sys_cm))
+        right = float(oracles.dispersion(p.lambda_b + 1e-4, sys_cm))
         assert left * right < 0
-
-
-@given(x=st.floats(min_value=1e-3, max_value=50.0))
-def test_eigen_f_is_odd(sys_cm, x):
-    assert float(eigen_f(-x, sys_cm)) == pytest.approx(-float(eigen_f(x, sys_cm)),
-                                                       rel=1e-12, abs=1e-12)
 
 
 def _loop_scan_roots(f, lo, hi, scan_step, refine_tol):
@@ -194,7 +238,7 @@ def test_scan_roots_matches_loop_reference_on_plate_determinant(sys_2d, m):
     # the phase-indexed plate roots of one transverse index are the sign
     # changes of the plate determinant that a fine loop scan finds
     mu = m * math.pi / sys_2d.c
-    f = lambda v: eigen_f_2d(v, mu, sys_2d)
+    f = lambda v: oracles.dispersion_2d(v, mu, sys_2d)
     ref = _loop_scan_roots(f, 0.0, 30.0, 1e-3, 1e-12)
     n_eps = sys_2d.mat_b.kappa * (31.0**2 + mu**2)
     got = sorted(md.nu_b for md in find_modes_2d(sys_2d, n_eps).modes
