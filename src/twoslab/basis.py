@@ -32,8 +32,11 @@ about 2 (N/B + B) transcendentals per mode instead of N.  Every block
 starts from its own node, so no error accumulates.  The operator gives
 the synthesis P g, the products P^T y and the trapezoid Gram (with the
 exact uniform spacing) from its tables, in O((N/B + B) k^2) for the Gram,
-without the N x k matrix.  Any other node set takes the direct form, an
-array evaluated in place.  ``slab_matrix`` is the dense form of either.
+without the N x k matrix.  It also compresses a least-squares problem
+P c = y, by orthogonal factors of the two tables, into one of at most
+4 k^2 + B rows with the same minimiser and singular values.  Any other
+node set takes the direct form, an array evaluated in place.
+``slab_matrix`` is the dense form of either.
 
 The family is orthogonal in the weighted inner product
 
@@ -189,9 +192,9 @@ class BlockedModes:
     ``starts`` = (amp cos, -amp sin)(lam s_qB), 2 x N/B x k, and
     ``offsets`` = (cos, sin)(lam r h), 2 x B x k: a row-wise Kronecker
     product.  Each block starts from its own node, so no error
-    accumulates along j.  Synthesis, the products with data and the
-    trapezoid Gram are read from the tables; only ``dense`` forms the
-    N x k matrix.
+    accumulates along j.  Synthesis, the products with data, the
+    trapezoid Gram and the compressed least-squares system are read from
+    the tables; only ``dense`` forms the N x k matrix.
     """
 
     def __init__(self, s: np.ndarray, lam: np.ndarray, amp: np.ndarray) -> None:
@@ -222,6 +225,30 @@ class BlockedModes:
         q, r = np.divmod(idx, self.offsets.shape[1])
         both = self.starts[:, q] * self.offsets[:, r]
         return both[0] + both[1]
+
+    def compress(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least-squares problem P c = y as (C, z), in at most 4 k^2 + B rows.
+
+        The blocks before the last are (S kron O) E, with S = [starts[0] |
+        starts[1]] and O = [offsets[0] | offsets[1]], and E adding column
+        a k + n of both into column n.  With the thin QRs S = Q_S R_S and
+        O = Q_O R_O, they are (Q_S kron Q_O) R, where R[(i, j), n] is the
+        sum over a of R_S[i, a k + n] R_O[j, a k + n].  C is R stacked on
+        the last block's rows (``rows``), and z is vec(Q_S^T Y Q_O), Y the
+        data of the blocks before the last in rows of B, stacked on the
+        last block's data.  Q_S kron Q_O has orthonormal columns, so C c = z
+        has the minimiser and the singular values of P c = y.
+        """
+        n, k = self.shape
+        B = self.offsets.shape[1]
+        last = (n - 1) // B
+        Q_S, R_S = np.linalg.qr(np.hstack(self.starts[:, :last]))
+        Q_O, R_O = np.linalg.qr(np.hstack(self.offsets))
+        R = R_S[:, None, :k] * R_O[:, :k]
+        R += R_S[:, None, k:] * R_O[:, k:]
+        Y = y[: last * B].reshape(last, B)
+        C = np.vstack((R.reshape(-1, k), self.rows(np.arange(last * B, n))))
+        return C, np.concatenate(((Q_S.T @ Y @ Q_O).ravel(), y[last * B :]))
 
     def __matmul__(self, g: np.ndarray) -> np.ndarray:
         """The synthesis P g: block q of it is the sum of (starts[:, q] g) offsets^T."""

@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     Grid,
     Material,
+    NodeCountError,
     NumericalError,
     RankDeficientError,
     RegParams,
@@ -456,8 +457,13 @@ def _cutoff_basis(s: SlabSystem, reg: RegParams, nodes: int, least: int = 1) -> 
     is refused before it is built when a nodes x count matrix passes the budget.
     """
     count = cutoff_mode_count(s, reg.n_eps)
-    _require_budget(nodes, count, f"eps={reg.epsilon:g}, N_eps = {reg.n_eps:.6g}")
+    _require_budget(nodes, count, _cutoff_label(reg))
     return build_basis(s, max(least, count))
+
+
+def _cutoff_label(reg: RegParams) -> str:
+    """The eps and N_eps a refusal of one cut-off names."""
+    return f"eps={reg.epsilon:g}, N_eps = {reg.n_eps:.6g}"
 
 
 def _cutoff_example(
@@ -674,7 +680,7 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
         modes = find_modes_2d(s, reg.n_eps)
         count = len(modes)  # at least the constant mode, as n_eps >= 0
         # the slice grid and the display grid each take a matrix of count modes
-        _require_budget(max(count, cfg.grid_points), count, f"eps={eps:g}, N_eps = {reg.n_eps:.6g}")
+        _require_budget(max(count, cfg.grid_points), count, _cutoff_label(reg))
         basis2d = slice_basis(modes, y0)
         grid = uniform_grid(s, count)
         initial = SampledField(
@@ -894,10 +900,17 @@ def _dispatch(args) -> int:
         s = cfg.system()
         field_tf = read_field_csv(args.infile, s.tf)
         reg = cfg.reg(args.eps)
-        nodes = max(len(field_tf.grid.nodes_b), len(field_tf.grid.nodes_a))
-        basis = _cutoff_basis(s, reg, nodes)
+        nb, na = len(field_tf.grid.nodes_b), len(field_tf.grid.nodes_a)
+        basis = _cutoff_basis(s, reg, max(nb, na))
         t = args.t if args.t is not None else s.t0
-        recon = cutoff_reconstruct(basis, field_tf, reg, t, policy=cfg.recovery_policy)
+        try:
+            recon = cutoff_reconstruct(basis, field_tf, reg, t, policy=cfg.recovery_policy)
+        except NodeCountError as exc:
+            # refused before recovery, after the amplification guard (exit 2 whatever the nodes)
+            raise ValidationError(
+                f"{_cutoff_label(reg)}: {nb} + {na} nodes per slab cannot determine the "
+                f"{retained_modes(basis, reg.n_eps)} retained modes by {cfg.recovery_policy}"
+            ) from exc
         _write_and_report(write_field_csv, recon, out / "backward.csv")
         return 0
 

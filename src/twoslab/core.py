@@ -18,6 +18,10 @@ class ValidationError(ValueError):
     """Raised when inputs violate a documented precondition."""
 
 
+class NodeCountError(ValidationError):
+    """Raised when a grid has too few nodes for the modes a recovery asks for."""
+
+
 class NumericalError(RuntimeError):
     """Raised when a computation is abandoned for numerical reasons."""
 

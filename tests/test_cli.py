@@ -863,6 +863,46 @@ def test_main_backward_keeps_every_mode_its_cutoff_admits(tmp_path, monkeypatch)
     assert (out / "backward.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_main_backward_compresses_least_squares_on_an_exact_linspace_csv(tmp_path, monkeypatch):
+    # x written at full precision reads back as exactly np.linspace, so the CSV's
+    # per-slab fits take BlockedModes.compress, and move from the dense fits by round-off
+    final = tmp_path / "final.csv"
+    _write_cosine_csv(final, spectral_module.COMPRESSED_MIN_NODES, 0.2)
+    (tmp_path / "lsq.json").write_text(_LSQ)
+    argv = ["backward", "--infile", str(final), "--eps", "1e-4", "--config", str(tmp_path / "lsq.json")]
+
+    def refuse(self):
+        raise AssertionError("the N x k matrix was formed")
+
+    with monkeypatch.context() as m:
+        m.setattr(basis_module.BlockedModes, "dense", refuse)
+        assert main([*argv, "--out", str(tmp_path / "compressed")]) == 0
+    monkeypatch.setattr(spectral_module, "COMPRESSED_MIN_NODES", math.inf)
+    assert main([*argv, "--out", str(tmp_path / "dense")]) == 0
+    got, want = (read_field_csv(tmp_path / d / "backward.csv", 0.0) for d in ("compressed", "dense"))
+    for slab in ("b", "a"):
+        v = getattr(want, f"values_{slab}")
+        assert np.allclose(getattr(got, f"values_{slab}"), v, rtol=0, atol=1e-9 * np.abs(v).max())
+
+
+@pytest.mark.parametrize("policy", ["projection", "least-squares"])
+def test_main_backward_names_the_cutoff_a_sparse_csv_cannot_determine(tmp_path, capsys, policy):
+    # N_eps = 460.5 keeps 73 modes; 20 + 20 nodes determine neither per-slab fits nor the joint one
+    final = tmp_path / "final.csv"
+    _write_cosine_csv(final, 20, 0.2)
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"beta": 20, "gamma": 0.5, "recovery_policy": policy}))
+    out = tmp_path / "out"
+    assert main(["backward", "--infile", str(final), "--eps", "1e-2",
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (
+        "error: eps=0.01, N_eps = 460.517: 20 + 20 nodes per slab cannot determine "
+        f"the 73 retained modes by {policy}"
+    )
+    assert not out.exists()
+
+
 def test_main_exit2_when_the_cutoff_gain_overflows(tmp_path, capsys):
     # N_eps = ln(1e300) / tf keeps lambda_bar (tf - t0) <= 690.8 for every retained
     # mode, inside the amplification guard, but exp(2 N_eps (tf - t0)) = exp(1381.6)

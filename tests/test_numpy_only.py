@@ -34,6 +34,7 @@ CHILD = textwrap.dedent(
     import twoslab
     import twoslab.basis
     import twoslab.cli as cli
+    import twoslab.spectral
     from twoslab.core import SampledField, uniform_grid
 
     out = Path(sys.argv[1])
@@ -44,12 +45,16 @@ CHILD = textwrap.dedent(
     cli.write_field_csv(initial, out / "initial.csv")
     # the paper's plate reaches only m = 0; this cut-off keeps 8 modes, m = 1 among them
     (out / "plate-m1.json").write_text('{"beta": 0.2, "gamma": 1.0, "eps_list": [1e-6]}')
+    # example 3's per-slab least-squares fits on a grid that takes the compressed solve
+    wide = twoslab.spectral.COMPRESSED_MIN_NODES + 1
+    (out / "wide-grid.json").write_text(json.dumps({"grid_points": wide}))
 
     commands = {
         "eigen": ["eigen"],
         "example1": ["example", "1"],
         "example2": ["example", "2"],
         "example3": ["example", "3"],
+        "example3-wide": ["example", "3", "--config", str(out / "wide-grid.json")],
         "example2d": ["example", "2d"],
         "example2d-m1": ["example", "2d", "--config", str(out / "plate-m1.json")],
         "table1": ["table", "1"],
@@ -83,4 +88,4 @@ def test_cli_runs_without_scipy_and_without_gauss_legendre(tmp_path):
     for name, (code, misses) in report.items():
         assert code == 0, f"{name} exited {code}: {proc.stderr}"
         assert misses == 0, f"{name} built a Gauss-Legendre rule"
-    assert len(report) == 10
+    assert len(report) == 11

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from twoslab.basis import BLOCKED_MIN_NODES, build_basis, slab_matrix
+from twoslab.basis import BLOCKED_MIN_NODES, BlockedModes, build_basis, slab_matrix
 from twoslab.core import (
     AmplificationOverflowError,
     Grid,
@@ -22,6 +22,7 @@ from twoslab.core import (
 )
 from twoslab.evolve import cutoff_reconstruct, forward_solve
 from twoslab.spectral import (
+    COMPRESSED_MIN_NODES,
     CONDITION_LIMIT,
     RECOVERY_POLICIES,
     CoeffVector,
@@ -413,14 +414,54 @@ _ONE_FACTORISATION = {
 
 @pytest.mark.parametrize("policy", RECOVERY_POLICIES)
 def test_each_guarded_solve_factors_its_matrix_once(basis_cm, sys_cm, linalg_calls, policy):
-    grid = uniform_grid(sys_cm, 20)
-    field = _in_span_field(basis_cm, np.linspace(1.0, 0.2, 8), grid, sys_cm.tf)
-    forward_solve(basis_cm, field, grid, 6, policy=policy)
-    assert dict(linalg_calls) == _ONE_FACTORISATION[policy]
-    linalg_calls.clear()
-    reg = RegParams(epsilon=1e-6, beta=0.05, gamma=0.5, n_eps=2.0)
-    cutoff_reconstruct(basis_cm, field, reg, sys_cm.t0, policy=policy)
-    assert dict(linalg_calls) == _ONE_FACTORISATION[policy]
+    # the direct form, and a blocked grid whose least-squares solves are compressed
+    for nodes in (20, COMPRESSED_MIN_NODES + 1):
+        grid = uniform_grid(sys_cm, nodes)
+        field = _in_span_field(basis_cm, np.linspace(1.0, 0.2, 8), grid, sys_cm.tf)
+        linalg_calls.clear()
+        forward_solve(basis_cm, field, grid, 6, policy=policy)
+        assert dict(linalg_calls) == _ONE_FACTORISATION[policy], nodes
+        linalg_calls.clear()
+        reg = RegParams(epsilon=1e-6, beta=0.05, gamma=0.5, n_eps=2.0)
+        cutoff_reconstruct(basis_cm, field, reg, sys_cm.t0, policy=policy)
+        assert dict(linalg_calls) == _ONE_FACTORISATION[policy], nodes
+
+
+@pytest.mark.parametrize("rod", ["sys_cm", "sys_explicit", "sys_stiff"])
+def test_compressed_fits_keep_the_dense_guard_verdicts(request, rod, monkeypatch):
+    # at 10^4 nodes every least-squares fit is compressed; away from the limit
+    # (a dense condition outside [1e11, 1e13]) it is refused exactly when the
+    # dense fit is
+    s = request.getfixturevalue(rod)
+    basis = build_basis(s, 21)
+    grid = uniform_grid(s, 10000)
+    field = SampledField(grid, np.cos(0.3 * grid.nodes_b), np.cos(0.3 * grid.nodes_a), s.tf)
+    conds = [
+        max(np.linalg.cond(slab_matrix(basis, grid.nodes_b, "b", k)),
+            np.linalg.cond(slab_matrix(basis, grid.nodes_a, "a", k)))
+        for k in range(1, 22)
+    ]
+
+    def refuse(self):
+        raise AssertionError("the N x k matrix was formed")
+
+    monkeypatch.setattr(BlockedModes, "dense", refuse)
+    verdicts = collections.Counter()
+    for k, cond in enumerate(conds, start=1):
+        if 1e11 <= cond <= 1e13:
+            continue
+        refused = cond > CONDITION_LIMIT
+        try:
+            recover_coefficients(basis, field, k, "least-squares")
+        except RankDeficientError as exc:
+            assert refused and exc.condition > CONDITION_LIMIT, (k, cond, exc.condition)
+        else:
+            assert not refused, (k, cond)
+        verdicts[refused] += 1
+    if rod == "sys_cm":
+        # per-slab conditions grow about 6x a mode: a 21-mode fit stays refused
+        assert conds[20] > 1e13 and verdicts[True] >= 5
+    assert verdicts[False] >= 5, verdicts
 
 
 def test_slice_solves_factor_each_matrix_once(sys_2d, linalg_calls):
