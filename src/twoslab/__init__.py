@@ -39,7 +39,6 @@ from .evolve import (
     stability_bound,
 )
 from .bilayer2d import (
-    Basis2D,
     Mode2D,
     find_modes_2d,
     nu_a_of,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmplificationOverflowError",
-    "Basis2D",
     "CoeffVector",
     "EigenBasis",
     "EigenMode",

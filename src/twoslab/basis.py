@@ -18,7 +18,10 @@ flags, then N_n and M_n.  Every mode's norms, the constant and the
 degenerate ones included, are each layer's amp^2 (L/2) (1 +- sinc(2 lambda
 L/pi)) summed over the layers, so N_n is the weighted diagonal of
 ``slab_grams``.  The ``EigenMode`` records are then built in one pass
-over the columns, and the basis keeps the columns as arrays too.
+over the columns, and the basis keeps the frequencies and amplitudes as
+arrays too; its N_n column is the same ``_mode_norms`` call on them,
+made when first read, so a basis whose norms nothing reads pays nothing
+for them.
 Squares of frequencies use ``np.float_power(x, 2.0)``, which rounds as
 Python's ``x**2`` does, so every record equals its per-mode scalar form
 bit for bit.
@@ -118,24 +121,24 @@ def _interface_amplitudes(sys: SlabSystem, lam_b, lam_a):
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Ordered eigen-elements of one system.
+    """Ordered eigen-elements of one system: a rod's, or a plate's (``bilayer2d``).
 
-    Frequencies, decay rates, amplitudes and the norms N_n are also kept
-    as arrays, one entry per mode.  Everything the package computes reads
-    these columns; the ``EigenMode`` records are built for the public API
-    only.  The composite Gauss-Legendre rule for
-    callables (``quad_x_b``, ``quad_w_b``, ``quad_x_a``, ``quad_w_a``) is
-    built on first access and cached.
+    Frequencies, decay rates and amplitudes are kept as arrays, one entry
+    per mode.  Everything the package computes reads these columns; the
+    records in ``modes``, ``EigenMode`` for a rod and ``bilayer2d.Mode2D``
+    for a plate, are built for the public API only.  The norms N_n
+    (``norm_N``) and the composite Gauss-Legendre rule for callables
+    (``quad_x_b``, ``quad_w_b``, ``quad_x_a``, ``quad_w_a``) are derived
+    from the columns on first access and cached.
     """
 
     sys: SlabSystem
-    modes: tuple[EigenMode, ...]
+    modes: tuple
     lambda_b: np.ndarray
     lambda_a: np.ndarray
     lambda_bar: np.ndarray
     amp_b: np.ndarray
     amp_a: np.ndarray
-    norm_N: np.ndarray
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -152,10 +155,15 @@ class EigenBasis:
         return float(out) if np.isscalar(x) else out
 
     @cached_property
+    def norm_N(self) -> np.ndarray:
+        return _mode_norms(self.sys, self.lambda_b, self.lambda_a, self.amp_b, self.amp_a)[0]
+
+    @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # panels by the largest frequency: a plate's columns are in lambda_bar order
         s = self.sys
-        xb, wb = _composite_rule(-s.b, 0.0, max(float(self.lambda_b[-1]), 1.0))
-        xa, wa = _composite_rule(0.0, s.a, max(float(self.lambda_a[-1]), 1.0))
+        xb, wb = _composite_rule(-s.b, 0.0, float(self.lambda_b.max(initial=1.0)))
+        xa, wa = _composite_rule(0.0, s.a, float(self.lambda_a.max(initial=1.0)))
         return xb, wb, xa, wa
 
     @property
@@ -379,8 +387,7 @@ def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
         )
     )
     return EigenBasis(
-        sys, modes, lambda_b=lam_b, lambda_a=lam_a, lambda_bar=lam_bar,
-        amp_b=amp_b, amp_a=amp_a, norm_N=norm_N,
+        sys, modes, lambda_b=lam_b, lambda_a=lam_a, lambda_bar=lam_bar, amp_b=amp_b, amp_a=amp_a
     )
 
 

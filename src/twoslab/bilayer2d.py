@@ -22,7 +22,9 @@ modes are counted in closed form and the roots of every m are bisected
 together in one call, with no grid.  nu_a, lambda_bar and the amplitudes
 (the array core of ``basis``) of all modes are then array expressions,
 ``np.lexsort`` puts them in (lambda_bar, m, n) order, and the ``Mode2D``
-records are built in one pass over the sorted columns.
+records are built in one pass over the sorted columns.  The plate's
+modes are a ``basis.EigenBasis``, as a rod's are: nu_b and nu_a are its
+``lambda_b`` and ``lambda_a`` columns, and its records are ``Mode2D``.
 
 Backward reconstruction works on a fixed-y slice: on y = y0 each mode is
 its x-factor times the constant Y_m(y0), so ``slice_basis`` folds Y_m(y0)
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import RegParams, SampledField, SlabSystem, ValidationError
-from .basis import _interface_amplitudes
+from .basis import EigenBasis, _interface_amplitudes
 from .eigensolver import MAX_MODES, _phase_roots, eigen_phase
 from .evolve import _reconstruct
 from .spectral import recover_coefficients
@@ -88,29 +90,6 @@ class Mode2D:
     degenerate_interface: bool = False
 
 
-@dataclass(frozen=True)
-class Basis2D:
-    """Plate modes by decay rate.
-
-    nu_b, nu_a, lambda_bar and the amplitudes are also kept as arrays, under
-    ``EigenBasis``'s names.
-    """
-
-    sys: SlabSystem
-    modes: tuple[Mode2D, ...]
-    lambda_b: np.ndarray
-    lambda_a: np.ndarray
-    lambda_bar: np.ndarray
-    amp_b: np.ndarray
-    amp_a: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def lambda_bars(self) -> np.ndarray:
-        return self.lambda_bar
-
-
 def y_mode(m: int, y, c: float):
     """Transverse factor, orthonormal on [0, c] (constant mode rescaled)."""
     ys = np.asarray(y, dtype=float)
@@ -123,8 +102,12 @@ def y_mode(m: int, y, c: float):
     return out
 
 
-def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
-    """All modes with lambda_bar <= n_eps, sorted by (lambda_bar, m, n).
+def find_modes_2d(sys: SlabSystem, n_eps: float) -> EigenBasis:
+    """All modes with lambda_bar <= n_eps, sorted by (lambda_bar, m, n), as an ``EigenBasis``.
+
+    Its columns are nu_b, nu_a, lambda_bar and the amplitudes, and its
+    records are ``Mode2D``, which add the transverse index m, the index n
+    within m and mu to them.
 
     Each admissible transverse index m has the oscillatory branch
     [nu_lo, nu_hi], with nu_hi closed-form since lambda_bar <= n_eps
@@ -179,7 +162,7 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
         col[order] for col in (m_of, n, mu_of, roots, nu_a, lam_bar, amp_b, amp_a, degenerate)
     ]
     _, _, _, nu_b, nu_a, lam_bar, amp_b, amp_a, _ = columns
-    return Basis2D(
+    return EigenBasis(
         sys,
         tuple(map(Mode2D, *(col.tolist() for col in columns))),
         lambda_b=nu_b,
@@ -190,7 +173,7 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> Basis2D:
     )
 
 
-def slice_basis(basis2d: Basis2D, y0: float) -> Basis2D:
+def slice_basis(basis2d: EigenBasis, y0: float) -> EigenBasis:
     """The modes on y = y0: amplitudes times Y_m(y0), in the arrays and the records alike."""
     c = _require_c(basis2d.sys)
     y = np.array([y_mode(md.m, y0, c) for md in basis2d.modes])
@@ -200,7 +183,7 @@ def slice_basis(basis2d: Basis2D, y0: float) -> Basis2D:
     return replace(basis2d, modes=modes, amp_b=amp_b, amp_a=amp_a)
 
 
-def _validate_slice(basis2d: Basis2D, field: SampledField) -> None:
+def _validate_slice(basis2d: EigenBasis, field: SampledField) -> None:
     count = len(basis2d)
     for slab, nodes in (("b", field.grid.nodes_b), ("a", field.grid.nodes_a)):
         if len(nodes) != count:
@@ -210,7 +193,7 @@ def _validate_slice(basis2d: Basis2D, field: SampledField) -> None:
 
 
 def recover_slice_coefficients(
-    basis2d: Basis2D, field: SampledField, y0: float
+    basis2d: EigenBasis, field: SampledField, y0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Square per-layer solves of the slice collocation systems."""
     _validate_slice(basis2d, field)

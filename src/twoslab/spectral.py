@@ -33,9 +33,9 @@ series is synthesized on the data grid.  A reconstruction
 (``evolve.cutoff_reconstruct``, ``evolve.forward_solve``) therefore
 builds each slab's matrix once (``_recover_on_grid`` returns them with
 the coefficients) and hands it to ``_synthesize``; the public wrappers
-build their own.  A plate slice (``bilayer2d.slice_basis``) keeps its
-frequencies and amplitudes under the rod basis's names, so it runs
-through these same mode matrices, recovery and synthesis.
+build their own.  A plate slice (``bilayer2d.slice_basis``) is an
+``EigenBasis`` as a rod's basis is, so it runs through these same mode
+matrices, recovery and synthesis.
 
 On a grid that takes the blocked route (``basis.mode_operator``) a mode
 matrix is a ``BlockedModes``: the trapezoid Gram, the products P^T W y

@@ -6,23 +6,31 @@ expressions and build the records in one pass.  The references below are
 the per-mode scalar forms (``math`` functions, Python ``**``, the unit
 normal of one flux row per degenerate mode, a Python sort); records and
 arrays must match them bit for bit.  The degenerate amplitudes are also
-held against a per-mode SVD of the 2x2 interface system.
+held against a per-mode SVD of the 2x2 interface system.  Rod and plate
+share the one ``EigenBasis`` type, whose norms and Gauss-Legendre rule
+are derived from the columns on first read.
 """
 
 import math
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import twoslab.basis as basis_module
 from twoslab.basis import (
     DEGENERATE_COS_TOL,
+    PANEL_ORDER,
+    PANEL_PHASE,
+    EigenBasis,
     EigenMode,
+    _composite_rule,
     _interface_amplitudes,
     build_basis,
     slab_grams,
 )
-from twoslab.bilayer2d import Mode2D, find_modes_2d, nu_a_of
+from twoslab.bilayer2d import Mode2D, find_modes_2d, nu_a_of, slice_basis, y_mode
 from twoslab.core import Material, SlabSystem
 from twoslab.eigensolver import EigenValuePair, _phase_roots, eigen_phase, find_eigenvalues
 
@@ -212,6 +220,85 @@ def test_plate_order_breaks_decay_rate_ties_by_m_then_n():
     keys = [(md.lambda_bar, md.m, md.n) for md in modes]
     assert keys == sorted(keys)
     assert len({md.lambda_bar for md in modes}) < len(modes)
+
+
+# ---------------------------------------------------------------------------
+# one basis type for rod and plate
+
+PLATE_COLUMNS = (
+    ("lambda_b", "nu_b"),
+    ("lambda_a", "nu_a"),
+    ("lambda_bar", "lambda_bar"),
+    ("amp_b", "amp_b"),
+    ("amp_a", "amp_a"),
+)
+
+
+@pytest.mark.parametrize("plate", sorted(PLATES))
+def test_plate_and_slice_bases_are_eigen_bases_whose_records_match_their_columns(plate):
+    sys = PLATES[plate]
+    basis2d = find_modes_2d(sys, 250.0)
+    for basis in (basis2d, slice_basis(basis2d, 0.3 * sys.c)):
+        assert type(basis) is EigenBasis
+        assert {type(md) for md in basis.modes} == {Mode2D}
+        for name, field in PLATE_COLUMNS:
+            assert _same_bits(getattr(basis, name), [getattr(md, field) for md in basis.modes]), name
+
+
+@pytest.mark.parametrize("rod", sorted(RODS))
+def test_rod_norms_are_derived_from_the_columns_once_on_first_read(rod, monkeypatch):
+    calls = []
+    real = basis_module._mode_norms
+    monkeypatch.setattr(basis_module, "_mode_norms", lambda *a: calls.append(1) or real(*a))
+    sys = RODS[rod]
+    basis = build_basis(sys, 403)
+    assert "norm_N" not in {f.name for f in fields(EigenBasis)}
+    assert len(calls) == 1  # the records' norms
+    # the Gram diagonal is pinned by test_norms_are_the_weighted_gram_diagonal
+    assert _same_bits(basis.norm_N, [m.norm_N for m in basis.modes])
+    assert basis.norm_N is basis.norm_N
+    assert len(calls) == 2
+
+
+def test_plate_builds_no_norms_and_a_slice_derives_its_own(monkeypatch):
+    calls = []
+    real = basis_module._mode_norms
+    monkeypatch.setattr(basis_module, "_mode_norms", lambda *a: calls.append(1) or real(*a))
+    sys, y0 = PLATES["rect"], 0.3 * PLATES["rect"].c
+    basis2d = find_modes_2d(sys, 250.0)
+    assert calls == []
+    plate_norms = basis2d.norm_N  # cached on the plate first: the slice must not inherit it
+    y = np.array([y_mode(md.m, y0, sys.c) for md in basis2d.modes])
+    want, _ = real(sys, basis2d.lambda_b, basis2d.lambda_a, basis2d.amp_b * y, basis2d.amp_a * y)
+    slice_norms = slice_basis(basis2d, y0).norm_N
+    assert _same_bits(slice_norms, want)
+    assert not np.array_equal(slice_norms, plate_norms)
+
+
+def test_plate_rule_is_sized_by_its_fastest_mode():
+    # example 2d's plate: its columns are in lambda_bar order, so the last is not the fastest
+    sys = PLATES["cu_mo"]
+    basis = find_modes_2d(sys, 1000.0)
+    assert basis.lambda_b[-1] < basis.lambda_b.max()
+    for x, w, lam, length in (
+        (basis.quad_x_b, basis.quad_w_b, basis.lambda_b, sys.b),
+        (basis.quad_x_a, basis.quad_w_a, basis.lambda_a, sys.a),
+    ):
+        assert x.size >= PANEL_ORDER * math.ceil(lam.max() * length / PANEL_PHASE)
+        assert math.isclose(w.sum(), length, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("count", [1, 2, 51, 403])
+@pytest.mark.parametrize("rod", sorted(RODS))
+def test_rod_rule_is_the_one_its_last_column_sizes(rod, count):
+    # rod columns ascend: the rule a rod builds is the one max(lambda[-1], 1) gives, bit for bit
+    sys = RODS[rod]
+    basis = build_basis(sys, count)
+    xb, wb = _composite_rule(-sys.b, 0.0, max(float(basis.lambda_b[-1]), 1.0))
+    xa, wa = _composite_rule(0.0, sys.a, max(float(basis.lambda_a[-1]), 1.0))
+    got = (basis.quad_x_b, basis.quad_w_b, basis.quad_x_a, basis.quad_w_a)
+    for have, want in zip(got, (xb, wb, xa, wa)):
+        assert have.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

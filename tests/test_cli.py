@@ -416,6 +416,29 @@ def test_example1_raw_inversion_builds_each_square_matrix_once(monkeypatch):
     assert result.metadata["unregularized_max_abs"] > 0.0
 
 
+def test_example1_raw_condition_is_read_from_the_solves_singular_values(monkeypatch):
+    # no second decomposition: the condition is max s[0]/s[-1] of the two square lstsq calls
+    cfg = default_config("1")
+    spectra = []
+    real = np.linalg.lstsq
+
+    def spy(A, rhs, rcond=None):
+        out = real(A, rhs, rcond=rcond)
+        if A.shape == (cfg.mode_count, cfg.mode_count):
+            spectra.append(out[3])
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    result = run_example("1", cfg)
+    assert len(spectra) == 2
+    want = max(float(s[0] / s[-1]) for s in spectra)
+    assert result.metadata["raw_design_condition"] == want
+
+
 def test_example1_surface_recovers_its_coefficients_once(monkeypatch):
     # one recovery per eps for the table, and one shared by the surface's 11 times
     calls = []

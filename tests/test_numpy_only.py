@@ -3,9 +3,10 @@
 A fresh interpreter, with RuntimeWarning as an error, blocks ``import
 scipy`` before importing the package, then runs every subcommand in
 process.  It reports each exit code, the miss count of the basis'
-Gauss-Legendre cache after the command, which modules of the test
-harness or the test-only dependencies the commands loaded, and the file
-it imported ``twoslab`` from.  The child's ``PYTHONPATH`` is the
+Gauss-Legendre cache after the command, the command's own calls of
+``basis._mode_norms`` (a plate's basis derives no norms), which modules
+of the test harness or the test-only dependencies the commands loaded,
+and the file it imported ``twoslab`` from.  The child's ``PYTHONPATH`` is the
 directory this test process imported the package from, so it runs the
 package under test (the installed one, where one is tested), and the
 two files must be the same.
@@ -63,10 +64,14 @@ CHILD = textwrap.dedent(
                      "--eps", "1e-4"],
         "check-bounds": ["check-bounds", "--trials", "2"],
     }
+    norm_calls = []
+    mode_norms = twoslab.basis._mode_norms
+    twoslab.basis._mode_norms = lambda *a: norm_calls.append(1) or mode_norms(*a)
     report = {}
     for name, argv in commands.items():
+        norm_calls.clear()
         code = cli.main(argv + ["--out", str(out / name)])
-        report[name] = [code, twoslab.basis._leggauss.cache_info().misses]
+        report[name] = [code, twoslab.basis._leggauss.cache_info().misses, len(norm_calls)]
     report["twoslab_file"] = twoslab.__file__
     report["denied_loaded"] = sorted(m for m in sys.modules if m.split(".")[0] in DENIED
                                      and sys.modules[m] is not None)
@@ -85,7 +90,9 @@ def test_cli_runs_without_scipy_and_without_gauss_legendre(tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report.pop("denied_loaded") == []
     assert Path(report.pop("twoslab_file")).resolve() == Path(twoslab.__file__).resolve()
-    for name, (code, misses) in report.items():
+    for name, (code, misses, norm_calls) in report.items():
         assert code == 0, f"{name} exited {code}: {proc.stderr}"
         assert misses == 0, f"{name} built a Gauss-Legendre rule"
+        if name.startswith("example2d"):
+            assert norm_calls == 0, f"{name} evaluated mode norms {norm_calls} times"
     assert len(report) == 11
