@@ -12,19 +12,17 @@ those modes take the unit normal of the interface flux row.  Norms and
 Gram matrices are closed forms; a basis builds its Gauss-Legendre rule
 only when a callable has to be integrated against the modes.
 
-``build_basis`` evaluates each closed form once for all modes, as array
-expressions over the frequencies: the amplitudes with their degenerate
-flags, then N_n and M_n.  Every mode's norms, the constant and the
-degenerate ones included, are each layer's amp^2 (L/2) (1 +- sinc(2 lambda
-L/pi)) summed over the layers, so N_n is the weighted diagonal of
-``slab_grams``.  The ``EigenMode`` records are then built in one pass
-over the columns, and the basis keeps the frequencies and amplitudes as
-arrays too; its N_n column is the same ``_mode_norms`` call on them,
-made when first read, so a basis whose norms nothing reads pays nothing
-for them.
-Squares of frequencies use ``np.float_power(x, 2.0)``, which rounds as
-Python's ``x**2`` does, so every record equals its per-mode scalar form
-bit for bit.
+``build_basis`` evaluates the amplitudes and degenerate flags of all
+modes as array expressions over the frequencies, and the basis keeps
+them as columns.  Everything else is derived from the columns when first
+read, so a basis pays nothing for what nothing reads.  N_n and M_n are one
+``_mode_norms`` call: every mode's norms, the constant and the degenerate
+ones included, are each layer's amp^2 (L/2) (1 +- sinc(2 lambda L/pi))
+summed over the layers, so N_n is the weighted diagonal of
+``slab_grams``.  The records in ``modes`` take the Python values of the
+columns and of that call in one pass.  Squares of frequencies use
+``np.float_power(x, 2.0)``, which rounds as Python's ``x**2`` does, so
+every record equals its per-mode scalar form bit for bit.
 
 Mode matrices amp_n cos(lambda_n s_j) all come from ``mode_operator``.
 On nodes that are exactly ``np.linspace(nodes[0], nodes[-1], N)``, with N
@@ -85,13 +83,28 @@ def _composite_rule(lo: float, hi: float, lam_max: float) -> tuple[np.ndarray, n
     return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenMode:
     """One eigen-element with its slab amplitudes and squared norms."""
 
     pair: EigenValuePair
     norm_N: float
     norm_M: float
+    amp_b: float
+    amp_a: float
+    degenerate_interface: bool = False
+
+
+@dataclass(frozen=True, slots=True)
+class Mode2D:
+    """One plate mode: transverse index m, layer frequencies, decay rate."""
+
+    m: int
+    n: int
+    mu: float
+    nu_b: float
+    nu_a: float
+    lambda_bar: float
     amp_b: float
     amp_a: float
     degenerate_interface: bool = False
@@ -123,25 +136,28 @@ def _interface_amplitudes(sys: SlabSystem, lam_b, lam_a):
 class EigenBasis:
     """Ordered eigen-elements of one system: a rod's, or a plate's (``bilayer2d``).
 
-    Frequencies, decay rates and amplitudes are kept as arrays, one entry
-    per mode.  Everything the package computes reads these columns; the
-    records in ``modes``, ``EigenMode`` for a rod and ``bilayer2d.Mode2D``
-    for a plate, are built for the public API only.  The norms N_n
-    (``norm_N``) and the composite Gauss-Legendre rule for callables
+    Frequencies, decay rates, amplitudes and degenerate flags are kept as
+    arrays, one entry per mode; a plate adds ``m``, ``n`` and ``mu`` (None
+    on a rod).  Everything the package computes reads these columns.  The
+    records in ``modes`` (``EigenMode`` for a rod, ``Mode2D`` for a plate),
+    the norms N_n (``norm_N``) and the Gauss-Legendre rule for callables
     (``quad_x_b``, ``quad_w_b``, ``quad_x_a``, ``quad_w_a``) are derived
     from the columns on first access and cached.
     """
 
     sys: SlabSystem
-    modes: tuple
     lambda_b: np.ndarray
     lambda_a: np.ndarray
     lambda_bar: np.ndarray
     amp_b: np.ndarray
     amp_a: np.ndarray
+    degenerate: np.ndarray
+    m: np.ndarray | None = None
+    n: np.ndarray | None = None
+    mu: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return len(self.lambda_bar)
 
     def lambda_bars(self) -> np.ndarray:
         return self.lambda_bar
@@ -155,8 +171,23 @@ class EigenBasis:
         return float(out) if np.isscalar(x) else out
 
     @cached_property
+    def _norms(self) -> tuple[np.ndarray, np.ndarray]:
+        return _mode_norms(self.sys, self.lambda_b, self.lambda_a, self.amp_b, self.amp_a)
+
+    @property
     def norm_N(self) -> np.ndarray:
-        return _mode_norms(self.sys, self.lambda_b, self.lambda_a, self.amp_b, self.amp_a)[0]
+        return self._norms[0]
+
+    @cached_property
+    def modes(self) -> tuple:
+        """The records, built in one pass over the columns' Python values."""
+        lam = (self.lambda_b.tolist(), self.lambda_a.tolist(), self.lambda_bar.tolist())
+        rest = (self.amp_b.tolist(), self.amp_a.tolist(), self.degenerate.tolist())
+        if self.m is None:
+            pairs = map(EigenValuePair, range(len(self)), *lam)
+            norm_N, norm_M = self._norms
+            return tuple(map(EigenMode, pairs, norm_N.tolist(), norm_M.tolist(), *rest))
+        return tuple(map(Mode2D, self.m.tolist(), self.n.tolist(), self.mu.tolist(), *lam, *rest))
 
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -366,11 +397,10 @@ def _mode_norms(sys: SlabSystem, lam_b, lam_a, amp_b, amp_a):
 
 
 def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
-    """Compute the first mode_count eigen-elements with norms attached.
+    """Compute the first mode_count eigen-elements as columns.
 
-    Amplitudes and norms of all modes are array expressions over the
-    frequencies, the degenerate-interface modes' closed form included, and
-    the records are built in one pass.
+    Amplitudes of all modes, the degenerate-interface modes' closed form
+    included, are array expressions over the frequencies.
     """
     if mode_count < 1:
         raise ValidationError("mode_count must be at least 1")
@@ -379,16 +409,7 @@ def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
     lam_a = np.array([p.lambda_a for p in pairs])
     lam_bar = np.array([p.lambda_bar for p in pairs])
     amp_b, amp_a, degenerate = _interface_amplitudes(sys, lam_b, lam_a)
-    norm_N, norm_M = _mode_norms(sys, lam_b, lam_a, amp_b, amp_a)
-    modes = tuple(
-        map(
-            EigenMode, pairs, norm_N.tolist(), norm_M.tolist(),
-            amp_b.tolist(), amp_a.tolist(), degenerate.tolist(),
-        )
-    )
-    return EigenBasis(
-        sys, modes, lambda_b=lam_b, lambda_a=lam_a, lambda_bar=lam_bar, amp_b=amp_b, amp_a=amp_a
-    )
+    return EigenBasis(sys, lam_b, lam_a, lam_bar, amp_b, amp_a, degenerate)
 
 
 def _cos_products(lam: np.ndarray, amp: np.ndarray, length: float) -> np.ndarray:

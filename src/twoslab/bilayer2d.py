@@ -21,27 +21,28 @@ multiple of pi the phase crosses on [nu_lo, nu_hi] is one mode, so the
 modes are counted in closed form and the roots of every m are bisected
 together in one call, with no grid.  nu_a, lambda_bar and the amplitudes
 (the array core of ``basis``) of all modes are then array expressions,
-``np.lexsort`` puts them in (lambda_bar, m, n) order, and the ``Mode2D``
-records are built in one pass over the sorted columns.  The plate's
+and ``np.lexsort`` puts them in (lambda_bar, m, n) order.  The plate's
 modes are a ``basis.EigenBasis``, as a rod's are: nu_b and nu_a are its
-``lambda_b`` and ``lambda_a`` columns, and its records are ``Mode2D``.
+``lambda_b`` and ``lambda_a`` columns, m, n and mu are three more, and
+its ``Mode2D`` records are built from the columns when first read.
 
 Backward reconstruction works on a fixed-y slice: on y = y0 each mode is
-its x-factor times the constant Y_m(y0), so ``slice_basis`` folds Y_m(y0)
-into the amplitudes and the slice runs on the rod's path (the mode
-matrices, recovery and synthesis of ``spectral``).  With |Theta(eps)|
-retained modes it is collocated on exactly that many nodes per layer.
+its x-factor times the constant Y_m(y0), so ``slice_basis`` folds Y_m(y0),
+evaluated once per transverse index, into the amplitude columns, and the
+slice runs on the rod's path (the mode matrices, recovery and synthesis
+of ``spectral``).  With |Theta(eps)| retained modes it is collocated on
+exactly that many nodes per layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .core import RegParams, SampledField, SlabSystem, ValidationError
-from .basis import EigenBasis, _interface_amplitudes
+from .basis import EigenBasis, Mode2D, _interface_amplitudes
 from .eigensolver import MAX_MODES, _phase_roots, eigen_phase
 from .evolve import _reconstruct
 from .spectral import recover_coefficients
@@ -75,21 +76,6 @@ def nu_a_of(nu_b, mu, sys: SlabSystem):
     return out
 
 
-@dataclass(frozen=True)
-class Mode2D:
-    """One plate mode: transverse index m, layer frequencies, decay rate."""
-
-    m: int
-    n: int
-    mu: float
-    nu_b: float
-    nu_a: float
-    lambda_bar: float
-    amp_b: float
-    amp_a: float
-    degenerate_interface: bool = False
-
-
 def y_mode(m: int, y, c: float):
     """Transverse factor, orthonormal on [0, c] (constant mode rescaled)."""
     ys = np.asarray(y, dtype=float)
@@ -105,9 +91,9 @@ def y_mode(m: int, y, c: float):
 def find_modes_2d(sys: SlabSystem, n_eps: float) -> EigenBasis:
     """All modes with lambda_bar <= n_eps, sorted by (lambda_bar, m, n), as an ``EigenBasis``.
 
-    Its columns are nu_b, nu_a, lambda_bar and the amplitudes, and its
-    records are ``Mode2D``, which add the transverse index m, the index n
-    within m and mu to them.
+    Its columns are nu_b, nu_a, lambda_bar, the amplitudes and the
+    degenerate flags, plus the transverse index m, the index n within m
+    and mu; its ``Mode2D`` records are built from them when first read.
 
     Each admissible transverse index m has the oscillatory branch
     [nu_lo, nu_hi], with nu_hi closed-form since lambda_bar <= n_eps
@@ -156,31 +142,17 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> EigenBasis:
     nu_a = nu_a_of(roots, mu_of, sys)
     lam_bar = kb * (np.float_power(roots, 2.0) + np.float_power(mu_of, 2.0))
     amp_b, amp_a, degenerate = _interface_amplitudes(sys, roots, nu_a)
-    # the fields of Mode2D in (lambda_bar, m, n) order
+    # the columns in (lambda_bar, m, n) order
     order = np.lexsort((n, m_of, lam_bar))
-    columns = [
-        col[order] for col in (m_of, n, mu_of, roots, nu_a, lam_bar, amp_b, amp_a, degenerate)
-    ]
-    _, _, _, nu_b, nu_a, lam_bar, amp_b, amp_a, _ = columns
-    return EigenBasis(
-        sys,
-        tuple(map(Mode2D, *(col.tolist() for col in columns))),
-        lambda_b=nu_b,
-        lambda_a=nu_a,
-        lambda_bar=lam_bar,
-        amp_b=amp_b,
-        amp_a=amp_a,
-    )
+    columns = (roots, nu_a, lam_bar, amp_b, amp_a, degenerate, m_of, n, mu_of)
+    return EigenBasis(sys, *(col[order] for col in columns))
 
 
 def slice_basis(basis2d: EigenBasis, y0: float) -> EigenBasis:
-    """The modes on y = y0: amplitudes times Y_m(y0), in the arrays and the records alike."""
+    """The modes on y = y0: amplitudes times Y_m(y0), one Y per transverse index."""
     c = _require_c(basis2d.sys)
-    y = np.array([y_mode(md.m, y0, c) for md in basis2d.modes])
-    amp_b, amp_a = basis2d.amp_b * y, basis2d.amp_a * y
-    modes = zip(basis2d.modes, amp_b.tolist(), amp_a.tolist())
-    modes = tuple(replace(md, amp_b=b, amp_a=a) for md, b, a in modes)
-    return replace(basis2d, modes=modes, amp_b=amp_b, amp_a=amp_a)
+    y = np.array([y_mode(m, y0, c) for m in range(basis2d.m.max(initial=-1) + 1)])[basis2d.m]
+    return replace(basis2d, amp_b=basis2d.amp_b * y, amp_a=basis2d.amp_a * y)
 
 
 def _validate_slice(basis2d: EigenBasis, field: SampledField) -> None:

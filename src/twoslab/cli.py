@@ -702,12 +702,13 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
             "epsilon": eps,
             "n_eps": reg.n_eps,
             "retained_modes": count,
-            "mode_index_pairs": [[md.m, md.n] for md in basis2d.modes],
+            "mode_index_pairs": np.column_stack((basis2d.m, basis2d.n)).tolist(),
             "l2_error_vs_initial": _l2_error(display, vals, exact),
         }
+        freqs = (basis2d.mu, basis2d.lambda_b, basis2d.lambda_a, basis2d.lambda_bar)
         modes_csv_rows = [
-            f"{md.m},{md.n},{md.mu:.12e},{md.nu_b:.12e},{md.nu_a:.12e},{md.lambda_bar:.12e}"
-            for md in basis2d.modes
+            f"{m},{n},{mu:.12e},{nb:.12e},{na:.12e},{lam:.12e}"
+            for m, n, mu, nb, na, lam in zip(*(c.tolist() for c in (basis2d.m, basis2d.n, *freqs)))
         ]
     columns["exact"] = exact
     table = ResultTable(np.concatenate([display.nodes_b, display.nodes_a]), columns)

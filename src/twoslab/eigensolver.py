@@ -29,9 +29,9 @@ same phase with that shift indexes its roots (``eigen_phase``), and rod
 and plate share one bisection core (``_phase_roots``), which takes every
 phase below its target at the lower end and stops at adjacent doubles.
 lambda_a and lambda_bar of all roots are then two array expressions, and
-the records are built in one pass over their columns.  Squares go through
-``np.float_power(x, 2.0)``, which rounds as Python's ``x**2`` does
-(numpy's ``x**2`` is ``x*x`` and can differ in the last bit).
+``find_eigenvalues`` builds its records in one pass over them.  Squares
+go through ``np.float_power(x, 2.0)``, which rounds as Python's ``x**2``
+does (numpy's ``x**2`` is ``x*x`` and can differ in the last bit).
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def _phase(sys: SlabSystem, mu=0.0):
         s = np.sqrt(np.maximum(nu * nu + shift, 0.0)) if shifted else nu
         psi = ratio * s * sys.a
         t = np.tan(psi)
-        return nu * sys.b + psi + np.arctan2((rho * s - nu) * t, nu + rho * s * t * t)
+        rs = rho * s
+        return nu * sys.b + psi + np.arctan2((rs - nu) * t, nu + rs * t * t)
 
     return phase
 
@@ -103,18 +104,21 @@ def _bisect_brackets(f, lo, hi) -> np.ndarray:
     halved until f vanishes exactly at a midpoint or no double lies
     strictly inside; the midpoint of what remains is returned.  A NaN
     value moves the lower end up.  Halving leaves a finished bracket's
-    midpoint where it is, so all are halved until none is open.
+    midpoint where it is, so all are halved, in place, until none is
+    open, which is tested once per four halvings.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not ((lo < mid) & (mid < hi)).any():
-            return mid
-        fm = f(mid)
-        # an exact zero moves both ends onto it, which closes the bracket
-        hi = np.where(fm >= 0.0, mid, hi)
-        lo = np.where(fm > 0.0, lo, mid)
+    mid = 0.5 * (lo + hi)
+    while ((lo < mid) & (mid < hi)).any():
+        for _ in range(4):
+            fm = f(mid)
+            # an exact zero moves both ends onto it, which closes the bracket
+            np.copyto(hi, mid, where=fm >= 0.0)
+            np.copyto(lo, mid, where=~(fm > 0.0))
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+    return mid
 
 
 def _phase_roots(sys: SlabSystem, lo, hi, target, mu=0.0) -> np.ndarray:

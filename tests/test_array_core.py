@@ -2,13 +2,15 @@
 
 ``build_basis``, ``find_eigenvalues`` and ``find_modes_2d`` compute every
 mode's frequencies, amplitudes, norms and decay rates as array
-expressions and build the records in one pass.  The references below are
+expressions.  ``find_eigenvalues`` builds its records in one pass; a
+basis builds its records from its columns when ``modes`` is first read,
+and a build or a slice constructs none.  The references below are
 the per-mode scalar forms (``math`` functions, Python ``**``, the unit
 normal of one flux row per degenerate mode, a Python sort); records and
 arrays must match them bit for bit.  The degenerate amplitudes are also
 held against a per-mode SVD of the 2x2 interface system.  Rod and plate
-share the one ``EigenBasis`` type, whose norms and Gauss-Legendre rule
-are derived from the columns on first read.
+share the one ``EigenBasis`` type, whose records, norms and
+Gauss-Legendre rule are derived from the columns on first read.
 """
 
 import math
@@ -231,6 +233,7 @@ PLATE_COLUMNS = (
     ("lambda_bar", "lambda_bar"),
     ("amp_b", "amp_b"),
     ("amp_a", "amp_a"),
+    ("mu", "mu"),
 )
 
 
@@ -243,6 +246,46 @@ def test_plate_and_slice_bases_are_eigen_bases_whose_records_match_their_columns
         assert {type(md) for md in basis.modes} == {Mode2D}
         for name, field in PLATE_COLUMNS:
             assert _same_bits(getattr(basis, name), [getattr(md, field) for md in basis.modes]), name
+        for name, field in (("m", "m"), ("n", "n"), ("degenerate", "degenerate_interface")):
+            assert getattr(basis, name).tolist() == [getattr(md, field) for md in basis.modes]
+
+
+def _count_records(monkeypatch):
+    """Wrap the record classes the basis module builds; the list grows by one per record."""
+    made = []
+    for name in ("EigenMode", "Mode2D"):
+        real = getattr(basis_module, name)
+        monkeypatch.setattr(basis_module, name, lambda *a, real=real: made.append(1) or real(*a))
+    return made
+
+
+@pytest.mark.parametrize("rod", sorted(RODS))
+def test_a_rod_build_constructs_no_records_until_modes_is_read(rod, monkeypatch):
+    made = _count_records(monkeypatch)
+    basis = build_basis(RODS[rod], 403)
+    assert basis.norm_N.size == 403
+    assert made == []
+    assert {type(m) for m in basis.modes} == {EigenMode}
+    assert len(made) == 403
+    assert basis.modes is basis.modes
+    assert len(made) == 403
+    # a rod leaves the plate columns empty; its flags and indices are the records'
+    assert basis.m is basis.n is basis.mu is None
+    assert basis.degenerate.tolist() == [m.degenerate_interface for m in basis.modes]
+    assert [m.pair.n for m in basis.modes] == list(range(403))
+
+
+@pytest.mark.parametrize("plate", sorted(PLATES))
+def test_a_plate_and_its_slice_construct_no_records_until_modes_is_read(plate, monkeypatch):
+    made = _count_records(monkeypatch)
+    sys = PLATES[plate]
+    basis2d = find_modes_2d(sys, 250.0)
+    on_slice = slice_basis(basis2d, 0.3 * sys.c)
+    assert made == []
+    assert {type(md) for md in on_slice.modes} == {Mode2D}
+    assert len(made) == len(on_slice)
+    assert basis2d.modes == tuple(_loop_find_modes_2d(sys, 250.0))
+    assert len(made) == 2 * len(basis2d)
 
 
 @pytest.mark.parametrize("rod", sorted(RODS))
@@ -253,11 +296,11 @@ def test_rod_norms_are_derived_from_the_columns_once_on_first_read(rod, monkeypa
     sys = RODS[rod]
     basis = build_basis(sys, 403)
     assert "norm_N" not in {f.name for f in fields(EigenBasis)}
-    assert len(calls) == 1  # the records' norms
+    assert calls == []
     # the Gram diagonal is pinned by test_norms_are_the_weighted_gram_diagonal
     assert _same_bits(basis.norm_N, [m.norm_N for m in basis.modes])
     assert basis.norm_N is basis.norm_N
-    assert len(calls) == 2
+    assert len(calls) == 1  # the records' norms are the column's
 
 
 def test_plate_builds_no_norms_and_a_slice_derives_its_own(monkeypatch):

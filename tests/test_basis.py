@@ -394,11 +394,7 @@ def _with_random_amplitudes(basis, seed=0):
     rng = np.random.default_rng(seed)
     amp_b = rng.uniform(0.5, 2.0, len(basis))
     amp_a = rng.uniform(0.5, 2.0, len(basis))
-    modes = tuple(
-        dataclasses.replace(md, amp_b=float(ab), amp_a=float(aa))
-        for md, ab, aa in zip(basis.modes, amp_b, amp_a)
-    )
-    return dataclasses.replace(basis, modes=modes, amp_b=amp_b, amp_a=amp_a)
+    return dataclasses.replace(basis, amp_b=amp_b, amp_a=amp_a)
 
 
 @pytest.mark.parametrize("random_amplitudes", [False, True])

@@ -4,7 +4,9 @@ A fresh interpreter, with RuntimeWarning as an error, blocks ``import
 scipy`` before importing the package, then runs every subcommand in
 process.  It reports each exit code, the miss count of the basis'
 Gauss-Legendre cache after the command, the command's own calls of
-``basis._mode_norms`` (a plate's basis derives no norms), which modules
+``basis._mode_norms`` (a plate's basis derives no norms) and its own
+constructions of the per-mode records ``basis.EigenMode`` and
+``basis.Mode2D`` (the writers read columns), which modules
 of the test harness or the test-only dependencies the commands loaded,
 and the file it imported ``twoslab`` from.  The child's ``PYTHONPATH`` is the
 directory this test process imported the package from, so it runs the
@@ -64,14 +66,21 @@ CHILD = textwrap.dedent(
                      "--eps", "1e-4"],
         "check-bounds": ["check-bounds", "--trials", "2"],
     }
-    norm_calls = []
-    mode_norms = twoslab.basis._mode_norms
-    twoslab.basis._mode_norms = lambda *a: norm_calls.append(1) or mode_norms(*a)
+    def counted(real, calls):
+        return lambda *a: calls.append(1) or real(*a)
+
+    norm_calls, records = [], []
+    twoslab.basis._mode_norms = counted(twoslab.basis._mode_norms, norm_calls)
+    for record in ("EigenMode", "Mode2D"):
+        setattr(twoslab.basis, record, counted(getattr(twoslab.basis, record), records))
     report = {}
     for name, argv in commands.items():
         norm_calls.clear()
+        records.clear()
         code = cli.main(argv + ["--out", str(out / name)])
-        report[name] = [code, twoslab.basis._leggauss.cache_info().misses, len(norm_calls)]
+        report[name] = [
+            code, twoslab.basis._leggauss.cache_info().misses, len(norm_calls), len(records)
+        ]
     report["twoslab_file"] = twoslab.__file__
     report["denied_loaded"] = sorted(m for m in sys.modules if m.split(".")[0] in DENIED
                                      and sys.modules[m] is not None)
@@ -90,9 +99,10 @@ def test_cli_runs_without_scipy_and_without_gauss_legendre(tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report.pop("denied_loaded") == []
     assert Path(report.pop("twoslab_file")).resolve() == Path(twoslab.__file__).resolve()
-    for name, (code, misses, norm_calls) in report.items():
+    for name, (code, misses, norm_calls, records) in report.items():
         assert code == 0, f"{name} exited {code}: {proc.stderr}"
         assert misses == 0, f"{name} built a Gauss-Legendre rule"
-        if name.startswith("example2d"):
+        assert records == 0, f"{name} constructed {records} per-mode records"
+        if name.startswith("example2d") or name == "eigen":
             assert norm_calls == 0, f"{name} evaluated mode norms {norm_calls} times"
     assert len(report) == 11
