@@ -19,8 +19,8 @@ from .core import (
     trapezoid_norm,
     uniform_grid,
 )
-from .eigensolver import EigenValuePair, find_eigenvalues
-from .basis import EigenBasis, EigenMode, build_basis
+from .eigensolver import find_eigenvalues
+from .basis import EigenBasis, build_basis
 from .spectral import (
     CoeffVector,
     amplification_factors,
@@ -39,7 +39,6 @@ from .evolve import (
     stability_bound,
 )
 from .bilayer2d import (
-    Mode2D,
     find_modes_2d,
     nu_a_of,
     reconstruct_2d_slice,
@@ -51,11 +50,8 @@ __all__ = [
     "AmplificationOverflowError",
     "CoeffVector",
     "EigenBasis",
-    "EigenMode",
-    "EigenValuePair",
     "Grid",
     "Material",
-    "Mode2D",
     "NumericalError",
     "RankDeficientError",
     "RegParams",

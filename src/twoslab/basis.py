@@ -19,10 +19,10 @@ read, so a basis pays nothing for what nothing reads.  N_n and M_n are one
 ``_mode_norms`` call: every mode's norms, the constant and the degenerate
 ones included, are each layer's amp^2 (L/2) (1 +- sinc(2 lambda L/pi))
 summed over the layers, so N_n is the weighted diagonal of
-``slab_grams``.  The records in ``modes`` take the Python values of the
-columns and of that call in one pass.  Squares of frequencies use
+``slab_grams``.  ``modes`` is a record array whose fields are the columns
+and that call's two results.  Squares of frequencies use
 ``np.float_power(x, 2.0)``, which rounds as Python's ``x**2`` does, so
-every record equals its per-mode scalar form bit for bit.
+every row equals its per-mode scalar form bit for bit.
 
 Mode matrices amp_n cos(lambda_n s_j) all come from ``mode_operator``.
 On nodes that are exactly ``np.linspace(nodes[0], nodes[-1], N)``, with N
@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import SlabSystem, ValidationError
-from .eigensolver import EigenValuePair, find_eigenvalues
+from .eigensolver import _root_records, find_eigenvalues
 
 # |cos| below this at the interface marks the mode as degenerate.
 DEGENERATE_COS_TOL = 1e-6
@@ -81,33 +81,6 @@ def _composite_rule(lo: float, hi: float, lam_max: float) -> tuple[np.ndarray, n
     half = 0.5 * (hi - lo) / panels
     mids = lo + half * (2 * np.arange(panels) + 1)
     return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
-
-
-@dataclass(frozen=True, slots=True)
-class EigenMode:
-    """One eigen-element with its slab amplitudes and squared norms."""
-
-    pair: EigenValuePair
-    norm_N: float
-    norm_M: float
-    amp_b: float
-    amp_a: float
-    degenerate_interface: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class Mode2D:
-    """One plate mode: transverse index m, layer frequencies, decay rate."""
-
-    m: int
-    n: int
-    mu: float
-    nu_b: float
-    nu_a: float
-    lambda_bar: float
-    amp_b: float
-    amp_a: float
-    degenerate_interface: bool = False
 
 
 def _interface_amplitudes(sys: SlabSystem, lam_b, lam_a):
@@ -139,10 +112,10 @@ class EigenBasis:
     Frequencies, decay rates, amplitudes and degenerate flags are kept as
     arrays, one entry per mode; a plate adds ``m``, ``n`` and ``mu`` (None
     on a rod).  Everything the package computes reads these columns.  The
-    records in ``modes`` (``EigenMode`` for a rod, ``Mode2D`` for a plate),
-    the norms N_n (``norm_N``) and the Gauss-Legendre rule for callables
-    (``quad_x_b``, ``quad_w_b``, ``quad_x_a``, ``quad_w_a``) are derived
-    from the columns on first access and cached.
+    record array ``modes``, the norms N_n (``norm_N``) and the
+    Gauss-Legendre rule for callables (``quad_x_b``, ``quad_w_b``,
+    ``quad_x_a``, ``quad_w_a``) are derived from the columns on first
+    access and cached.
     """
 
     sys: SlabSystem
@@ -179,15 +152,25 @@ class EigenBasis:
         return self._norms[0]
 
     @cached_property
-    def modes(self) -> tuple:
-        """The records, built in one pass over the columns' Python values."""
-        lam = (self.lambda_b.tolist(), self.lambda_a.tolist(), self.lambda_bar.tolist())
-        rest = (self.amp_b.tolist(), self.amp_a.tolist(), self.degenerate.tolist())
+    def modes(self) -> np.recarray:
+        """One row per mode, copied from the columns (and, on a rod, the norms).
+
+        A rod's rows are (pair, norm_N, norm_M, amp_b, amp_a,
+        degenerate_interface), ``pair`` being ``find_eigenvalues``' row; a
+        plate's are (m, n, mu, nu_b, nu_a, lambda_bar, amp_b, amp_a,
+        degenerate_interface).
+        """
+        rest = (self.amp_b, self.amp_a, self.degenerate)
         if self.m is None:
-            pairs = map(EigenValuePair, range(len(self)), *lam)
-            norm_N, norm_M = self._norms
-            return tuple(map(EigenMode, pairs, norm_N.tolist(), norm_M.tolist(), *rest))
-        return tuple(map(Mode2D, self.m.tolist(), self.n.tolist(), self.mu.tolist(), *lam, *rest))
+            pair = _root_records(self.lambda_b, self.lambda_a, self.lambda_bar)
+            return np.rec.fromarrays(
+                (pair, *self._norms, *rest),
+                names="pair,norm_N,norm_M,amp_b,amp_a,degenerate_interface",
+            )
+        return np.rec.fromarrays(
+            (self.m, self.n, self.mu, self.lambda_b, self.lambda_a, self.lambda_bar, *rest),
+            names="m,n,mu,nu_b,nu_a,lambda_bar,amp_b,amp_a,degenerate_interface",
+        )
 
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -404,10 +387,8 @@ def build_basis(sys: SlabSystem, mode_count: int) -> EigenBasis:
     """
     if mode_count < 1:
         raise ValidationError("mode_count must be at least 1")
-    pairs = find_eigenvalues(sys, mode_count - 1)
-    lam_b = np.array([p.lambda_b for p in pairs])
-    lam_a = np.array([p.lambda_a for p in pairs])
-    lam_bar = np.array([p.lambda_bar for p in pairs])
+    roots = find_eigenvalues(sys, mode_count - 1)
+    lam_b, lam_a, lam_bar = (roots[name].copy() for name in ("lambda_b", "lambda_a", "lambda_bar"))
     amp_b, amp_a, degenerate = _interface_amplitudes(sys, lam_b, lam_a)
     return EigenBasis(sys, lam_b, lam_a, lam_bar, amp_b, amp_a, degenerate)
 

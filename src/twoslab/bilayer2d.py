@@ -24,7 +24,7 @@ together in one call, with no grid.  nu_a, lambda_bar and the amplitudes
 and ``np.lexsort`` puts them in (lambda_bar, m, n) order.  The plate's
 modes are a ``basis.EigenBasis``, as a rod's are: nu_b and nu_a are its
 ``lambda_b`` and ``lambda_a`` columns, m, n and mu are three more, and
-its ``Mode2D`` records are built from the columns when first read.
+its ``modes`` record array is built from the columns when first read.
 
 Backward reconstruction works on a fixed-y slice: on y = y0 each mode is
 its x-factor times the constant Y_m(y0), so ``slice_basis`` folds Y_m(y0),
@@ -42,7 +42,7 @@ from dataclasses import replace
 import numpy as np
 
 from .core import RegParams, SampledField, SlabSystem, ValidationError
-from .basis import EigenBasis, Mode2D, _interface_amplitudes
+from .basis import EigenBasis, _interface_amplitudes
 from .eigensolver import MAX_MODES, _phase_roots, eigen_phase
 from .evolve import _reconstruct
 from .spectral import recover_coefficients
@@ -93,7 +93,7 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> EigenBasis:
 
     Its columns are nu_b, nu_a, lambda_bar, the amplitudes and the
     degenerate flags, plus the transverse index m, the index n within m
-    and mu; its ``Mode2D`` records are built from them when first read.
+    and mu; its ``modes`` record array is built from them when first read.
 
     Each admissible transverse index m has the oscillatory branch
     [nu_lo, nu_hi], with nu_hi closed-form since lambda_bar <= n_eps

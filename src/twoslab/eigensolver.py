@@ -29,15 +29,15 @@ same phase with that shift indexes its roots (``eigen_phase``), and rod
 and plate share one bisection core (``_phase_roots``), which takes every
 phase below its target at the lower end and stops at adjacent doubles.
 lambda_a and lambda_bar of all roots are then two array expressions, and
-``find_eigenvalues`` builds its records in one pass over them.  Squares
-go through ``np.float_power(x, 2.0)``, which rounds as Python's ``x**2``
-does (numpy's ``x**2`` is ``x*x`` and can differ in the last bit).
+``find_eigenvalues`` returns them, with the index n, as the fields of one
+record array.  Squares go through ``np.float_power(x, 2.0)``, which
+rounds as Python's ``x**2`` does (numpy's ``x**2`` is ``x*x`` and can
+differ in the last bit).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,14 +86,11 @@ def eigen_phase(nu_b, sys: SlabSystem, mu=0.0) -> np.ndarray:
     return _phase(sys, mu)(nu_b)
 
 
-@dataclass(frozen=True)
-class EigenValuePair:
-    """One eigen-element's frequencies and decay rate, index n >= 0."""
-
-    n: int
-    lambda_b: float
-    lambda_a: float
-    lambda_bar: float
+def _root_records(lam_b, lam_a, lam_bar) -> np.recarray:
+    """Rows (n, lambda_b, lambda_a, lambda_bar) of the given columns, n counting from 0."""
+    return np.rec.fromarrays(
+        (np.arange(len(lam_b)), lam_b, lam_a, lam_bar), names="n,lambda_b,lambda_a,lambda_bar"
+    )
 
 
 def _bisect_brackets(f, lo, hi) -> np.ndarray:
@@ -131,13 +128,15 @@ def _phase_roots(sys: SlabSystem, lo, hi, target, mu=0.0) -> np.ndarray:
     return _bisect_brackets(lambda v: phase(v) - target, lo, hi)
 
 
-def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:
+def find_eigenvalues(sys: SlabSystem, N: int) -> np.recarray:
     """Smallest N+1 non-negative eigen frequencies, ascending.
 
-    Index 0 is always lambda_b = 0 (the constant mode).  Root n >= 1 is
-    bisected on the phase ``eigen_phase - n pi`` inside its own bracket
-    (n -+ 1/2) pi / (b + r a) until the bracket ends are adjacent doubles.
-    More than MAX_MODES modes are refused before anything is allocated.
+    They are returned as a record array with fields n, lambda_b, lambda_a
+    and lambda_bar.  Index 0 is always lambda_b = 0 (the constant mode).
+    Root n >= 1 is bisected on the phase ``eigen_phase - n pi`` inside its
+    own bracket (n -+ 1/2) pi / (b + r a) until the bracket ends are
+    adjacent doubles.  More than MAX_MODES modes are refused before
+    anything is allocated.
     """
     if N < 0:
         raise NumericalError("N must be non-negative")
@@ -159,9 +158,7 @@ def find_eigenvalues(sys: SlabSystem, N: int) -> list[EigenValuePair]:
     lam_b = np.concatenate(([0.0], _phase_roots(sys, ends[:-1], ends[1:], n * math.pi)))
     lam_a = ratio * lam_b
     lam_bar = sys.mat_b.kappa * np.float_power(lam_b, 2.0)
-    return list(
-        map(EigenValuePair, range(N + 1), lam_b.tolist(), lam_a.tolist(), lam_bar.tolist())
-    )
+    return _root_records(lam_b, lam_a, lam_bar)
 
 
 def cutoff_mode_count(sys: SlabSystem, n_eps: float) -> int:

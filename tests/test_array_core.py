@@ -2,20 +2,21 @@
 
 ``build_basis``, ``find_eigenvalues`` and ``find_modes_2d`` compute every
 mode's frequencies, amplitudes, norms and decay rates as array
-expressions.  ``find_eigenvalues`` builds its records in one pass; a
-basis builds its records from its columns when ``modes`` is first read,
-and a build or a slice constructs none.  The references below are
-the per-mode scalar forms (``math`` functions, Python ``**``, the unit
-normal of one flux row per degenerate mode, a Python sort); records and
-arrays must match them bit for bit.  The degenerate amplitudes are also
-held against a per-mode SVD of the 2x2 interface system.  Rod and plate
-share the one ``EigenBasis`` type, whose records, norms and
-Gauss-Legendre rule are derived from the columns on first read.
+expressions.  ``find_eigenvalues`` returns its roots as one record array;
+a basis builds the record array ``modes`` from its columns when it is
+first read, and a build or a slice never reads it.  The references below
+are the per-mode scalar forms (``math`` functions, Python ``**``, the
+unit normal of one flux row per degenerate mode, a Python sort), one
+tuple per mode; every field of the record arrays, and every column, must
+match them bit for bit.  The degenerate amplitudes are also held against
+a per-mode SVD of the 2x2 interface system.  Rod and plate share the one
+``EigenBasis`` type, whose ``modes``, norms and Gauss-Legendre rule are
+derived from the columns on first read.
 """
 
 import math
-import pickle
 from dataclasses import fields
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -26,15 +27,14 @@ from twoslab.basis import (
     PANEL_ORDER,
     PANEL_PHASE,
     EigenBasis,
-    EigenMode,
     _composite_rule,
     _interface_amplitudes,
     build_basis,
     slab_grams,
 )
-from twoslab.bilayer2d import Mode2D, find_modes_2d, nu_a_of, slice_basis, y_mode
+from twoslab.bilayer2d import find_modes_2d, nu_a_of, slice_basis, y_mode
 from twoslab.core import Material, SlabSystem
-from twoslab.eigensolver import EigenValuePair, _phase_roots, eigen_phase, find_eigenvalues
+from twoslab.eigensolver import _phase_roots, eigen_phase, find_eigenvalues
 
 CU, MO, UNIT = Material(K=3.42, kappa=0.838), Material(K=1.05, kappa=0.339), Material(1.0, 1.0)
 RODS = {
@@ -59,9 +59,9 @@ def _loop_find_eigenvalues(sys, N):
     ratio = sys.kappa_ratio_root()
     ends = (np.arange(N + 1) + 0.5) * (math.pi / (sys.b + ratio * sys.a))
     roots = _phase_roots(sys, ends[:-1], ends[1:], np.arange(1, N + 1) * math.pi)
-    pairs = [EigenValuePair(0, 0.0, 0.0, 0.0)]
+    pairs = [(0, 0.0, 0.0, 0.0)]
     for k, lam_b in enumerate(roots.tolist(), start=1):
-        pairs.append(EigenValuePair(k, lam_b, ratio * lam_b, sys.mat_b.kappa * lam_b**2))
+        pairs.append((k, lam_b, ratio * lam_b, sys.mat_b.kappa * lam_b**2))
     return pairs
 
 
@@ -87,12 +87,12 @@ def _loop_sinc(x):
     return math.sin(math.pi * x) / (math.pi * x)
 
 
-def _loop_norms(sys, pair, amp_b, amp_a):
+def _loop_norms(sys, lam_b, lam_a, amp_b, amp_a):
     """Each layer's amp^2 (L/2) (1 +- sinc(2 lambda L/pi)), summed over the layers."""
     N = M = 0.0
     for w, mat, lam, length, amp in (
-        (sys.weights[0], sys.mat_b, pair.lambda_b, sys.b, amp_b),
-        (sys.weights[1], sys.mat_a, pair.lambda_a, sys.a, amp_a),
+        (sys.weights[0], sys.mat_b, lam_b, sys.b, amp_b),
+        (sys.weights[1], sys.mat_a, lam_a, sys.a, amp_a),
     ):
         sq = amp * amp * (0.5 * length)
         wobble = _loop_sinc((lam + lam) * (length / math.pi))
@@ -102,16 +102,17 @@ def _loop_norms(sys, pair, amp_b, amp_a):
 
 
 def _loop_build_basis(sys, count):
+    """Rows (pair, norm_N, norm_M, amp_b, amp_a, degenerate) built mode by mode."""
     modes = []
     for pair in _loop_find_eigenvalues(sys, count - 1):
-        amp_b, amp_a, degenerate = _loop_amplitudes(sys, pair.lambda_b, pair.lambda_a)
-        N, M = _loop_norms(sys, pair, amp_b, amp_a)
-        modes.append(EigenMode(pair, N, M, amp_b, amp_a, degenerate))
-    return tuple(modes)
+        _, lam_b, lam_a, _ = pair
+        amp_b, amp_a, degenerate = _loop_amplitudes(sys, lam_b, lam_a)
+        modes.append((pair, *_loop_norms(sys, lam_b, lam_a, amp_b, amp_a), amp_b, amp_a, degenerate))
+    return modes
 
 
 def _loop_find_modes_2d(sys, n_eps):
-    """The plate's roots as ``find_modes_2d`` bisects them, with records built mode by mode."""
+    """The plate's roots as ``find_modes_2d`` bisects them, with rows built mode by mode."""
     kb, ka = sys.mat_b.kappa, sys.mat_a.kappa
     nu_max = math.sqrt(n_eps / kb)
     ms = np.arange(int(nu_max * sys.c / math.pi) + 2)
@@ -132,7 +133,7 @@ def _loop_find_modes_2d(sys, n_eps):
         sys, roots[todo], np.repeat(nu_hi, counts)[todo], target[todo], mu_of[todo]
     )
     modes = [
-        Mode2D(
+        (
             m, n_m, mu_m, nu_b, nu_a, kb * (nu_b**2 + mu_m**2),
             *_loop_amplitudes(sys, nu_b, nu_a),
         )
@@ -141,8 +142,8 @@ def _loop_find_modes_2d(sys, n_eps):
             nu_a_of(roots, mu_of, sys).tolist(),
         )
     ]
-    modes.sort(key=lambda md: (md.lambda_bar, md.m, md.n))
-    return tuple(modes)
+    modes.sort(key=lambda md: (md[5], md[0], md[1]))  # (lambda_bar, m, n)
+    return modes
 
 
 def _same_bits(array, values):
@@ -150,6 +151,32 @@ def _same_bits(array, values):
     return array.dtype == want.dtype and array.shape == want.shape and (
         array.tobytes() == want.tobytes()
     )
+
+
+ROOT_FIELDS = ("n", "lambda_b", "lambda_a", "lambda_bar")
+ROD_FIELDS = (("pair", ROOT_FIELDS), "norm_N", "norm_M", "amp_b", "amp_a", "degenerate_interface")
+PLATE_FIELDS = (
+    "m", "n", "mu", "nu_b", "nu_a", "lambda_bar", "amp_b", "amp_a", "degenerate_interface"
+)
+
+
+def _assert_rows(records, rows, names):
+    """A record array whose fields, in order, hold the rows' values bit for bit.
+
+    A (name, names) entry is a nested record field.  Each field has the
+    dtype numpy gives the rows' Python values: int64, float64 or bool.
+    """
+    assert isinstance(records, np.recarray)
+    assert records.shape == (len(rows),)
+    assert records.dtype.names == tuple(f if isinstance(f, str) else f[0] for f in names)
+    for i, field in enumerate(names):
+        values = [row[i] for row in rows]
+        if isinstance(field, tuple):
+            _assert_rows(records[field[0]], values, field[1])
+            continue
+        want = np.array(values)
+        got = records[field]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +189,15 @@ def test_build_basis_matches_the_per_mode_loop_bit_for_bit(rod, count):
     sys = RODS[rod]
     basis = build_basis(sys, count)
     want = _loop_build_basis(sys, count)
-    assert pickle.dumps(basis.modes) == pickle.dumps(want)
-    assert pickle.dumps(find_eigenvalues(sys, count - 1)) == pickle.dumps([m.pair for m in want])
+    _assert_rows(basis.modes, want, ROD_FIELDS)
+    _assert_rows(find_eigenvalues(sys, count - 1), [row[0] for row in want], ROOT_FIELDS)
     for name, values in (
-        ("lambda_b", [m.pair.lambda_b for m in want]),
-        ("lambda_a", [m.pair.lambda_a for m in want]),
-        ("lambda_bar", [m.pair.lambda_bar for m in want]),
-        ("amp_b", [m.amp_b for m in want]),
-        ("amp_a", [m.amp_a for m in want]),
-        ("norm_N", [m.norm_N for m in want]),
+        ("lambda_b", [row[0][1] for row in want]),
+        ("lambda_a", [row[0][2] for row in want]),
+        ("lambda_bar", [row[0][3] for row in want]),
+        ("norm_N", [row[1] for row in want]),
+        ("amp_b", [row[3] for row in want]),
+        ("amp_a", [row[4] for row in want]),
     ):
         assert _same_bits(getattr(basis, name), values), name
     assert basis.lambda_bars() is basis.lambda_bar
@@ -204,7 +231,7 @@ def test_find_modes_2d_matches_the_per_mode_loop_bit_for_bit(plate, n_eps):
     sys = PLATES[plate]
     basis2d = find_modes_2d(sys, n_eps)
     want = _loop_find_modes_2d(sys, n_eps)
-    assert pickle.dumps(basis2d.modes) == pickle.dumps(want)
+    _assert_rows(basis2d.modes, want, PLATE_FIELDS)
     for name, field in (
         ("lambda_b", "nu_b"),
         ("lambda_a", "nu_a"),
@@ -212,7 +239,8 @@ def test_find_modes_2d_matches_the_per_mode_loop_bit_for_bit(plate, n_eps):
         ("amp_b", "amp_b"),
         ("amp_a", "amp_a"),
     ):
-        assert _same_bits(getattr(basis2d, name), [getattr(md, field) for md in want]), name
+        i = PLATE_FIELDS.index(field)
+        assert _same_bits(getattr(basis2d, name), [row[i] for row in want]), name
     assert basis2d.lambda_bars() is basis2d.lambda_bar
 
 
@@ -243,49 +271,52 @@ def test_plate_and_slice_bases_are_eigen_bases_whose_records_match_their_columns
     basis2d = find_modes_2d(sys, 250.0)
     for basis in (basis2d, slice_basis(basis2d, 0.3 * sys.c)):
         assert type(basis) is EigenBasis
-        assert {type(md) for md in basis.modes} == {Mode2D}
+        assert basis.modes.dtype.names == PLATE_FIELDS
         for name, field in PLATE_COLUMNS:
             assert _same_bits(getattr(basis, name), [getattr(md, field) for md in basis.modes]), name
         for name, field in (("m", "m"), ("n", "n"), ("degenerate", "degenerate_interface")):
             assert getattr(basis, name).tolist() == [getattr(md, field) for md in basis.modes]
 
 
-def _count_records(monkeypatch):
-    """Wrap the record classes the basis module builds; the list grows by one per record."""
-    made = []
-    for name in ("EigenMode", "Mode2D"):
-        real = getattr(basis_module, name)
-        monkeypatch.setattr(basis_module, name, lambda *a, real=real: made.append(1) or real(*a))
-    return made
+def _count_modes_reads(monkeypatch):
+    """Wrap ``EigenBasis.modes``; the list grows by one each time a basis computes it."""
+    reads = []
+    real = EigenBasis.modes.func
+    spy = cached_property(lambda self: reads.append(1) or real(self))
+    spy.__set_name__(EigenBasis, "modes")
+    monkeypatch.setattr(EigenBasis, "modes", spy)
+    return reads
 
 
 @pytest.mark.parametrize("rod", sorted(RODS))
 def test_a_rod_build_constructs_no_records_until_modes_is_read(rod, monkeypatch):
-    made = _count_records(monkeypatch)
+    reads = _count_modes_reads(monkeypatch)
     basis = build_basis(RODS[rod], 403)
     assert basis.norm_N.size == 403
-    assert made == []
-    assert {type(m) for m in basis.modes} == {EigenMode}
-    assert len(made) == 403
-    assert basis.modes is basis.modes
-    assert len(made) == 403
-    # a rod leaves the plate columns empty; its flags and indices are the records'
+    assert reads == []
+    modes = basis.modes
+    assert modes.dtype.names == tuple(f if isinstance(f, str) else f[0] for f in ROD_FIELDS)
+    assert modes.shape == (403,)
+    assert basis.modes is modes
+    assert len(reads) == 1
+    # a rod leaves the plate columns empty; its flags and indices are the rows'
     assert basis.m is basis.n is basis.mu is None
-    assert basis.degenerate.tolist() == [m.degenerate_interface for m in basis.modes]
-    assert [m.pair.n for m in basis.modes] == list(range(403))
+    assert basis.degenerate.tolist() == [m.degenerate_interface for m in modes]
+    assert [m.pair.n for m in modes] == list(range(403))
 
 
 @pytest.mark.parametrize("plate", sorted(PLATES))
 def test_a_plate_and_its_slice_construct_no_records_until_modes_is_read(plate, monkeypatch):
-    made = _count_records(monkeypatch)
+    reads = _count_modes_reads(monkeypatch)
     sys = PLATES[plate]
     basis2d = find_modes_2d(sys, 250.0)
     on_slice = slice_basis(basis2d, 0.3 * sys.c)
-    assert made == []
-    assert {type(md) for md in on_slice.modes} == {Mode2D}
-    assert len(made) == len(on_slice)
-    assert basis2d.modes == tuple(_loop_find_modes_2d(sys, 250.0))
-    assert len(made) == 2 * len(basis2d)
+    assert reads == []
+    assert on_slice.modes.shape == (len(on_slice),)
+    assert on_slice.modes is on_slice.modes
+    assert len(reads) == 1
+    _assert_rows(basis2d.modes, _loop_find_modes_2d(sys, 250.0), PLATE_FIELDS)
+    assert len(reads) == 2
 
 
 @pytest.mark.parametrize("rod", sorted(RODS))

@@ -14,7 +14,6 @@ import twoslab.bilayer2d
 import twoslab.eigensolver
 from twoslab.bilayer2d import (
     EvanescentBranchError,
-    Mode2D,
     find_modes_2d,
     nu_a_of,
     reconstruct_2d_slice,
@@ -271,8 +270,10 @@ def test_slice_basis_records_match_its_arrays(sys_2d, y0):
     assert np.array_equal(on_slice.amp_a, basis2d.amp_a * y)
     assert np.array_equal([md.amp_b for md in on_slice.modes], on_slice.amp_b)
     assert np.array_equal([md.amp_a for md in on_slice.modes], on_slice.amp_a)
-    for got, plate in zip(on_slice.modes, basis2d.modes):
-        assert dataclasses.replace(got, amp_b=plate.amp_b, amp_a=plate.amp_a) == plate
+    # every other field of the slice's rows is the plate's
+    for name in on_slice.modes.dtype.names:
+        if name not in ("amp_b", "amp_a"):
+            assert on_slice.modes[name].tobytes() == basis2d.modes[name].tobytes(), name
 
 
 @pytest.mark.parametrize("y0", [0.0, 0.3, 1.0])

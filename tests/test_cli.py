@@ -376,6 +376,17 @@ def test_example2d_mode_retention(ex2d):
     assert errs[2] < errs[0]
 
 
+def test_example2d_lists_the_modes_of_its_smallest_eps(tmp_path):
+    # eps_list not ending at its minimum: the CSV lists the largest mode set
+    config = tmp_path / "unsorted.json"
+    config.write_text('{"eps_list": [1e-6, 1e-2]}')
+    assert main(["example", "2d", "--config", str(config), "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "example2d" / "metadata.json").read_text())
+    with open(tmp_path / "example2d" / "modes2d.csv", newline="") as fh:
+        rows = [[int(row["m"]), int(row["n"])] for row in csv.DictReader(fh)]
+    assert rows == meta["per_eps"]["eps_1e-6"]["mode_index_pairs"] == [[0, 0], [0, 1]]
+
+
 def test_examples_1_to_3_write_one_per_eps_record(ex1, ex2, ex3):
     keys = [
         "epsilon", "l2_error_vs_initial", "n_eps", "retained_modes", "right_slab_max_abs",

@@ -4,9 +4,9 @@ A fresh interpreter, with RuntimeWarning as an error, blocks ``import
 scipy`` before importing the package, then runs every subcommand in
 process.  It reports each exit code, the miss count of the basis'
 Gauss-Legendre cache after the command, the command's own calls of
-``basis._mode_norms`` (a plate's basis derives no norms) and its own
-constructions of the per-mode records ``basis.EigenMode`` and
-``basis.Mode2D`` (the writers read columns), which modules
+``basis._mode_norms`` (a plate's basis derives no norms) and how many
+times a basis computed its record array ``EigenBasis.modes`` (the
+writers read columns), which modules
 of the test harness or the test-only dependencies the commands loaded,
 and the file it imported ``twoslab`` from.  The child's ``PYTHONPATH`` is the
 directory this test process imported the package from, so it runs the
@@ -28,6 +28,7 @@ PACKAGE_DIR = Path(twoslab.__file__).resolve().parents[1]
 CHILD = textwrap.dedent(
     """
     import json, sys
+    from functools import cached_property
     from pathlib import Path
 
     sys.modules["scipy"] = None  # any import of scipy now raises ImportError
@@ -69,17 +70,18 @@ CHILD = textwrap.dedent(
     def counted(real, calls):
         return lambda *a: calls.append(1) or real(*a)
 
-    norm_calls, records = [], []
+    norm_calls, modes_reads = [], []
     twoslab.basis._mode_norms = counted(twoslab.basis._mode_norms, norm_calls)
-    for record in ("EigenMode", "Mode2D"):
-        setattr(twoslab.basis, record, counted(getattr(twoslab.basis, record), records))
+    Basis = twoslab.basis.EigenBasis
+    Basis.modes = cached_property(counted(Basis.modes.func, modes_reads))
+    Basis.modes.__set_name__(Basis, "modes")
     report = {}
     for name, argv in commands.items():
         norm_calls.clear()
-        records.clear()
+        modes_reads.clear()
         code = cli.main(argv + ["--out", str(out / name)])
         report[name] = [
-            code, twoslab.basis._leggauss.cache_info().misses, len(norm_calls), len(records)
+            code, twoslab.basis._leggauss.cache_info().misses, len(norm_calls), len(modes_reads)
         ]
     report["twoslab_file"] = twoslab.__file__
     report["denied_loaded"] = sorted(m for m in sys.modules if m.split(".")[0] in DENIED
@@ -99,10 +101,10 @@ def test_cli_runs_without_scipy_and_without_gauss_legendre(tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report.pop("denied_loaded") == []
     assert Path(report.pop("twoslab_file")).resolve() == Path(twoslab.__file__).resolve()
-    for name, (code, misses, norm_calls, records) in report.items():
+    for name, (code, misses, norm_calls, modes_reads) in report.items():
         assert code == 0, f"{name} exited {code}: {proc.stderr}"
         assert misses == 0, f"{name} built a Gauss-Legendre rule"
-        assert records == 0, f"{name} constructed {records} per-mode records"
+        assert modes_reads == 0, f"{name} read EigenBasis.modes {modes_reads} times"
         if name.startswith("example2d") or name == "eigen":
             assert norm_calls == 0, f"{name} evaluated mode norms {norm_calls} times"
     assert len(report) == 11
