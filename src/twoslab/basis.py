@@ -24,8 +24,10 @@ and that call's two results.  Squares of frequencies use
 ``np.float_power(x, 2.0)``, which rounds as Python's ``x**2`` does, so
 every row equals its per-mode scalar form bit for bit.
 
-Mode matrices amp_n cos(lambda_n s_j) all come from ``mode_operator``.
-On nodes that are exactly ``np.linspace(nodes[0], nodes[-1], N)``, with N
+Mode matrices amp_n cos(lambda_n s_j) all come from ``mode_operator``,
+which keeps its last operator per slab on read-only nodes (every
+``Grid``'s), so a recovery and a synthesis on one grid share it.  On
+nodes that are exactly ``np.linspace(nodes[0], nodes[-1], N)``, with N
 at least BLOCKED_MIN_NODES, it returns a ``BlockedModes``: row j = qB + r
 (B = ceil(sqrt(N))) is, by angle addition, a row-wise Kronecker product of
 a table of block starts lambda_n s_qB and one of offsets lambda_n r h,
@@ -142,6 +144,15 @@ class EigenBasis:
         right = self.amp_a[n] * np.cos(self.lambda_a[n] * (xs - self.sys.a))
         out = np.where(xs < 0.0, left, right)
         return float(out) if np.isscalar(x) else out
+
+    @cached_property
+    def _peak_rates(self) -> np.ndarray:
+        # entry k - 1 is max(lambda_bar[:k], initial=0.0), the rate the amplification guard reads
+        return np.maximum.accumulate(np.maximum(self.lambda_bar, 0.0))
+
+    @cached_property
+    def _kept(self) -> dict:
+        return {}  # slab -> (nodes, mode_count, operator): ``mode_operator``'s last build
 
     @cached_property
     def _norms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -321,6 +332,12 @@ class BlockedModes:
         return G
 
 
+def _require_mode_count(basis: EigenBasis, mode_count: int) -> None:
+    """Refuse a mode count outside 0..len(basis), which a slice would quietly cut or wrap."""
+    if not 0 <= mode_count <= len(basis):
+        raise ValidationError(f"{mode_count} modes requested, not in 0..{len(basis)}")
+
+
 def mode_operator(
     basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int
 ) -> np.ndarray | BlockedModes:
@@ -329,23 +346,35 @@ def mode_operator(
     Nodes that are exactly ``np.linspace(nodes[0], nodes[-1], len)``, with
     at least BLOCKED_MIN_NODES of them, give a ``BlockedModes``; any other
     node set gives the direct form amp_n cos(lam_n s_j) as an array,
-    evaluated in place.
+    evaluated in place.  The last operator built per slab on a read-only
+    node array that owns its data is kept, read-only, and returned again
+    for the same array and count; other node arrays are evaluated afresh.
     """
-    nodes = np.asarray(nodes, dtype=float).ravel()
+    kept = basis._kept.get(slab)
+    if kept is not None and kept[0] is nodes and kept[1] == mode_count:
+        return kept[2]
+    _require_mode_count(basis, mode_count)
+    x = np.asarray(nodes, dtype=float).ravel()
     k = slice(mode_count)
     if slab == "b":
-        s, lam, amp = nodes + basis.sys.b, basis.lambda_b[k], basis.amp_b[k]
+        s, lam, amp = x + basis.sys.b, basis.lambda_b[k], basis.amp_b[k]
     elif slab == "a":
-        s, lam, amp = nodes - basis.sys.a, basis.lambda_a[k], basis.amp_a[k]
+        s, lam, amp = x - basis.sys.a, basis.lambda_a[k], basis.amp_a[k]
     else:
         raise ValueError("slab must be 'b' or 'a'")
-    n = nodes.size
-    if n >= BLOCKED_MIN_NODES and np.array_equal(nodes, np.linspace(nodes[0], nodes[-1], n)):
-        return BlockedModes(s, lam, amp)
-    out = np.multiply.outer(s, lam)
-    np.cos(out, out=out)
-    out *= amp
-    return out
+    n = x.size
+    if n >= BLOCKED_MIN_NODES and np.array_equal(x, np.linspace(x[0], x[-1], n)):
+        P = BlockedModes(s, lam, amp)
+    else:
+        P = np.multiply.outer(s, lam)
+        np.cos(P, out=P)
+        P *= amp
+    # x is a view whose base is nodes only when nodes is a float ndarray that owns its data
+    if x.base is nodes and not nodes.flags.writeable:
+        if isinstance(P, np.ndarray):
+            P.setflags(write=False)
+        basis._kept[slab] = (nodes, mode_count, P)
+    return P
 
 
 def slab_matrix(basis: EigenBasis, nodes: np.ndarray, slab: str, mode_count: int) -> np.ndarray:
@@ -407,7 +436,8 @@ def _cos_products(lam: np.ndarray, amp: np.ndarray, length: float) -> np.ndarray
 def slab_grams(basis: EigenBasis, mode_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-slab (unweighted) Gram matrices of the eigenfunctions, in closed form."""
     s = basis.sys
-    k = slice(len(basis) if mode_count is None else mode_count)
+    _require_mode_count(basis, mode_count or 0)  # None: every mode
+    k = slice(mode_count)
     return (
         _cos_products(basis.lambda_b[k], basis.amp_b[k], s.b),
         _cos_products(basis.lambda_a[k], basis.amp_a[k], s.a),

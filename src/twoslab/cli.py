@@ -56,12 +56,9 @@ from .evolve import (
 from .spectral import (
     RECOVERY_POLICIES,
     CoeffVector,
-    _mode_matrices,
-    _recover,
-    _recover_on_grid,
-    _synthesize,
     amplification_factors,
     project_coefficients,
+    recover_coefficients,
     synthesize,
 )
 # recover_slice_coefficients stays importable from here: perfbench/repeat_share.py
@@ -558,19 +555,19 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
     bound = math.sqrt(2.0 * max(s.a, s.b))
     result, noisy = _cutoff_example(cfg, 1, basis, initial, bound, final=mode1_data(grid))
 
-    # the first eps's cut-off, recovered once and amplified to each t from the same matrices
+    # the first eps's cut-off, recovered once and amplified to each t
     m = retained_modes(basis, cfg.reg(cfg.eps_list[0]).n_eps)
-    coeffs, Pb, Pa = _recover_on_grid(basis, noisy[0], m, cfg.recovery_policy)
+    coeffs = recover_coefficients(basis, noisy[0], m, cfg.recovery_policy)
     surface_rows: list[str] = []
     for t in np.linspace(s.t0, s.tf, 11):
-        snap = _synthesize(basis, coeffs, float(t), noisy[0].grid, Pb, Pa)
+        snap = synthesize(basis, coeffs, float(t), noisy[0].grid)
         values = np.concatenate([snap.values_b, snap.values_a])
         surface_rows += [f"{x:.5f},{t:.5f},{v:.6e}" for x, v in zip(result.table.xs, values)]
 
     # raw inversion: square system with every mode, no cut-off.  The
     # design matrices are numerically rank deficient (restricted cosines
-    # lose independence), which recover_coefficients rightly refuses, so
-    # the demo solves them directly; the point is the blow-up.
+    # lose independence), which recover_coefficients rightly refuses, so the
+    # demo solves and evaluates on these dense matrices; the point is the blow-up.
     grid_sq = uniform_grid(s, cfg.mode_count)
     noisy_sq = inject_noise(mode1_data(grid_sq), cfg.eps_list[0], bound, rng_for(cfg.seed, 1, 50))
     A_b = slab_matrix(basis, grid_sq.nodes_b, "b", cfg.mode_count)
@@ -579,9 +576,11 @@ def run_example1(cfg: RunConfig) -> ExampleResult:
         np.linalg.lstsq(A_b, noisy_sq.values_b, rcond=None),
         np.linalg.lstsq(A_a, noisy_sq.values_a, rcond=None),
     )
-    raw_coeffs = CoeffVector(basis=basis, c_b=c_b, c_a=c_a)
-    raw = _synthesize(basis, raw_coeffs, s.t0, grid_sq, A_b, A_a)
-    raw_values = np.concatenate([raw.values_b, raw.values_a])
+    amp = amplification_factors(basis, cfg.mode_count, s.t0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_values = np.concatenate([A_b @ (c_b * amp), A_a @ (c_a * amp)])
+    if not np.isfinite(raw_values).all():
+        raise NumericalError(f"the series at t = {s.t0!r} has a non-finite value")
     result.metadata.update(
         lambda_bar_1=lam_bar1,
         # data amplitude uses the literal e^{-tf/2}; reconstruction applies
@@ -684,17 +683,10 @@ def run_example2d(cfg: RunConfig) -> ExampleResult:
         _require_budget(max(count, cfg.grid_points), count, _cutoff_label(reg))
         basis2d = slice_basis(modes, y0)
         grid = uniform_grid(s, count)
-        initial = SampledField(
-            grid, slice_b(grid.nodes_b), slice_a(grid.nodes_a), s.t0
-        )
-        # the initial fit, the final synthesis and the noisy fit share grid's mode matrices
-        Pb, Pa = _mode_matrices(basis2d, grid, count)
-        c0 = _recover(basis2d, initial, count, "least-squares", Pb, Pa)
-        decay = np.exp(-basis2d.lambda_bars() * s.window)
-        c_tf = CoeffVector(basis=basis2d, c_b=c0.c_b * decay, c_a=c0.c_a * decay)
-        final = _synthesize(basis2d, c_tf, s.tf, grid, Pb, Pa)
+        initial = SampledField(grid, slice_b(grid.nodes_b), slice_a(grid.nodes_a), s.t0)
+        final = forward_solve(basis2d, initial, grid, count, "least-squares")
         noisy = inject_noise(final, eps, noise_bound, rng_for(cfg.seed, 4, i))
-        rec = _recover(basis2d, noisy, count, "least-squares", Pb, Pa)
+        rec = recover_coefficients(basis2d, noisy, count, "least-squares")
         recon = synthesize(basis2d, rec, s.t0, display)
         vals = np.concatenate([recon.values_b, recon.values_a])
         columns[eps_label(eps)] = vals
@@ -882,13 +874,13 @@ def _dispatch(args) -> int:
     if args.command == "forward":
         s = cfg.system()
         field0 = read_field_csv(args.infile, s.t0)
-        grid = field0.grid
-        modes = args.modes
-        if modes is None:  # as many modes as both slabs' nodes can determine
-            modes = min(cfg.mode_count, len(grid.nodes_b), len(grid.nodes_a))
+        nb, na = len(field0.grid.nodes_b), len(field0.grid.nodes_a)
+        # by default as many modes as both slabs' nodes can determine
+        modes = min(cfg.mode_count, nb, na) if args.modes is None else args.modes
+        _require_budget(max(nb, na), modes, "forward")
         basis = build_basis(s, modes)
         try:
-            final = forward_solve(basis, field0, grid, modes, policy=cfg.recovery_policy)
+            final = forward_solve(basis, field0, field0.grid, modes, policy=cfg.recovery_policy)
         except RankDeficientError as exc:
             if args.modes is not None:
                 raise

@@ -7,11 +7,13 @@ keeps only modes with lambda_bar_n <= N_eps where
     N_eps = beta * ln(eps^-gamma) / tf,
 
 which caps the amplification of every retained mode at eps^{-beta gamma}
-over the full window.  The three bound checkers evaluate both sides of
-the growth/stability estimates numerically; the series norms come from
-the closed-form slab Gram matrices, so neither side carries quadrature
-error.  A side that overflows is refused (``NumericalError``), with no
-numpy warning first.
+over the full window.  A forward solve and a cut-off reconstruction are
+``recover_coefficients`` then ``synthesize``; on one grid the two share
+each slab's mode matrix (``basis.mode_operator``).  The three bound
+checkers evaluate both sides of the growth/stability estimates
+numerically; the series norms come from the closed-form slab Gram
+matrices, so neither side carries quadrature error.  A side that
+overflows is refused (``NumericalError``), with no numpy warning first.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from .spectral import (
     CoeffVector,
     _mode_matrices,
     _quadrature_inner,
-    _recover_on_grid,
+    _require_amplifiable,
     _series_field,
-    _synthesize,
     amplification_factors,
     project_coefficients,
     recover_coefficients,
+    synthesize,
 )
 
 # Relative round-off by which a measured perturbation may exceed its noise budget.
@@ -71,13 +73,11 @@ def forward_solve(
     differ from the grid of ``initial``.
     """
     s = basis.sys
-    c0, Pb, Pa = _recover_on_grid(basis, initial, mode_count, policy)
-    if initial.grid is not grid:
-        Pb, Pa = _mode_matrices(basis, grid, len(c0))
-    decay = np.exp(-c0.basis.lambda_bars()[:mode_count] * s.window)
+    c0 = recover_coefficients(basis, initial, mode_count, policy)
+    decay = np.exp(-basis.lambda_bar[:mode_count] * s.window)
     c_tf = CoeffVector(basis=basis, c_b=c0.c_b * decay, c_a=c0.c_a * decay)
     # coefficients are now "at tf", so synthesis at t = tf applies no growth
-    return _synthesize(basis, c_tf, s.tf, grid, Pb, Pa)
+    return synthesize(basis, c_tf, s.tf, grid)
 
 
 def cutoff_reconstruct(
@@ -91,10 +91,10 @@ def cutoff_reconstruct(
 
     Only the admissible modes are recovered (the cut-off projection);
     they are then amplified by exp(lambda_bar_n (tf - t)) and evaluated
-    on the measurement grid, from the same mode matrices.  ``basis`` must
-    hold every mode the cut-off keeps plus one, as a basis of
-    ``eigensolver.cutoff_mode_count(sys, reg.n_eps)`` modes does: a
-    basis the cut-off keeps whole may be missing admissible modes.
+    on the measurement grid.  ``basis`` must hold every mode the cut-off
+    keeps plus one, as a basis of ``eigensolver.cutoff_mode_count(sys,
+    reg.n_eps)`` modes does: a basis the cut-off keeps whole may be
+    missing admissible modes.
     """
     return _reconstruct(basis, measured_tf, retained_modes(basis, reg.n_eps), t, policy)
 
@@ -109,9 +109,9 @@ def _reconstruct(
     if count == 0:
         raise ValidationError("cut-off removed every mode; nothing to reconstruct")
     # the guard before the recovery: an exponent past the limit is refused whatever the grid
-    amp = amplification_factors(basis, count, t)
-    coeffs, Pb, Pa = _recover_on_grid(basis, measured_tf, count, policy)
-    return _synthesize(basis, coeffs, t, measured_tf.grid, Pb, Pa, amp)
+    _require_amplifiable(basis, count, t)
+    coeffs = recover_coefficients(basis, measured_tf, count, policy)
+    return synthesize(basis, coeffs, t, measured_tf.grid)
 
 
 def _amplified_norm_sq(basis: EigenBasis, coeffs: CoeffVector, t: float) -> tuple[np.ndarray, float]:

@@ -28,14 +28,10 @@ is a series that is not finite at some node (``NumericalError``), as
 is a recovered coefficient that is not finite.  Both refusals come
 with no numpy warning first.
 
-Both steps evaluate the same mode matrices phi_{alpha n}(x_j) when the
-series is synthesized on the data grid.  A reconstruction
-(``evolve.cutoff_reconstruct``, ``evolve.forward_solve``) therefore
-builds each slab's matrix once (``_recover_on_grid`` returns them with
-the coefficients) and hands it to ``_synthesize``; the public wrappers
-build their own.  A plate slice (``bilayer2d.slice_basis``) is an
-``EigenBasis`` as a rod's basis is, so it runs through these same mode
-matrices, recovery and synthesis.
+Both steps take their mode matrices phi_{alpha n}(x_j) from
+``basis.mode_operator``, which keeps each slab's last one on a grid, so
+a recovery and a synthesis on one grid build them once.  A plate slice
+(``bilayer2d.slice_basis``) is an ``EigenBasis`` too, and takes the same path.
 
 On a grid that takes the blocked route (``basis.mode_operator``) a mode
 matrix is a ``BlockedModes``: the trapezoid Gram, the products P^T W y
@@ -65,7 +61,7 @@ from .core import (
     SampledField,
     ValidationError,
 )
-from .basis import BlockedModes, EigenBasis, mode_operator, slab_matrix
+from .basis import BlockedModes, EigenBasis, _require_mode_count, mode_operator, slab_matrix
 
 # Condition estimate beyond which a solve is refused.
 CONDITION_LIMIT = 1e12
@@ -114,31 +110,24 @@ def _strict_subsample(n_nodes: int, mode_count: int) -> np.ndarray:
     return np.round(np.linspace(0, n_nodes - 1, mode_count)).astype(int)
 
 
-def _require_conditioned(spectrum: np.ndarray, what: str) -> None:
+def _require_conditioned(top: float, bottom: float, what: str) -> None:
     """Refuse a matrix whose condition passes CONDITION_LIMIT (or is not finite).
 
-    ``spectrum`` holds its singular values, or the eigenvalue magnitudes
-    of a symmetric matrix; the condition is their max/min, infinite when
-    the smallest is exactly zero.
+    ``top`` and ``bottom`` are the largest and smallest of its singular
+    values, or of the eigenvalue magnitudes of a symmetric matrix; the
+    condition is top/bottom, infinite when bottom is exactly zero.
     """
-    top, bottom = float(spectrum.max()), float(spectrum.min())
+    top, bottom = float(top), float(bottom)
     cond = top / bottom if bottom > 0.0 else math.inf
     if cond > CONDITION_LIMIT or not math.isfinite(cond):
         raise RankDeficientError(f"{what} numerically rank deficient (condition {cond:.3e})", cond)
 
 
-def _solve_slab(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solve of A c = rhs, refused when A is ill conditioned."""
-    c, _, _, s = np.linalg.lstsq(A, rhs, rcond=None)
-    _require_conditioned(s, "design matrix")
-    return c
-
-
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     w = np.zeros(len(nodes))
-    d = np.diff(nodes)
-    w[:-1] += d / 2.0
-    w[1:] += d / 2.0
+    half = np.diff(nodes) / 2.0
+    w[:-1] += half
+    w[1:] += half
     return w
 
 
@@ -155,14 +144,16 @@ def _trapezoid_inner(
     return P.T @ (w * _trapezoid_weights(nodes) * values)
 
 
-def _trapezoid_gram(P: ModeMatrix, nodes: np.ndarray, w: float) -> np.ndarray:
-    """w P^T diag(t) P, with t as in ``_trapezoid_inner``."""
+def _trapezoid_system(
+    P: ModeMatrix, nodes: np.ndarray, values: np.ndarray, w: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(w P^T diag(t) P, w P^T diag(t) values), with t as in ``_trapezoid_inner``, formed once."""
     if isinstance(P, BlockedModes):
         G = P.trapezoid_gram()
         G *= w
-        return G
+        return G, _trapezoid_inner(P, nodes, values, w)
     W = w * _trapezoid_weights(nodes)
-    return P.T @ (W[:, None] * P)
+    return P.T @ (W[:, None] * P), P.T @ (W * values)
 
 
 def _certified_condition(G: np.ndarray) -> float:
@@ -199,14 +190,13 @@ def _recover_projection(
     # discrete Gram system of the material-weighted trapezoid inner
     # product; exact on data lying in the modes of Pb, Pa
     w_b, w_a = basis.sys.weights
-    nodes_b, nodes_a = field.grid.nodes_b, field.grid.nodes_a
-    G = _trapezoid_gram(Pb, nodes_b, w_b)
-    G += _trapezoid_gram(Pa, nodes_a, w_a)
-    r = _trapezoid_inner(Pb, nodes_b, field.values_b, w_b) + _trapezoid_inner(
-        Pa, nodes_a, field.values_a, w_a
-    )
+    G, r = _trapezoid_system(Pb, field.grid.nodes_b, field.values_b, w_b)
+    G_a, r_a = _trapezoid_system(Pa, field.grid.nodes_a, field.values_a, w_a)
+    G += G_a
+    r += r_a
     if not _certified_condition(G) <= CONDITION_LIMIT:
-        _require_conditioned(np.abs(np.linalg.eigvalsh(G)), "projection Gram matrix")
+        magnitudes = np.abs(np.linalg.eigvalsh(G))
+        _require_conditioned(magnitudes.max(), magnitudes.min(), "projection Gram matrix")
     c = np.linalg.solve(G, r)
     return CoeffVector(basis=basis, c_b=c, c_a=c.copy())
 
@@ -270,22 +260,15 @@ def _recover(
                         A, values = A.compress(values)
                     elif isinstance(A, BlockedModes):
                         A = A.dense()
-                    out.append(_solve_slab(A, values))
+                    c, _, _, sv = np.linalg.lstsq(A, values, rcond=None)
+                    _require_conditioned(sv[0], sv[-1], "design matrix")  # in decreasing order
+                    out.append(c)
                 coeffs = CoeffVector(basis=basis, c_b=out[0], c_a=out[1])
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"coefficient recovery failed: {exc}", math.nan) from exc
     if not (np.isfinite(coeffs.c_b).all() and np.isfinite(coeffs.c_a).all()):
         raise NumericalError("the recovered coefficients hold a non-finite value")
     return coeffs
-
-
-def _recover_on_grid(
-    basis: EigenBasis, field: SampledField, mode_count: int, policy: str
-) -> tuple[CoeffVector, ModeMatrix, ModeMatrix]:
-    """Validated recovery, returned with the mode matrices of the field's grid."""
-    _validate_recovery(basis, field, mode_count, policy)
-    Pb, Pa = _mode_matrices(basis, field.grid, mode_count)
-    return _recover(basis, field, mode_count, policy, Pb, Pa), Pb, Pa
 
 
 def recover_coefficients(
@@ -303,7 +286,9 @@ def recover_coefficients(
     the material-weighted inner product, which couples the slabs and
     always returns a consistent vector.
     """
-    return _recover_on_grid(basis, field_tf, mode_count, policy)[0]
+    _validate_recovery(basis, field_tf, mode_count, policy)
+    Pb, Pa = _mode_matrices(basis, field_tf.grid, mode_count)
+    return _recover(basis, field_tf, mode_count, policy, Pb, Pa)
 
 
 def project_coefficients(basis: EigenBasis, field, mode_count: int) -> CoeffVector:
@@ -313,8 +298,7 @@ def project_coefficients(basis: EigenBasis, field, mode_count: int) -> CoeffVect
     own grid) or a pair of callables (f_b, f_a) integrated by the basis
     quadrature.  Both slabs receive the same coefficients.
     """
-    if mode_count > len(basis):
-        raise ValidationError(f"{mode_count} modes requested from a basis of {len(basis)}")
+    _require_mode_count(basis, mode_count)
     w_b, w_a = basis.sys.weights
     if isinstance(field, SampledField):
         Pb, Pa = _mode_matrices(basis, field.grid, mode_count)
@@ -335,48 +319,41 @@ def _quadrature_inner(basis: EigenBasis, f_b, f_a, mode_count: int) -> tuple[np.
     return Pb.T @ (basis.quad_w_b * vb), Pa.T @ (basis.quad_w_a * va)
 
 
+def _require_amplifiable(basis: EigenBasis, mode_count: int, t: float) -> None:
+    """Refuse lambda_bar_n (tf - t) past EXP_ARG_LIMIT for a mode_count already in 0..len(basis)."""
+    # rounding is monotone, so the largest rate gives the largest exponent
+    peak = float(basis._peak_rates[mode_count - 1]) * (basis.sys.tf - t) if mode_count else 0.0
+    if peak > EXP_ARG_LIMIT:
+        raise AmplificationOverflowError(
+            f"amplification overflow: max lambda_bar*(tf-t) = {peak:.3f} exceeds {EXP_ARG_LIMIT}"
+        )
+
+
 def amplification_factors(basis: EigenBasis, mode_count: int, t: float) -> np.ndarray:
     """exp(lambda_bar_n (tf - t)) for the first mode_count modes.
 
     Refused when an exponent passes EXP_ARG_LIMIT.  The bound checkers'
     gain exp(2 N_eps (tf - t)) has its own refusal (``evolve._cutoff_gain``).
     """
-    arg = basis.lambda_bars()[:mode_count] * (basis.sys.tf - t)
-    peak = float(np.max(arg, initial=0.0))
-    if peak > EXP_ARG_LIMIT:
-        raise AmplificationOverflowError(
-            f"amplification overflow: max lambda_bar*(tf-t) = {peak:.3f} exceeds {EXP_ARG_LIMIT}"
-        )
-    return np.exp(arg)
+    _require_mode_count(basis, mode_count)
+    _require_amplifiable(basis, mode_count, t)
+    return np.exp(basis.lambda_bar[:mode_count] * (basis.sys.tf - t))
 
 
 def _series_field(grid: Grid, values_b: np.ndarray, values_a: np.ndarray, t: float) -> SampledField:
     """A series' values on ``grid`` at time t as a field, refused if one is not finite.
 
-    Each caller evaluates its series under ``np.errstate(over="ignore",
-    invalid="ignore")``, so an overflow reaches this refusal with no
-    numpy warning first.
+    Callers evaluate under ``np.errstate``, so an overflow raises no warning first.
     """
     if not (np.isfinite(values_b).all() and np.isfinite(values_a).all()):
         raise NumericalError(f"the series at t = {t!r} has a non-finite value")
     return SampledField(grid=grid, values_b=values_b, values_a=values_a, time=t)
 
 
-def _synthesize(
-    basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid, Pb: ModeMatrix, Pa: ModeMatrix,
-    amp: np.ndarray | None = None,
-) -> SampledField:
-    """The amplified series at time t from the mode matrices of ``grid``, refused if not finite.
-
-    ``amp``, when given, is the caller's ``amplification_factors(basis, len(coeffs), t)``.
-    """
-    amp = amplification_factors(basis, len(coeffs), t) if amp is None else amp
+def synthesize(basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid) -> SampledField:
+    """The backward-amplified series on a grid at time t, refused if not finite."""
+    amp = amplification_factors(basis, len(coeffs), t)
+    Pb, Pa = _mode_matrices(basis, grid, len(coeffs))
     with np.errstate(over="ignore", invalid="ignore"):
         values_b, values_a = Pb @ (coeffs.c_b * amp), Pa @ (coeffs.c_a * amp)
     return _series_field(grid, values_b, values_a, t)
-
-
-def synthesize(basis: EigenBasis, coeffs: CoeffVector, t: float, grid: Grid) -> SampledField:
-    """Evaluate the backward-amplified series on a grid at time t."""
-    Pb, Pa = _mode_matrices(basis, grid, len(coeffs))
-    return _synthesize(basis, coeffs, t, grid, Pb, Pa)

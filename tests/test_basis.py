@@ -416,3 +416,93 @@ def test_closed_grams_match_quadrature_oracle(system, random_amplitudes, request
     assert scaled_gap(Ga, Ga_q) < 1e-12
     assert scaled_gap(oracles.derivative_gram(basis), D_q) < 1e-12
     assert scaled_gap(slab_grams(basis, 7)[0], Gb_q[:7, :7]) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the operator each basis keeps per slab
+
+
+def test_read_only_nodes_share_one_operator_per_slab_and_count(sys_cm):
+    basis = build_basis(sys_cm, 8)
+    grid = uniform_grid(sys_cm, 30)
+    for slab, x in (("b", grid.nodes_b), ("a", grid.nodes_a)):
+        P = mode_operator(basis, x, slab, 6)
+        assert mode_operator(basis, x, slab, 6) is P
+        # the same array with another count rebuilds, and the new operator is the kept one
+        Q = mode_operator(basis, x, slab, 5)
+        assert Q is not P and Q.shape == (30, 5)
+        assert np.array_equal(Q, P[:, :5])
+        assert mode_operator(basis, x, slab, 5) is Q
+    # equal nodes in another array are another key
+    other = uniform_grid(sys_cm, 30)
+    P = mode_operator(basis, grid.nodes_b, "b", 5)
+    assert mode_operator(basis, other.nodes_b, "b", 5) is not P
+
+
+def test_a_kept_direct_form_is_read_only(sys_cm):
+    basis = build_basis(sys_cm, 8)
+    grid = uniform_grid(sys_cm, 30)
+    P = mode_operator(basis, grid.nodes_b, "b", 6)
+    assert isinstance(P, np.ndarray) and not P.flags.writeable
+    with pytest.raises(ValueError):
+        P[0, 0] = 1.0
+    assert slab_matrix(basis, grid.nodes_a, "a", 6).flags.writeable is False
+
+
+def test_writable_nodes_are_evaluated_on_every_call(sys_cm):
+    basis = build_basis(sys_cm, 8)
+    x = np.linspace(-sys_cm.b, 0.0, 30).copy()  # owns its data, as a Grid's nodes do
+    P = mode_operator(basis, x, "b", 6)
+    assert P.flags.writeable
+    x[3] = -1.234
+    Q = mode_operator(basis, x, "b", 6)
+    assert Q is not P
+    assert np.array_equal(Q[3], basis.amp_b[:6] * np.cos(basis.lambda_b[:6] * (x[3] + sys_cm.b)))
+    # a read-only view of a writable array is not kept either: its base can still change
+    view = x[:]
+    view.flags.writeable = False
+    R = mode_operator(basis, view, "b", 6)
+    x[4] = -1.5
+    assert not np.array_equal(mode_operator(basis, view, "b", 6)[4], R[4])
+
+
+def test_a_slice_basis_never_receives_its_plates_kept_operator(sys_2d):
+    from twoslab.bilayer2d import find_modes_2d, slice_basis
+
+    plate = find_modes_2d(sys_2d, 40.0)
+    grid = uniform_grid(sys_2d, len(plate))
+    k = len(plate)
+    kept = mode_operator(plate, grid.nodes_b, "b", k)
+    on_slice = slice_basis(plate, 0.3)
+    P = mode_operator(on_slice, grid.nodes_b, "b", k)
+    assert P is not kept
+    assert np.array_equal(P, slab_matrix(on_slice, np.array(grid.nodes_b), "b", k))
+    assert not np.array_equal(P, kept)
+
+
+@pytest.mark.parametrize("count", [-3, -1, "len+1"])
+@pytest.mark.parametrize(
+    "entry", ["mode_operator", "slab_grams", "amplification_factors", "project_coefficients"]
+)
+def test_a_mode_count_outside_the_basis_is_refused(sys_cm, entry, count):
+    # a negative count would slice off the last |count| modes; a larger one would be cut short
+    from twoslab.core import SampledField, ValidationError
+    from twoslab.spectral import amplification_factors, project_coefficients
+
+    basis = build_basis(sys_cm, 8)
+    count = len(basis) + 1 if count == "len+1" else count
+    grid = uniform_grid(sys_cm, 20)
+    calls = {
+        "mode_operator": lambda: mode_operator(basis, grid.nodes_b, "b", count),
+        "slab_grams": lambda: slab_grams(basis, count),
+        "amplification_factors": lambda: amplification_factors(basis, count, sys_cm.t0),
+        "project_coefficients": lambda: project_coefficients(
+            basis, SampledField(grid, np.ones(20), np.ones(20), sys_cm.tf), count
+        ),
+    }
+    with pytest.raises(ValidationError, match=f"modes requested, not in 0..{len(basis)}"):
+        calls[entry]()
+    # the bounds themselves are admitted
+    for edge in (0, len(basis)):
+        count = edge
+        calls[entry]()

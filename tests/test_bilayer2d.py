@@ -290,11 +290,18 @@ def test_reconstruct_slice_shares_matrices(sys_2d, y0, monkeypatch):
     r_b, r_a = recover_slice_coefficients(basis2d, final, y0)
     want = _slice_series(basis2d, r_b, r_a, y0, t, grid)
 
-    calls = []
+    # the slab of each distinct operator handed out: the basis hands a kept one out again
+    calls, seen = [], {}
     real = twoslab.spectral.mode_operator
-    monkeypatch.setattr(
-        twoslab.spectral, "mode_operator", lambda *a: calls.append(a[2]) or real(*a)
-    )
+
+    def counting(basis, nodes, slab, mode_count):
+        P = real(basis, nodes, slab, mode_count)
+        if id(P) not in seen:
+            seen[id(P)] = P
+            calls.append(slab)
+        return P
+
+    monkeypatch.setattr(twoslab.spectral, "mode_operator", counting)
     got = reconstruct_2d_slice(sys_2d, final, reg, y0, t)
     assert sorted(calls) == ["a", "b"]
     assert np.array_equal(got.values_b, want.values_b)

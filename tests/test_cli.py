@@ -401,13 +401,21 @@ def test_examples_1_to_3_write_one_per_eps_record(ex1, ex2, ex3):
 
 
 def _count_slab_matrices(monkeypatch, *modules):
-    """Record (slab, node count) of every slab_matrix or mode_operator call made through ``modules``."""
+    """Record (slab, node count) of each distinct matrix slab_matrix or mode_operator hands out.
+
+    Spies sit in ``modules``.  The basis hands a kept operator out again, so
+    each distinct one stands for one build.
+    """
     calls = []
+    seen = {}
 
     def spy_on(real):
         def spy(basis, nodes, slab, mode_count):
-            calls.append((slab, len(nodes)))
-            return real(basis, nodes, slab, mode_count)
+            P = real(basis, nodes, slab, mode_count)
+            if id(P) not in seen:
+                seen[id(P)] = P  # held, so no later operator reuses its id
+                calls.append((slab, len(nodes)))
+            return P
 
         return spy
 
@@ -804,6 +812,34 @@ def test_main_exit1_when_example1_raw_inversion_is_too_large(
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "mode_count" in err[0]
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["--modes", "1700"], {}),
+        # without --modes the fit takes min(mode_count, nodes per slab) modes
+        ([], {"mode_count": 3000}),
+    ],
+    ids=["modes", "mode_count"],
+)
+def test_main_exit1_when_the_forward_mode_matrix_passes_the_budget(
+    tmp_path, capsys, monkeypatch, args, config
+):
+    # 2500 nodes per slab times 1700 (or 2500) modes: refused before the basis is built
+    def refuse(*a, **kw):
+        raise AssertionError("a basis was built past the budget")
+
+    monkeypatch.setattr(cli, "build_basis", refuse)
+    initial = tmp_path / "initial.csv"
+    _write_cosine_csv(initial, 2500, 1.0)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = ["forward", "--infile", str(initial), *args, "--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: forward: a 2500 x ") and "passes the budget" in line
+    assert not out.exists()
 
 
 def test_main_exit1_when_the_plate_spectrum_is_too_large(tmp_path, capsys):

@@ -410,15 +410,23 @@ POLICIES = ("least-squares", "strict-paper", "projection")
 
 
 def _count_slab_matrix(monkeypatch):
-    """Count mode_operator calls per slab; spectral is the one module evolve builds them through."""
+    """Count the distinct operators mode_operator hands out per slab from now on.
+
+    spectral is the one module evolve takes them through.  The basis hands
+    a kept operator out again, so each distinct one stands for one build.
+    """
     import twoslab.spectral
 
     calls = {"b": 0, "a": 0}
+    seen = {}
     real = twoslab.spectral.mode_operator
 
     def counting(basis, nodes, slab, mode_count):
-        calls[slab] += 1
-        return real(basis, nodes, slab, mode_count)
+        P = real(basis, nodes, slab, mode_count)
+        if id(P) not in seen:
+            seen[id(P)] = P  # held, so no later operator reuses its id
+            calls[slab] += 1
+        return P
 
     monkeypatch.setattr(twoslab.spectral, "mode_operator", counting)
     return calls
@@ -460,10 +468,38 @@ def test_forward_solve_builds_each_slab_matrix_once(basis_cm, sys_cm, policy, mo
     forward_solve(basis_cm, SampledField(grid, field0.values_b, field0.values_a, 0.0), grid, 5, policy)
     assert calls == {"b": 1, "a": 1}
     # a field sampled on the target grid itself
-    calls.update(b=0, a=0)
+    calls = _count_slab_matrix(monkeypatch)
     cosine = SampledField(grid, np.cos(grid.nodes_b), np.cos(grid.nodes_a), 0.0)
     forward_solve(basis_cm, cosine, grid, 5, policy)
     assert calls == {"b": 1, "a": 1}
+
+
+def test_evolve_recovers_and_synthesizes_through_its_globals(basis_cm, sys_cm, monkeypatch):
+    # span wrappers replace these two names in twoslab.evolve, and their probes read
+    # recover_coefficients' field and mode count, and synthesize's coefficients, by position
+    import twoslab.evolve
+
+    seen = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            assert not kwargs, f"{name} called with keywords {sorted(kwargs)}"
+            seen.append((name, args))
+            return real(*args)
+
+        return wrapper
+
+    for name in ("recover_coefficients", "synthesize"):
+        monkeypatch.setattr(twoslab.evolve, name, spy(name, getattr(twoslab.evolve, name)))
+    field = _final_data(basis_cm, 5, 40)
+    cutoff_reconstruct(basis_cm, field, _keep(basis_cm, 5), sys_cm.t0, policy="projection")
+    grid = uniform_grid(sys_cm, 30)
+    cosine = SampledField(grid, np.cos(grid.nodes_b), np.cos(grid.nodes_a), 0.0)
+    forward_solve(basis_cm, cosine, grid, 4)
+    assert [name for name, _ in seen] == ["recover_coefficients", "synthesize"] * 2
+    (_, rec), (_, syn) = seen[:2]
+    assert rec[1] is field and rec[2] == 5 and len(syn[1]) == 5 and syn[3] is field.grid
+    assert seen[2][1][2] == 4 and seen[3][1][3] is grid
 
 
 @pytest.mark.parametrize("nodes", [20, 1000, 11000])

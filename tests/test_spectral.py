@@ -511,12 +511,14 @@ def certificate_rods(sys_cm, sys_explicit, sys_stiff):
 
 
 def _projection_gram(basis, nodes, modes):
-    from twoslab.spectral import _mode_matrices, _trapezoid_gram
+    from twoslab.spectral import _mode_matrices, _trapezoid_system
 
     grid = uniform_grid(basis.sys, nodes)
     Pb, Pa = _mode_matrices(basis, grid, modes)
     w_b, w_a = basis.sys.weights
-    return _trapezoid_gram(Pb, grid.nodes_b, w_b) + _trapezoid_gram(Pa, grid.nodes_a, w_a)
+    zeros = np.zeros(nodes)
+    G_b = _trapezoid_system(Pb, grid.nodes_b, zeros, w_b)[0]
+    return G_b + _trapezoid_system(Pa, grid.nodes_a, zeros, w_a)[0]
 
 
 @given(
