@@ -25,21 +25,26 @@ and that call's two results.  Squares of frequencies use
 every row equals its per-mode scalar form bit for bit.
 
 Mode matrices amp_n cos(lambda_n s_j) all come from ``mode_operator``,
-which keeps its last operator per slab on read-only nodes (every
-``Grid``'s), so a recovery and a synthesis on one grid share it.  On
-nodes that are exactly ``np.linspace(nodes[0], nodes[-1], N)``, with N
-at least BLOCKED_MIN_NODES, it returns a ``BlockedModes``: row j = qB + r
+which keeps its last operator per slab on nodes no caller can write
+(every ``Grid``'s: a read-only view of a read-only array), so a recovery
+and a synthesis on one grid share it.  On nodes that are exactly
+``np.linspace(nodes[0], nodes[-1], N)``, with N at least
+BLOCKED_MIN_NODES, it returns a ``BlockedModes``: row j = qB + r
 (B = ceil(sqrt(N))) is, by angle addition, a row-wise Kronecker product of
-a table of block starts lambda_n s_qB and one of offsets lambda_n r h,
-about 2 (N/B + B) transcendentals per mode instead of N.  Every block
-starts from its own node, so no error accumulates.  The operator gives
-the synthesis P g, the products P^T y and the trapezoid Gram (with the
-exact uniform spacing) from its tables, in O((N/B + B) k^2) for the Gram,
-without the N x k matrix.  It also compresses a least-squares problem
-P c = y, by orthogonal factors of the two tables, into one of at most
-4 k^2 + B rows with the same minimiser and singular values.  Any other
-node set takes the direct form, an array evaluated in place.
-``slab_matrix`` is the dense form of either.
+a table of block starts lambda_n s_qB and one of offsets lambda_n r h.
+Both tables come from one ``np.tan`` call on the half angles, about
+N/B + B tangents per mode instead of N cosines: with t = tan(theta/2),
+cos theta = (1 - t^2)/(1 + t^2) and sin theta = 2t/(1 + t^2), within
+2 eps of the cosine and sine, with bits that follow numpy's ``tan``
+dispatch as the roots' do.  Every block starts from its own node, so no
+error accumulates.  The operator gives the synthesis P g, the products
+P^T y and the trapezoid Gram (with the exact uniform spacing) from its
+tables, in O((N/B + B) k^2) for the Gram, without the N x k matrix.  It
+also compresses a least-squares problem P c = y, by orthogonal factors
+of the two tables, into one of at most 4 k^2 + B rows with the same
+minimiser and singular values.  Any other node set takes the direct
+form, an array evaluated in place.  ``slab_matrix`` is the dense form of
+either.
 
 The family is orthogonal in the weighted inner product
 
@@ -57,7 +62,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import SlabSystem, ValidationError
+from .core import SlabSystem, ValidationError, _frozen
 from .eigensolver import _root_records, find_eigenvalues
 
 # |cos| below this at the interface marks the mode as degenerate.
@@ -117,7 +122,8 @@ class EigenBasis:
     record array ``modes``, the norms N_n (``norm_N``) and the
     Gauss-Legendre rule for callables (``quad_x_b``, ``quad_w_b``,
     ``quad_x_a``, ``quad_w_a``) are derived from the columns on first
-    access and cached.
+    access and cached, read-only: a plate ``find_modes_2d`` keeps is
+    shared with every caller.
     """
 
     sys: SlabSystem
@@ -156,7 +162,8 @@ class EigenBasis:
 
     @cached_property
     def _norms(self) -> tuple[np.ndarray, np.ndarray]:
-        return _mode_norms(self.sys, self.lambda_b, self.lambda_a, self.amp_b, self.amp_a)
+        N, M = _mode_norms(self.sys, self.lambda_b, self.lambda_a, self.amp_b, self.amp_a)
+        return _frozen(N), _frozen(M)
 
     @property
     def norm_N(self) -> np.ndarray:
@@ -174,14 +181,14 @@ class EigenBasis:
         rest = (self.amp_b, self.amp_a, self.degenerate)
         if self.m is None:
             pair = _root_records(self.lambda_b, self.lambda_a, self.lambda_bar)
-            return np.rec.fromarrays(
+            return _frozen(np.rec.fromarrays(
                 (pair, *self._norms, *rest),
                 names="pair,norm_N,norm_M,amp_b,amp_a,degenerate_interface",
-            )
-        return np.rec.fromarrays(
+            ))
+        return _frozen(np.rec.fromarrays(
             (self.m, self.n, self.mu, self.lambda_b, self.lambda_a, self.lambda_bar, *rest),
             names="m,n,mu,nu_b,nu_a,lambda_bar,amp_b,amp_a,degenerate_interface",
-        )
+        ))
 
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -189,7 +196,7 @@ class EigenBasis:
         s = self.sys
         xb, wb = _composite_rule(-s.b, 0.0, float(self.lambda_b.max(initial=1.0)))
         xa, wa = _composite_rule(0.0, s.a, float(self.lambda_a.max(initial=1.0)))
-        return xb, wb, xa, wa
+        return _frozen(xb), _frozen(wb), _frozen(xa), _frozen(wa)
 
     @property
     def quad_x_b(self) -> np.ndarray:
@@ -225,26 +232,40 @@ class BlockedModes:
     ``starts`` = (amp cos, -amp sin)(lam s_qB), 2 x N/B x k, and
     ``offsets`` = (cos, sin)(lam r h), 2 x B x k: a row-wise Kronecker
     product.  Each block starts from its own node, so no error
-    accumulates along j.  Synthesis, the products with data, the
-    trapezoid Gram and the compressed least-squares system are read from
-    the tables; only ``dense`` forms the N x k matrix.
+    accumulates along j.  Both tables come from one ``np.tan`` call on the
+    half angles, t = tan(theta/2), as cos = (1 - t^2)/(1 + t^2) and
+    sin = 2t/(1 + t^2): one tangent costs at most what a cosine does (a
+    quarter of it where numpy dispatches AVX-512) and replaces a cosine
+    and a sine.  Each entry is within 2 eps (times |amp| in ``starts``) of
+    the cosine or sine of the same angle; its bits follow numpy's ``tan``
+    dispatch.  Synthesis, the products with data, the trapezoid Gram and
+    the compressed least-squares system are read from the tables; only
+    ``dense`` forms the N x k matrix.
     """
 
     def __init__(self, s: np.ndarray, lam: np.ndarray, amp: np.ndarray) -> None:
-        n, k = s.size, lam.size
+        n = s.size
         B = math.isqrt(n - 1) + 1
-        self.shape = (n, k)
+        self.shape = (n, lam.size)
         self.h = (s[-1] - s[0]) / (n - 1)
-        start = np.multiply.outer(s[::B], lam)
-        offset = np.multiply.outer(np.arange(B) * self.h, lam)
-        self.starts = np.empty((2,) + start.shape)
-        self.offsets = np.empty((2,) + offset.shape)
-        np.cos(start, out=self.starts[0])
-        np.sin(start, out=self.starts[1])
+        # t = tan(theta/2) for the angles lam s_qB and lam r h; halving is exact
+        half = np.concatenate((s[::B], np.arange(B) * self.h))
+        half *= 0.5
+        t = np.multiply.outer(half, lam)
+        np.tan(t, out=t)
+        # cos = (1 - t^2) / (1 + t^2) and sin = 2 t / (1 + t^2), in place
+        tables = np.empty((2,) + t.shape)
+        cos, sin = tables
+        np.multiply(t, t, out=sin)
+        np.subtract(1.0, sin, out=cos)
+        sin += 1.0
+        cos /= sin
+        np.divide(t, sin, out=sin)
+        sin += sin
+        starts = half.size - B
+        self.starts, self.offsets = tables[:, :starts], tables[:, starts:]
         self.starts[0] *= amp
         self.starts[1] *= -amp
-        np.cos(offset, out=self.offsets[0])
-        np.sin(offset, out=self.offsets[1])
 
     def dense(self) -> np.ndarray:
         """The N x k matrix itself."""
@@ -347,8 +368,9 @@ def mode_operator(
     at least BLOCKED_MIN_NODES of them, give a ``BlockedModes``; any other
     node set gives the direct form amp_n cos(lam_n s_j) as an array,
     evaluated in place.  The last operator built per slab on a read-only
-    node array that owns its data is kept, read-only, and returned again
-    for the same array and count; other node arrays are evaluated afresh.
+    view of a read-only array (a ``Grid``'s nodes) is kept, read-only, and
+    returned again for the same view and count; other node arrays,
+    read-only owners among them, are evaluated afresh.
     """
     kept = basis._kept.get(slab)
     if kept is not None and kept[0] is nodes and kept[1] == mode_count:
@@ -369,8 +391,11 @@ def mode_operator(
         P = np.multiply.outer(s, lam)
         np.cos(P, out=P)
         P *= amp
-    # x is a view whose base is nodes only when nodes is a float ndarray that owns its data
-    if x.base is nodes and not nodes.flags.writeable:
+    # a Grid's nodes view a read-only owner (``core._frozen``), and no view of
+    # that owner can be made writable; ravel() collapses x's base to the owner
+    owner = x.base
+    frozen = isinstance(owner, np.ndarray) and not owner.flags.writeable
+    if frozen and owner is getattr(nodes, "base", None):
         if isinstance(P, np.ndarray):
             P.setflags(write=False)
         basis._kept[slab] = (nodes, mode_count, P)

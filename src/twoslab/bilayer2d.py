@@ -21,7 +21,10 @@ multiple of pi the phase crosses on [nu_lo, nu_hi] is one mode, so the
 modes are counted in closed form and the roots of every m are bisected
 together in one call, with no grid.  nu_a, lambda_bar and the amplitudes
 (the array core of ``basis``) of all modes are then array expressions,
-and ``np.lexsort`` puts them in (lambda_bar, m, n) order.  The plate's
+and ``np.lexsort`` puts them in (lambda_bar, m, n) order.  A solved
+spectrum is kept, keyed by the whole system and N_eps, with read-only
+columns, and returned again for an equal request; the kept spectra hold
+at most MAX_MODES modes in all, the oldest going first.  The plate's
 modes are a ``basis.EigenBasis``, as a rod's are: nu_b and nu_a are its
 ``lambda_b`` and ``lambda_a`` columns, m, n and mu are three more, and
 its ``modes`` record array is built from the columns when first read.
@@ -37,11 +40,12 @@ exactly that many nodes per layer.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 
-from .core import RegParams, SampledField, SlabSystem, ValidationError
+from .core import RegParams, SampledField, SlabSystem, ValidationError, _frozen
 from .basis import EigenBasis, _interface_amplitudes
 from .eigensolver import MAX_MODES, _phase_roots, eigen_phase
 from .evolve import _reconstruct
@@ -88,6 +92,33 @@ def y_mode(m: int, y, c: float):
     return out
 
 
+class _SolvedPlates:
+    """The spectra ``find_modes_2d`` has solved, oldest first, at most MAX_MODES modes in all."""
+
+    def __init__(self) -> None:
+        self.plates: dict[tuple[SlabSystem, float], EigenBasis] = {}
+        self.modes = 0
+        self.lock = threading.Lock()
+
+    def add(self, key: tuple[SlabSystem, float], plate: EigenBasis) -> EigenBasis:
+        """Keep plate under key, unless another caller kept one first; return the kept one."""
+        with self.lock:
+            if key not in self.plates:
+                self.plates[key] = plate
+                self.modes += len(plate)
+                while self.modes > MAX_MODES:
+                    self.modes -= len(self.plates.pop(next(iter(self.plates))))
+            return self.plates.get(key, plate)
+
+    def clear(self) -> None:
+        with self.lock:
+            self.plates.clear()
+            self.modes = 0
+
+
+_solved = _SolvedPlates()
+
+
 def find_modes_2d(sys: SlabSystem, n_eps: float) -> EigenBasis:
     """All modes with lambda_bar <= n_eps, sorted by (lambda_bar, m, n), as an ``EigenBasis``.
 
@@ -104,6 +135,11 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> EigenBasis:
     end; the others of every m are bisected together in one call, each
     with its own mu and target.  Plates whose closed-form mode count
     exceeds MAX_MODES are refused before anything is allocated.
+
+    A solved spectrum is kept, keyed by the whole system and
+    float(n_eps), and an equal request returns the same basis: its
+    columns are read-only, as it is shared.  The kept spectra hold at
+    most MAX_MODES modes in all, and the oldest goes first.
     """
     c = _require_c(sys)
     if not n_eps >= 0:
@@ -119,6 +155,10 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> EigenBasis:
             f"n_eps = {n_eps!r} admits up to {bound:.3g} plate modes; "
             f"at most {MAX_MODES} are supported"
         )
+    key = (sys, float(n_eps))
+    plate = _solved.plates.get(key)
+    if plate is not None:
+        return plate
     ms = np.arange(int(nu_max * c / math.pi) + 2)
     mu = ms * math.pi / c
     nu_hi = np.sqrt(np.maximum(n_eps / kb - mu**2, 0.0))
@@ -145,7 +185,7 @@ def find_modes_2d(sys: SlabSystem, n_eps: float) -> EigenBasis:
     # the columns in (lambda_bar, m, n) order
     order = np.lexsort((n, m_of, lam_bar))
     columns = (roots, nu_a, lam_bar, amp_b, amp_a, degenerate, m_of, n, mu_of)
-    return EigenBasis(sys, *(col[order] for col in columns))
+    return _solved.add(key, EigenBasis(sys, *(_frozen(col[order]) for col in columns)))
 
 
 def slice_basis(basis2d: EigenBasis, y0: float) -> EigenBasis:
@@ -185,6 +225,10 @@ def reconstruct_2d_slice(
     The measurement grid must carry exactly |Theta(eps)| nodes per layer
     (see ``uniform_grid``); the series of every mode ``find_modes_2d`` returns
     is amplified on that grid, from the same mode matrices the solves use.
+    A caller has solved that spectrum to size its grid, so this call reads
+    the one ``find_modes_2d`` kept (keyed by the whole system and
+    reg.n_eps, at most MAX_MODES modes in all): the plate is shared and
+    its columns are read-only, and the slice takes its own amplitudes.
     """
     c = _require_c(sys)
     if not (0.0 <= y0 <= c):

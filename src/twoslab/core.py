@@ -124,11 +124,22 @@ def validate_system(sys: SlabSystem) -> SlabSystem:
     return sys
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr, which is made read-only too (a copy of it, if it is a view).
+
+    numpy refuses to make a view of a read-only array writable again, so
+    the data can change only through arr itself, which the caller keeps
+    private.
+    """
+    if arr.base is not None:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr.view()
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    """A frozen copy of arr, so the caller's array stays writable and cannot change it."""
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
+    """A read-only view of a private float copy of arr; the caller's array stays writable."""
+    return _frozen(np.array(arr, dtype=float))
 
 
 @dataclass(frozen=True)

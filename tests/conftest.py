@@ -71,3 +71,17 @@ def basis_explicit(sys_explicit):
 @pytest.fixture(scope="session")
 def grid_cm(sys_cm):
     return uniform_grid(sys_cm, 40)
+
+
+@pytest.fixture
+def solved_plates():
+    """The spectra ``find_modes_2d`` keeps, emptied before and after the test.
+
+    A test that counts or spies on the solve needs its call to solve, and a
+    spectrum solved under one test's monkeypatch must not reach the next.
+    """
+    from twoslab.bilayer2d import _solved
+
+    _solved.clear()
+    yield _solved
+    _solved.clear()

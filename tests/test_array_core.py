@@ -306,7 +306,8 @@ def test_a_rod_build_constructs_no_records_until_modes_is_read(rod, monkeypatch)
 
 
 @pytest.mark.parametrize("plate", sorted(PLATES))
-def test_a_plate_and_its_slice_construct_no_records_until_modes_is_read(plate, monkeypatch):
+def test_a_plate_and_its_slice_construct_no_records_until_modes_is_read(plate, monkeypatch,
+                                                                        solved_plates):
     reads = _count_modes_reads(monkeypatch)
     sys = PLATES[plate]
     basis2d = find_modes_2d(sys, 250.0)

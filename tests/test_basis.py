@@ -199,18 +199,48 @@ def test_other_nodes_take_the_direct_form_bit_for_bit(rods_2000, slab):
 
 
 def test_equispaced_grid_takes_no_cosine_per_entry(sys_cm, monkeypatch):
-    # the blocked form's tables: at most ceil(sqrt(n)) rows of cosines per table, two tables a slab
+    # the blocked form's tables: one np.tan call a slab, on at most 2 ceil(sqrt(n))
+    # rows of half angles, and no np.cos or np.sin
     basis = build_basis(sys_cm, 40)
     grid = uniform_grid(sys_cm, 11000)
-    real = np.cos
-    sizes = []
-    monkeypatch.setattr(np, "cos", lambda x, *a, **kw: sizes.append(np.size(x)) or real(x, *a, **kw))
+    sizes = {"cos": [], "sin": [], "tan": []}
+    for name, calls in sizes.items():
+        real = getattr(np, name)
+
+        def counting(x, *a, _real=real, _calls=calls, **kw):
+            _calls.append(np.size(x))
+            return _real(x, *a, **kw)
+
+        monkeypatch.setattr(np, name, counting)
     for slab, x in (("b", grid.nodes_b), ("a", grid.nodes_a)):
         assert slab_matrix(basis, x, slab, 40).shape == (11000, 40)
     block = math.isqrt(11000 - 1) + 1
-    assert len(sizes) == 4
-    assert max(sizes) <= block * 40
-    assert sum(sizes) <= 4 * block * 40
+    assert sizes["cos"] == sizes["sin"] == []
+    assert len(sizes["tan"]) == 2
+    assert max(sizes["tan"]) <= 2 * block * 40
+    assert sum(sizes["tan"]) <= 4 * block * 40
+
+
+@pytest.mark.parametrize("nodes, count", [(BLOCKED_MIN_NODES, 51), (10_000, 2000)])
+@pytest.mark.parametrize("rod", ["cu_mo", "stiff"])
+def test_blocked_tables_are_within_two_eps_of_cos_and_sin(rods_2000, rod, nodes, count):
+    # from t = tan(theta/2): starts against amp cos and -amp sin, offsets against
+    # cos and sin, of the same double angles evaluated in long double
+    basis = rods_2000[rod]
+    eps = np.finfo(float).eps
+    grid = uniform_grid(basis.sys, nodes)
+    for slab, x in (("b", grid.nodes_b), ("a", grid.nodes_a)):
+        shift, lam, amp = _slab_arrays(basis, slab, count)
+        P = mode_operator(basis, x, slab, count)
+        assert isinstance(P, BlockedModes)
+        B = P.offsets.shape[1]
+        start = np.multiply.outer((x + shift)[::B], lam).astype(np.longdouble)
+        offset = np.multiply.outer(np.arange(B) * P.h, lam).astype(np.longdouble)
+        bound = 2 * eps * np.abs(amp)
+        assert np.all(np.abs(P.starts[0] - amp * np.cos(start)) <= bound), slab
+        assert np.all(np.abs(P.starts[1] + amp * np.sin(start)) <= bound), slab
+        assert np.all(np.abs(P.offsets[0] - np.cos(offset)) <= 2 * eps), slab
+        assert np.all(np.abs(P.offsets[1] - np.sin(offset)) <= 2 * eps), slab
 
 
 @pytest.mark.parametrize("nodes", [BLOCKED_MIN_NODES, BLOCKED_MIN_NODES + 1, 1000, 11000])
@@ -464,6 +494,26 @@ def test_writable_nodes_are_evaluated_on_every_call(sys_cm):
     R = mode_operator(basis, view, "b", 6)
     x[4] = -1.5
     assert not np.array_equal(mode_operator(basis, view, "b", 6)[4], R[4])
+
+
+def test_a_grids_nodes_cannot_be_made_writable_under_its_kept_operator(sys_cm):
+    basis = build_basis(sys_cm, 8)
+    grid = uniform_grid(sys_cm, 20)
+    P = mode_operator(basis, grid.nodes_b, "b", 5)
+    with pytest.raises(ValueError):
+        grid.nodes_b.flags.writeable = True
+    with pytest.raises(ValueError):
+        grid.nodes_b[3] = -1.0
+    assert mode_operator(basis, grid.nodes_b, "b", 5) is P
+    # a read-only array that owns its data can be made writable again, so it is not kept
+    x = np.array(grid.nodes_b)
+    x.flags.writeable = False
+    Q = mode_operator(basis, x, "b", 5)
+    x.flags.writeable = True
+    x[3] = -1.0
+    R = mode_operator(basis, x, "b", 5)
+    assert R is not Q
+    assert np.array_equal(R[3], basis.amp_b[:5] * np.cos(basis.lambda_b[:5] * (x[3] + sys_cm.b)))
 
 
 def test_a_slice_basis_never_receives_its_plates_kept_operator(sys_2d):

@@ -320,7 +320,8 @@ PLATES = {
 
 @pytest.mark.parametrize("n_eps", [0.0, 0.5, 1.38, 3.4, 27.6, 60.0, 1000.0])
 @pytest.mark.parametrize("plate", sorted(PLATES))
-def test_batched_bisection_gives_the_per_m_modes_bit_for_bit(plate, n_eps, monkeypatch):
+def test_batched_bisection_gives_the_per_m_modes_bit_for_bit(plate, n_eps, monkeypatch,
+                                                              solved_plates):
     # the targets of every m share one bisection; bisecting each m on its own
     # (where m = 0 takes the unshifted slab phase) must give the same roots
     real = twoslab.bilayer2d._phase_roots
@@ -402,7 +403,7 @@ def test_zero_threshold_keeps_the_constant_mode(plate):
 
 
 @pytest.mark.parametrize("n_eps", [0.0, 60.0, 1000.0])
-def test_find_modes_2d_bisects_every_bracket_in_one_call(n_eps, monkeypatch):
+def test_find_modes_2d_bisects_every_bracket_in_one_call(n_eps, monkeypatch, solved_plates):
     calls = []
     real = twoslab.eigensolver._bisect_brackets
     monkeypatch.setattr(
@@ -414,10 +415,11 @@ def test_find_modes_2d_bisects_every_bracket_in_one_call(n_eps, monkeypatch):
     assert calls[0] == len(basis2d) - 1
 
 
-def test_find_modes_2d_keeps_only_the_brackets_of_each_scan():
+def test_find_modes_2d_keeps_only_the_brackets_of_each_scan(solved_plates):
     # no grid: only one bracket per mode is held, well below 0.5 MB at this size
     sys = PLATES["cu_mo"]
     find_modes_2d(sys, 1000.0)
+    solved_plates.clear()  # the measured call solves
     tracemalloc.start()
     try:
         find_modes_2d(sys, 1000.0)
@@ -442,3 +444,84 @@ def test_find_modes_2d_refuses_oversized_spectra_before_allocating(sys_2d, n_eps
     finally:
         tracemalloc.stop()
     assert peak < 1e5
+
+
+# ---------------------------------------------------------------------------
+# the spectra find_modes_2d keeps
+
+
+def test_an_equal_system_and_threshold_return_the_kept_plate(sys_2d, solved_plates):
+    plate = find_modes_2d(sys_2d, 60.0)
+    twin = dataclasses.replace(sys_2d, mat_b=Material(K=3.42, kappa=0.838))
+    assert twin is not sys_2d
+    for n_eps in (60.0, 60, np.float64(60.0)):
+        assert find_modes_2d(twin, n_eps) is plate
+
+
+def test_another_threshold_or_system_is_another_entry(sys_2d, solved_plates):
+    plate = find_modes_2d(sys_2d, 60.0)
+    # the whole system is the key: a later time window has the same spectrum, kept apart
+    later = dataclasses.replace(sys_2d, tf=0.2)
+    other = find_modes_2d(later, 60.0)
+    assert other is not plate and other.sys is later
+    assert np.array_equal(other.lambda_bar, plate.lambda_bar)
+    assert find_modes_2d(sys_2d, np.nextafter(60.0, 61.0)) is not plate
+    assert len(solved_plates.plates) == 3
+    assert solved_plates.modes == 3 * len(plate)
+
+
+def test_a_kept_plates_columns_are_read_only(sys_2d, solved_plates):
+    plate = find_modes_2d(sys_2d, 60.0)
+    derived = ("modes", "norm_N", "quad_x_b", "quad_w_b", "quad_x_a", "quad_w_a")
+    for name in [f.name for f in dataclasses.fields(plate) if f.name != "sys"] + list(derived):
+        column = getattr(plate, name)
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError):
+            column.flags.writeable = True
+        with pytest.raises(ValueError):
+            column[0] = column[-1]
+
+
+def test_a_slice_of_a_kept_plate_owns_its_amplitudes_and_no_operator(sys_2d, solved_plates):
+    plate = find_modes_2d(sys_2d, 40.0)
+    k = len(plate)
+    grid = uniform_grid(sys_2d, k)
+    kept = twoslab.basis.mode_operator(plate, grid.nodes_b, "b", k)
+    on_slice = slice_basis(find_modes_2d(sys_2d, 40.0), 0.3)
+    assert on_slice.sys is plate.sys and on_slice.lambda_b is plate.lambda_b
+    for mine, theirs in ((on_slice.amp_b, plate.amp_b), (on_slice.amp_a, plate.amp_a)):
+        assert mine.flags.owndata and mine.flags.writeable
+        assert not np.shares_memory(mine, theirs)
+    P = twoslab.basis.mode_operator(on_slice, grid.nodes_b, "b", k)
+    assert P is not kept
+    assert np.array_equal(P, slab_matrix(on_slice, np.array(grid.nodes_b), "b", k))
+
+
+@pytest.mark.parametrize("n_eps", [-1.0, float("nan"), 1e6])
+def test_a_bad_threshold_is_refused_before_any_lookup(sys_2d, n_eps, monkeypatch, solved_plates):
+    class Refusing(dict):
+        def get(self, *a):
+            raise AssertionError("looked up")
+
+    monkeypatch.setattr(solved_plates, "plates", Refusing())
+    with pytest.raises(ValidationError, match="non-negative" if not n_eps > 0 else "at most"):
+        find_modes_2d(sys_2d, n_eps)
+
+
+def test_the_kept_plates_hold_at_most_max_modes_and_drop_the_oldest(
+    sys_2d, monkeypatch, solved_plates
+):
+    # 3, 6 and 2 modes are kept (bounds 10.1, 15.3, 7.1); 10 is read again, and
+    # 17's 6 modes then drop the oldest entry, 10's, not the least recently read
+    monkeypatch.setattr(twoslab.bilayer2d, "MAX_MODES", 16)
+    first = find_modes_2d(sys_2d, 10.0)
+    kept = [first, find_modes_2d(sys_2d, 20.0), find_modes_2d(sys_2d, 5.0)]
+    assert [len(p) for p in kept] == [3, 6, 2] and solved_plates.modes == 11
+    assert find_modes_2d(sys_2d, 10.0) is first
+    last = find_modes_2d(sys_2d, 17.0)
+    assert len(last) == 6
+    assert list(solved_plates.plates.values()) == kept[1:] + [last]
+    assert solved_plates.modes == 14
+    again = find_modes_2d(sys_2d, 10.0)
+    assert again is not first and np.array_equal(again.lambda_bar, first.lambda_bar)
+    assert solved_plates.modes <= 16
